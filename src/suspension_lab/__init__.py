@@ -33,6 +33,7 @@ from .intensity import (
     Trivalent,
     ZeroFamily,
     check_condition,
+    condition_verdict,
     eval_intensity,
     limit_gap,
     limit_sets,

@@ -143,7 +143,10 @@ def parse_rng(doc: Any, seed_override: Optional[int]) -> RNGSpec:
     stream = _get(doc, "stream", int, "rng", default=0)
     if seed_override is not None:
         seed = seed_override
-    return RNGSpec(seed=seed, stream=stream)
+    try:
+        return RNGSpec(seed=seed, stream=stream)
+    except ValueError as exc:
+        raise ConfigError(f"rng: {exc}") from exc
 
 
 _COMMON_KEYS = {"command", "profile", "rng", "output"}
@@ -241,11 +244,14 @@ def run_command(command: str, cfg: dict, seed_override: Optional[int]) -> tuple[
         return summary.body_dict(), rng, anomaly
 
     if command == "decay":
+        ns = cfg.get("ns", [10, 100, 1_000, 10_000, 100_000])
+        if not (isinstance(ns, list) and all(type(n) is int and n >= 1 for n in ns)):
+            raise ConfigError("decay 'ns' must be a list of integers >= 1")
         summary = simulate.increment_tail_decay(
             profile,
             rng=rng,
             samples=_get(cfg, "samples", int, "config", default=100_000),
-            ns=cfg.get("ns", (10, 100, 1_000, 10_000, 100_000)),
+            ns=ns,
             mc_max=_get(cfg, "mc_max", int, "config", default=100),
         )
         return summary.body_dict(), rng, anomaly

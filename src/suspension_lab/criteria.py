@@ -35,7 +35,7 @@ from .intensity import (
     StepFamily,
     Trivalent,
     ZeroFamily,
-    check_condition,
+    condition_verdict,
     epsilon_at,
     intensities,
     limit_gap,
@@ -238,36 +238,33 @@ def _hellinger_unit(fam: EpsilonFamily, n: int) -> float:
     return prefix + semi_infinite_sum(tail, K + 1)
 
 
-def _require(profile: IntensityProfile, condition: str, who: str) -> None:
-    verdict = check_condition(profile, condition)
-    if verdict.holds is not Trivalent.YES:
+def require_condition(profile: IntensityProfile, condition: str, who: str) -> None:
+    """Raise unless ``condition_verdict`` says YES; ``who`` names the caller."""
+    holds, detail = condition_verdict(profile.epsilon, condition)
+    if holds is not Trivalent.YES:
         if condition == "zero_gap":
-            raise GapNotZeroError(f"{who} requires a vanishing asymptotic gap; got {verdict.detail}")
-        raise PreconditionError(f"{who} requires condition {condition}={Trivalent.YES.value}; got {verdict.detail}")
+            raise GapNotZeroError(f"{who} requires a vanishing asymptotic gap; got {detail}")
+        raise PreconditionError(f"{who} requires condition {condition}={Trivalent.YES.value}; got {detail}")
 
 
-def rn_square_integral(profile: IntensityProfile, n: int, tol: float = 1e-9) -> float:
+def rn_square_integral(profile: IntensityProfile, n: int) -> float:
     """Level * sum_k (e^{3 eps_k - 2 eps_{k-n}} - e^{eps_k}).
 
     Refuses profiles whose asymptotic gap is nonzero: the derivation of the
     displayed form cancels the linear increment sum, which requires the gap
-    to vanish.  The result approximates the infinite sum to well below
-    ``tol`` (exact prefix plus Euler-Maclaurin tail).
+    to vanish.  The infinite sum is evaluated as an exact prefix plus an
+    Euler-Maclaurin tail.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _require(profile, "zero_gap", "rn_square_integral")
+    require_condition(profile, "zero_gap", "rn_square_integral")
     return profile.level * _rn_unit(profile.epsilon, n)
 
 
-def hellinger_growth(profile: IntensityProfile, n: int, tol: float = 1e-9) -> float:
+def hellinger_growth(profile: IntensityProfile, n: int) -> float:
     """Level * sum_x (e^{eps_{x+n}/2} - e^{eps_x/2})^2 over the lattice."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return profile.level * _hellinger_unit(profile.epsilon, n)
 
 
@@ -313,7 +310,7 @@ def dissipativity_series(profile: IntensityProfile, N: int = 200,
     totally dissipative suspension) precisely when slope/2 > 1, and the
     verdict is issued only with a three-sigma margin on the fitted slope.
     """
-    _require(profile, "nonsingularity", "dissipativity_series")
+    require_condition(profile, "nonsingularity", "dissipativity_series")
     partial = math.fsum(
         math.exp(-0.5 * hellinger_growth(profile, n)) for n in range(1, N + 1)
     )
@@ -337,8 +334,8 @@ def conservativity_certificate(profile: IntensityProfile, N: int = 200,
     as 2 beta - c > 1.  Admissible betas form ((1+c)/2, 1]; we take the
     midpoint (3+c)/4.  Requires c < 1 with a three-sigma margin.
     """
-    _require(profile, "zero_gap", "conservativity_certificate")
-    _require(profile, "nonsingularity", "conservativity_certificate")
+    require_condition(profile, "zero_gap", "conservativity_certificate")
+    require_condition(profile, "nonsingularity", "conservativity_certificate")
     fit = rn_slope_fit(profile, fit_range)
     c = fit.slope
     if c + 3.0 * fit.slope_se < 1.0:
@@ -372,7 +369,7 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
     (dissipative), weighted recurrence series (conservative).  Anything
     else is an honest "inconclusive".
     """
-    if check_condition(profile, "nonsingularity").holds is not Trivalent.YES:
+    if condition_verdict(profile.epsilon, "nonsingularity")[0] is not Trivalent.YES:
         return ClassificationReport(Verdict.NOT_NONSINGULAR, None, profile,
                                     notes=("nonsingularity condition not established",))
 

@@ -156,10 +156,10 @@ def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
 
     The exact tail extends outward until TAIL_RUN consecutive terms fall
     below TAIL_TERM_FLOOR (Poisson-type tails decay super-exponentially).
-    The bound is exp(-(a+b)+ab) * (a^L e^a + b^L e^b) / L!, which dominates
-    the exact tail for every L >= 1: each pmf value is bounded by the
-    leading Bessel prefactor times e^{ab}, and the two one-sided sums then
-    telescope into the displayed form.
+    The bound is exp(-(a+b)+ab) * (a^L e^a + b^L e^b) / L!, capped at 1,
+    which dominates the exact tail for every L >= 1: each pmf value is
+    bounded by the leading Bessel prefactor times e^{ab}, and the two
+    one-sided sums then telescope into the displayed form.
     """
     if L < 1:
         raise ParameterDomainError(f"L must be a positive integer, got {L}")
@@ -177,17 +177,16 @@ def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
 
 
 def skellam_tail_bound(law: SkellamLaw, L: int) -> float:
-    """Analytic tail bound exp(-(a+b)+ab) * (a^L e^a + b^L e^b) / L!."""
+    """Analytic tail bound exp(-(a+b)+ab) * (a^L e^a + b^L e^b) / L!, capped
+    at 1 (it bounds a probability).  Both terms are compared in log space,
+    so a bound above 1 is returned as 1 before exp can overflow."""
     if L < 1:
         raise ParameterDomainError(f"L must be a positive integer, got {L}")
-    a, b = law.a, law.b
-    base = -(a + b) + a * b - math.lgamma(L + 1)
-    pieces = []
-    if a > 0.0:
-        pieces.append(math.exp(base + a + L * math.log(a)))
-    if b > 0.0:
-        pieces.append(math.exp(base + b + L * math.log(b)))
-    return math.fsum(pieces)
+    base = -(law.a + law.b) + law.a * law.b - math.lgamma(L + 1)
+    logs = [base + r + L * math.log(r) for r in (law.a, law.b) if r > 0.0]
+    if max(logs, default=-math.inf) >= 0.0:
+        return 1.0
+    return min(1.0, math.fsum(math.exp(x) for x in logs))
 
 
 def skellam_tail_threshold(limit: float, l_max: int = 50, grid_step: float = 0.25) -> int:

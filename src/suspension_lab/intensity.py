@@ -8,8 +8,10 @@ intensity levels whose gap certifies dissipativity.
 
 Convergence of the infinite condition series is never decided numerically:
 built-in families carry exact symbolic classifications, and explicit
-tables must declare a tail family or receive "undetermined".  Numeric
-partial-sum traces are attached to every verdict as audit evidence only.
+tables must declare a tail family or receive "undetermined".  Every caller
+that needs a verdict uses ``condition_verdict``, which looks only at the
+family.  Numeric partial-sum traces are audit evidence: ``check_condition``
+adds them on top of the same verdict, for reports that print them.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class Trivalent(Enum):
     UNDETERMINED = "undetermined"
 
 
-#: Condition identifiers understood by ``check_condition``.
+#: Condition identifiers understood by ``condition_verdict``.
 CONDITION_IDS = (
     "nonsingularity",   # sum (sqrt a_{n-1} - sqrt a_n)^2 < inf
     "l1_increments",    # sum |a_{n-1} - a_n| < inf
@@ -183,7 +185,8 @@ def _tail_family(family: EpsilonFamily) -> Optional[EpsilonFamily]:
     return family
 
 
-def _symbolic(family: EpsilonFamily, condition: str) -> tuple[Trivalent, str]:
+def condition_verdict(family: EpsilonFamily, condition: str) -> tuple[Trivalent, str]:
+    """Symbolic verdict and its reason for one of CONDITION_IDS, by family."""
     tail = _tail_family(family)
     if tail is None:
         return Trivalent.UNDETERMINED, "explicit table with no declared tail"
@@ -257,8 +260,9 @@ def _evidence(profile: IntensityProfile, condition: str) -> tuple[tuple[int, flo
 
 
 def check_condition(profile: IntensityProfile, condition: str) -> ConditionVerdict:
-    """Symbolic verdict for one of CONDITION_IDS with a numeric audit trace."""
-    holds, detail = _symbolic(profile.epsilon, condition)
+    """``condition_verdict`` plus the numeric partial sums of the condition
+    series at N = 100 ... 100000, as audit evidence for reports."""
+    holds, detail = condition_verdict(profile.epsilon, condition)
     return ConditionVerdict(condition, holds, _evidence(profile, condition), detail)
 
 
@@ -268,7 +272,7 @@ def limit_gap(profile: IntensityProfile) -> Optional[float]:
     Requires the absolute-increment series to converge, which guarantees
     both one-sided limits exist.
     """
-    if check_condition(profile, "l1_increments").holds is not Trivalent.YES:
+    if condition_verdict(profile.epsilon, "l1_increments")[0] is not Trivalent.YES:
         return None
     lims = _epsilon_limits(profile.epsilon)
     if lims is None:

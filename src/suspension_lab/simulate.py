@@ -30,13 +30,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import criteria
-from .criteria import PreconditionError
 from .dist import ParameterDomainError, SkellamLaw, skellam_tail, skellam_tail_threshold
 from .intensity import (
     IntensityProfile,
     PowerFamily,
     Trivalent,
-    check_condition,
+    condition_verdict,
     epsilon_at,
     eval_intensity,
     intensities,
@@ -95,18 +94,6 @@ class ExperimentSummary:
             "statistics": self.statistics,
             "rng": self.rng.as_dict(),
         }
-
-
-def _require_clt_regime(profile: IntensityProfile, who: str) -> None:
-    verdict = check_condition(profile, "clt_regime")
-    if verdict.holds is not Trivalent.YES:
-        raise PreconditionError(f"{who} refused: slow-decay regime not satisfied ({verdict.detail})")
-
-
-def _require_nonsingular(profile: IntensityProfile, who: str) -> None:
-    verdict = check_condition(profile, "nonsingularity")
-    if verdict.holds is not Trivalent.YES:
-        raise PreconditionError(f"{who} refused: nonsingularity not established ({verdict.detail})")
 
 
 def window_for_shift(profile: IntensityProfile, max_shift: int,
@@ -207,7 +194,7 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
         drift[n - 1] = float(np.sum(a_k - profile.level * np.exp(eps_kn)))
     cdf = poisson_cdf_tables(a_k)
 
-    zero_gap = check_condition(profile, "zero_gap").holds is Trivalent.YES
+    zero_gap = condition_verdict(profile.epsilon, "zero_gap")[0] is Trivalent.YES
     markov_bound = None
     log_bn = None
     if zero_gap:
@@ -270,7 +257,7 @@ def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
     anything narrower raises WindowCoverageError rather than silently
     truncating.
     """
-    _require_nonsingular(profile, "hopf_diagnostic")
+    criteria.require_condition(profile, "nonsingularity", "hopf_diagnostic")
     if N < 1 or samples < 1:
         raise ValueError("N and samples must be positive")
     t0 = time.perf_counter()
@@ -320,7 +307,7 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     first the x uniforms then the y uniforms, each as a (samples, block)
     row-major matrix.
     """
-    _require_clt_regime(profile, "clt_experiment")
+    criteria.require_condition(profile, "clt_regime", "clt_experiment")
     if n < 2 or samples < 2:
         raise ValueError("need n >= 2 and samples >= 2")
     t0 = time.perf_counter()
@@ -411,7 +398,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
     for n beyond ``guaranteed_beyond_n``, and rows before that index may
     beat eps_n^4 without it.
     """
-    _require_clt_regime(profile, "increment_tail_decay")
+    criteria.require_condition(profile, "clt_regime", "increment_tail_decay")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
@@ -486,7 +473,7 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         raise ParameterDomainError(f"eps must be positive, got {eps}")
     if not 0 <= M < N:
         raise ValueError(f"need 0 <= M < N, got M={M}, N={N}")
-    _require_clt_regime(profile, "stopping_time_experiment")
+    criteria.require_condition(profile, "clt_regime", "stopping_time_experiment")
     t0 = time.perf_counter()
     gen = rng.generator()
     a0 = eval_intensity(profile, 0)
@@ -567,7 +554,7 @@ def scan_intensity(profile: IntensityProfile, t_grid: Sequence[float], N: int,
     ts = [float(t) for t in t_grid]
     if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing with at least two points")
-    _require_nonsingular(profile, "scan_intensity")
+    criteria.require_condition(profile, "nonsingularity", "scan_intensity")
     t0 = time.perf_counter()
     window = window_for_shift(profile.with_scale(profile.scale * max(ts)), N, window_tol)
 

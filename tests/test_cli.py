@@ -17,6 +17,7 @@ from suspension_lab.cli import (
     EXIT_PRECONDITION,
     body_bytes,
 )
+from suspension_lab.intensity import CONDITION_IDS, check_condition
 from suspension_lab.simulate import ExperimentSummary
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text())
@@ -71,6 +72,28 @@ class TestCommands:
         body = json.loads(out.read_text())["body"]
         assert body["exact"] < 1e-8
         assert body["exact"] <= body["bound"]
+
+    def test_tails_bound_above_one(self, tmp_path):
+        doc = {"skellam": {"a": 27, "b": 27}, "L": 20}
+        code, out = run_to_file(tmp_path, "tails", doc)
+        assert code == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        body = json.loads(out.read_text(), parse_constant=refuse)["body"]
+        assert body["exact_le_bound"] is True
+        assert body["bound"] == 1.0
+
+    def test_check_reports_evidence(self, tmp_path):
+        code, out = run_to_file(tmp_path, "check", {"profile": POWER_PROFILE})
+        assert code == EXIT_OK
+        conditions = json.loads(out.read_text())["body"]["conditions"]
+        assert sorted(conditions) == sorted(CONDITION_IDS)
+        profile = cli.parse_profile(POWER_PROFILE)
+        for cid in CONDITION_IDS:
+            expected = check_condition(profile, cid).partial_sums
+            assert conditions[cid]["partial_sums"] == [[n, v] for n, v in expected]
 
     def test_asymptotics_json_and_csv(self, tmp_path):
         doc = {"profile": POWER_PROFILE, "n_min": 16, "n_max": 1024}
@@ -186,6 +209,15 @@ class TestValidationAndExitCodes:
     def test_bad_domain_parameter(self, tmp_path):
         doc = {"profile": POWER_PROFILE, "r": -0.5, "eps": 0.1, "M": 10, "N": 100, "samples": 5}
         code, _ = run_to_file(tmp_path, "stopping", doc)
+        assert code == EXIT_CONFIG
+
+    def test_negative_seed(self, tmp_path):
+        code, _ = run_to_file(tmp_path, "check", {"profile": POWER_PROFILE, "rng": {"seed": -1}})
+        assert code == EXIT_CONFIG
+
+    def test_decay_ns_below_one(self, tmp_path):
+        doc = {"profile": POWER_PROFILE, "samples": 2_000, "ns": [0, -5]}
+        code, _ = run_to_file(tmp_path, "decay", doc)
         assert code == EXIT_CONFIG
 
     def test_precondition_violation(self, tmp_path):

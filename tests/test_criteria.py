@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from suspension_lab import intensity
 from suspension_lab.criteria import (
     GapNotZeroError,
     HELLINGER_FIT_RANGE,
@@ -31,14 +32,20 @@ from suspension_lab.criteria import (
 )
 from suspension_lab.dist import hellinger_sq_poisson
 from suspension_lab.intensity import (
+    ExplicitFamily,
     IntensityProfile,
     PowerFamily,
     ProfileError,
     StepFamily,
     Trivalent,
+    ZeroFamily,
+    check_condition,
     intensities,
+    limit_gap,
 )
 from suspension_lab.numerics import geometric_grid
+from suspension_lab.sampling import RNGSpec
+from suspension_lab.simulate import clt_experiment, hopf_diagnostic
 
 HALF = PowerFamily(gamma=0.5, sign=-1)
 
@@ -379,3 +386,46 @@ class TestStepOverlapDecay:
         full = math.prod(1.0 - v for v in h2)
         delta2 = min(h2)
         assert full <= (1.0 - delta2) ** (n / 3)
+
+
+class TestVerdictsBuildNoEvidence:
+    """Verdicts come from the family alone: with the partial-sum evidence of
+    ``check_condition`` made to fail, every analytic path still runs."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_evidence(self, monkeypatch):
+        def refuse(profile, condition):
+            raise AssertionError(f"evidence built for {condition}")
+
+        monkeypatch.setattr(intensity, "_evidence", refuse)
+
+    def test_refusal_is_in_force(self):
+        with pytest.raises(AssertionError, match="evidence built"):
+            check_condition(IntensityProfile(1.0, HALF), "nonsingularity")
+
+    @pytest.mark.parametrize("epsilon, verdict", [
+        (ZeroFamily(), Verdict.CONSERVATIVE),
+        (PowerFamily(0.75, -1), Verdict.CONSERVATIVE),
+        (StepFamily(0.0, 0.5), Verdict.TOTALLY_DISSIPATIVE),
+        (ExplicitFamily.from_mapping({0: 0.4, 1: -0.2}, PowerFamily(0.4, -1)),
+         Verdict.TOTALLY_DISSIPATIVE),
+    ], ids=["zero", "power", "step", "explicit"])
+    def test_classify(self, epsilon, verdict):
+        assert classify(IntensityProfile(1.0, epsilon)).verdict is verdict
+
+    def test_bifurcation_bracket(self):
+        br = bifurcation_bracket(IntensityProfile(1.0, HALF))
+        assert br.t_lower <= br.t_upper
+
+    def test_limit_gap_and_series(self):
+        p = IntensityProfile(1.0, HALF)
+        assert limit_gap(p) == 0.0
+        assert rn_square_integral(p, 10) > 0.0
+
+    def test_clt_experiment(self):
+        s = clt_experiment(IntensityProfile(1.0, HALF), n=100, samples=10, rng=RNGSpec(0))
+        assert s.statistics["snapshots"]
+
+    def test_hopf_diagnostic(self):
+        s = hopf_diagnostic(IntensityProfile(1.0, HALF), N=4, samples=10, rng=RNGSpec(0))
+        assert "markov" in s.statistics  # the zero-gap verdict held

@@ -28,6 +28,7 @@ from suspension_lab.dist import (
     skellam_pmf,
     skellam_support_cutoff,
     skellam_tail,
+    skellam_tail_bound,
     skellam_tail_threshold,
 )
 
@@ -269,6 +270,15 @@ class TestSkellamTail:
     def test_invalid_l(self):
         with pytest.raises(ParameterDomainError):
             skellam_tail(SkellamLaw(1.0, 1.0), 0)
+
+    def test_bound_capped_at_one(self):
+        # at a = b = 27, L = 20 each uncapped term is about e^725 and
+        # overflows a double; the bound is on a probability, so it caps at 1
+        est = skellam_tail(SkellamLaw(27.0, 27.0), 20)
+        assert est.bound == 1.0
+        assert 0.0 < est.exact <= est.bound
+        for a, b, L in ((3.0, 2.0, 1), (50.0, 0.0, 5), (1e3, 1e3, 1)):
+            assert skellam_tail_bound(SkellamLaw(a, b), L) == 1.0
 
     def test_threshold_is_certified(self):
         L = skellam_tail_threshold(1.0)

@@ -18,6 +18,7 @@ from suspension_lab.intensity import (
     Trivalent,
     ZeroFamily,
     check_condition,
+    condition_verdict,
     epsilon_at,
     eval_intensity,
     intensities,
@@ -133,6 +134,17 @@ class TestConditions:
     def test_unknown_condition_rejected(self):
         with pytest.raises(ProfileError):
             check_condition(IntensityProfile(1.0), "no_such_condition")
+        with pytest.raises(ProfileError):
+            condition_verdict(ZeroFamily(), "no_such_condition")
+
+    @pytest.mark.parametrize("family", [
+        ZeroFamily(), HALF, PowerFamily(1.0, -1), StepFamily(0.0, 0.5),
+        ExplicitFamily.from_mapping({0: 0.1}), ExplicitFamily.from_mapping({0: 0.1}, HALF),
+    ])
+    def test_check_adds_evidence_to_the_verdict(self, family):
+        for cid in CONDITION_IDS:
+            v = check_condition(IntensityProfile(1.0, family), cid)
+            assert (v.holds, v.detail) == condition_verdict(family, cid)
 
 
 class TestGapAndLimits:
