@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -90,6 +91,15 @@ def _get(doc: dict, key: str, kind, where: str, default=None, required: bool = F
         val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
         raise ConfigError(f"field '{key}' in {where} must be {kind}, got {type(val).__name__}")
+    return val
+
+
+def _finite_numbers(val: Any, what: str) -> list:
+    """``val`` itself, once it is checked to be a list of finite numbers."""
+    if not (isinstance(val, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in val)):
+        raise ConfigError(f"{what} must be a list of finite numbers")
     return val
 
 
@@ -239,7 +249,8 @@ def run_command(command: str, cfg: dict, seed_override: Optional[int]) -> tuple[
             n=_get(cfg, "n", int, "config", default=10_000),
             samples=_get(cfg, "samples", int, "config", default=10_000),
             rng=rng,
-            thresholds=cfg.get("thresholds", [1.0, 5.0, 10.0]),
+            thresholds=_finite_numbers(cfg.get("thresholds", [1.0, 5.0, 10.0]),
+                                       "clt 'thresholds'"),
         )
         return summary.body_dict(), rng, anomaly
 
@@ -271,9 +282,10 @@ def run_command(command: str, cfg: dict, seed_override: Optional[int]) -> tuple[
     if command == "hopf":
         window = cfg.get("window")
         if window is not None:
-            if not (isinstance(window, list) and len(window) == 2):
-                raise ConfigError("hopf 'window' must be a [lo, hi) pair")
-            window = (int(window[0]), int(window[1]))
+            if not (isinstance(window, list) and len(window) == 2
+                    and all(type(v) is int for v in window)):
+                raise ConfigError("hopf 'window' must be a [lo, hi) pair of integers")
+            window = tuple(window)
         summary = simulate.hopf_diagnostic(
             profile,
             N=_get(cfg, "N", int, "config", default=64),
@@ -286,8 +298,8 @@ def run_command(command: str, cfg: dict, seed_override: Optional[int]) -> tuple[
         return summary.body_dict(), rng, anomaly
 
     if command == "scan":
-        t_grid = cfg.get("t_grid")
-        if not isinstance(t_grid, list) or not t_grid:
+        t_grid = _finite_numbers(cfg.get("t_grid"), "scan 't_grid'")
+        if not t_grid:
             raise ConfigError("scan requires a nonempty 't_grid' list")
         summary = simulate.scan_intensity(
             profile,

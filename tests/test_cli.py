@@ -220,6 +220,24 @@ class TestValidationAndExitCodes:
         code, _ = run_to_file(tmp_path, "decay", doc)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("thresholds", ["ab", [1.0, "x"], [True], [float("nan")]])
+    def test_clt_thresholds_not_numbers(self, tmp_path, thresholds):
+        doc = {"profile": POWER_PROFILE, "n": 100, "samples": 10, "thresholds": thresholds}
+        code, _ = run_to_file(tmp_path, "clt", doc)
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("window", [["a", 1], [0, 40.0], [0, 40, 80]])
+    def test_hopf_window_not_integers(self, tmp_path, window):
+        doc = {"profile": POWER_PROFILE, "N": 4, "samples": 10, "window": window}
+        code, _ = run_to_file(tmp_path, "hopf", doc)
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("t_grid", [["a", 1], "ab", [0.5, float("inf")]])
+    def test_scan_t_grid_not_numbers(self, tmp_path, t_grid):
+        doc = {"profile": POWER_PROFILE, "t_grid": t_grid, "N": 4, "samples": 10}
+        code, _ = run_to_file(tmp_path, "scan", doc)
+        assert code == EXIT_CONFIG
+
     def test_precondition_violation(self, tmp_path):
         code, _ = run_to_file(tmp_path, "asymptotics", {"profile": STEP_PROFILE})
         assert code == EXIT_PRECONDITION

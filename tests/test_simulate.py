@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from suspension_lab import sampling
 from suspension_lab.criteria import PreconditionError
 from suspension_lab.dist import ParameterDomainError, poisson_log_pmf
 from suspension_lab.intensity import (
@@ -103,6 +106,128 @@ class TestPoissonSampler:
             RNGSpec(seed=2**64)
         with pytest.raises(ValueError):
             RNGSpec(seed=0, stream=-2)
+
+
+def _recurrence_tables(rates: np.ndarray) -> np.ndarray:
+    """The pmf recurrence from exp(-rate), the table every row whose
+    exp(-rate) is a normal float must keep bit for bit."""
+    rmax = float(rates.max())
+    K = int(rmax + 12.0 * math.sqrt(rmax + 1.0) + 30.0)
+    pmf = np.empty((len(rates), K + 1))
+    pmf[:, 0] = np.exp(-rates)
+    for k in range(1, K + 1):
+        pmf[:, k] = pmf[:, k - 1] * (rates / k)
+    return np.cumsum(pmf, axis=1)
+
+
+class TestLargeRates:
+    """Rows whose exp(-rate) is not a normal float (rate above ~708.4)."""
+
+    @pytest.mark.parametrize("rate", [709.0, 740.0, 744.0, 800.0])
+    def test_mass_closes(self, rate):
+        cdf = poisson_cdf_tables(np.array([rate]))[0]
+        assert abs(cdf[-1] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("rate", [709.0, 800.0, 1e3, 1e4, 1e5])
+    def test_table_matches_scipy(self, rate):
+        cdf = poisson_cdf_tables(np.array([rate]))[0]
+        exact = scipy_stats.poisson.cdf(np.arange(len(cdf)), rate)
+        assert np.max(np.abs(cdf - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("rate", [1e3, 1e4, 1e5])
+    def test_draws_match_scipy(self, rate):
+        m = 20_000
+        draws = sample_poisson(rate, m, RNGSpec(seed=17).generator())
+        law = scipy_stats.poisson(rate)
+        assert abs(draws.mean() - rate) < 4.0 * math.sqrt(rate / m)
+        assert abs(draws.var(ddof=1) - rate) < 4.0 * rate * math.sqrt(2.0 / (m - 1))
+        ks = np.arange(draws.min(), draws.max() + 1)
+        ecdf = np.searchsorted(np.sort(draws), ks, side="right") / m
+        # for a discrete law the continuous KS critical value is conservative
+        assert np.max(np.abs(ecdf - law.cdf(ks))) < scipy_stats.kstwobign.ppf(0.999) / math.sqrt(m)
+
+    def test_normal_rows_unchanged(self):
+        rates = np.array([0.0, 0.4, 3.0, 250.0, 708.0])
+        assert np.array_equal(poisson_cdf_tables(rates), _recurrence_tables(rates))
+
+    def test_mixed_rows(self):
+        # a large-rate row must not disturb the small-rate rows sharing its width
+        rates = np.array([1.0, 900.0, 30.0])
+        cdf = poisson_cdf_tables(rates)
+        assert np.array_equal(cdf[[0, 2]], _recurrence_tables(rates)[[0, 2]])
+        assert abs(cdf[1, -1] - 1.0) <= 1e-12
+
+
+def _flat_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Oracle: one flat searchsorted over rows offset by 2*r."""
+    S, R = u.shape
+    K = cdf.shape[1]
+    offsets = 2.0 * np.arange(R)
+    flat = (cdf + offsets[:, None]).ravel()
+    queries = (u + offsets[None, :]).ravel(order="F")
+    idx = np.searchsorted(flat, queries, side="right") - np.repeat(np.arange(R), S) * K
+    return np.minimum(idx, K - 1).reshape(R, S).T.astype(np.int64)
+
+
+def _adversarial_uniforms(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
+    """Uniforms in [0, 1), about half replaced by a table entry of their
+    column's row or a floating-point neighbour of one, the last entry
+    included, so draws land exactly on and beside every comparison and
+    above a row's last entry."""
+    gen = np.random.default_rng(seed)
+    R, K = cdf.shape
+    u = gen.random((S, R))
+    pick = gen.random((S, R)) < 0.5
+    rows = np.broadcast_to(np.arange(R), (S, R))
+    cols = np.where(gen.random((S, R)) < 0.2, K - 1, gen.integers(0, K, (S, R)))
+    entry = cdf[rows, cols]
+    shift = gen.integers(-1, 2, (S, R))
+    entry = np.where(shift < 0, np.nextafter(entry, -1.0),
+                     np.where(shift > 0, np.nextafter(entry, 2.0), entry))
+    u[pick] = entry[pick]
+    return np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+
+
+class TestInversionExactness:
+    """Both inversion entry points equal the flat-search oracle element for
+    element, on both sides of the comparison-pass switch."""
+
+    @given(scale=st.sampled_from([0.05, 1.0, 8.0, 25.0, 300.0]),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+           S=st.integers(0, 30), width=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    @example(scale=1.0, fractions=[1.0], S=0, width=2, seed=0)
+    @example(scale=1.0, fractions=[1.0], S=1, width=2, seed=0)
+    @example(scale=300.0, fractions=[0.0, 1.0], S=1, width=400, seed=0)
+    def test_matches_flat_search(self, scale, fractions, S, width, seed):
+        rates = scale * np.array(fractions)
+        full = poisson_cdf_tables(rates)
+        for cdf in (full, full[:, :width]):  # the cut table's rows end below 1
+            u = _adversarial_uniforms(cdf, S, seed)
+            counts = invert_uniform_rows(cdf, u)
+            expected = _flat_search(cdf, u)
+            assert counts.dtype == np.int64
+            assert counts.flags.f_contiguous == expected.flags.f_contiguous
+            assert np.array_equal(counts, expected)
+            for r in range(len(rates)):
+                # a lone row has offset 0; offset queries u + 2r may round up
+                row = invert_uniform(cdf[r], u[:, r])
+                assert row.dtype == np.int64
+                assert np.array_equal(row, _flat_search(cdf[r:r + 1], u[:, r:r + 1])[:, 0])
+
+    def test_matches_flat_search_across_chunks(self):
+        cdf = poisson_cdf_tables(np.linspace(0.0, 6.0, 4_000))
+        u = _adversarial_uniforms(cdf, 70, seed=1)  # several chunks, the last partial
+        assert np.array_equal(invert_uniform_rows(cdf, u), _flat_search(cdf, u))
+        y = _adversarial_uniforms(cdf[:1], 300_000, seed=2)
+        assert np.array_equal(invert_uniform(cdf[0], y[:, 0]), _flat_search(cdf[:1], y)[:, 0])
+
+    def test_path_follows_the_table(self):
+        # low-count tables take the passes; wide ones the flat search
+        assert sampling._pass_count(poisson_cdf_tables(np.full(64, 1.0))) is not None
+        assert sampling._pass_count(poisson_cdf_tables(np.full(64, 8.0))) is not None
+        assert sampling._pass_count(poisson_cdf_tables(np.linspace(100.0, 200.0, 64))) is None
+        assert sampling._pass_count(poisson_cdf_tables(np.array([200.0]))) is None
 
 
 class TestSampleConfiguration:
