@@ -10,10 +10,15 @@ Two deterministic series drive everything:
   unshifted square-root densities.  Its growth feeds the dissipativity
   certificate (summable overlap series).
 
-Both series cancel catastrophically if truncated, so they are evaluated as
-an exact prefix plus an Euler-Maclaurin tail (see ``numerics``).  Slope
-fits against log n replace the exact asymptotics; a verdict is only issued
-when the decisive inequality clears three residual standard errors.
+Both are sums over the same difference d_x = eps_{x+n} - eps_x, and one
+evaluator per series covers every family with a table, a power tail or
+both (a power family is the empty table): an exact prefix whose d_x are
+``epsilon_at`` differences up to the end of the table and stable power
+differences past it, plus, for a power tail, an Euler-Maclaurin closure of
+the remainder (see ``numerics``).  Truncating instead would cancel
+catastrophically.  Zero and step families have closed forms.  Slope fits
+against log n replace the exact asymptotics; a verdict is only issued when
+the decisive inequality clears three residual standard errors.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dist import ParameterDomainError
 from .intensity import (
     EpsilonFamily,
     ExplicitFamily,
@@ -130,112 +136,97 @@ def _power_eps_diff(gamma: float, sign: int, t: np.ndarray, shift: float) -> np.
     return -sign * np.power(t, -gamma) * np.expm1(-gamma * np.log1p(-shift / t))
 
 
-def _rn_unit_power(fam: PowerFamily, n: int) -> float:
-    g, s = fam.gamma, fam.sign
-    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN)
-    k = np.arange(2.0, K + 1.0)
-    ek = s * np.power(k, -g)
-    d = np.empty_like(k)
-    boundary = k <= n + 1  # eps_{k-n} = 0 there
-    d[boundary] = ek[boundary]
-    d[~boundary] = _power_eps_diff(g, s, k[~boundary], float(n))
-    prefix = float(np.sum(np.exp(ek) * np.expm1(2.0 * d)))
+def _span(fam: PowerFamily | ExplicitFamily, series: str) -> tuple[int, int, Optional[PowerFamily]]:
+    """(first, last, power tail) of a family with a table, a power tail or both.
 
-    def tail(t: np.ndarray) -> np.ndarray:
-        e = s * np.power(t, -g)
-        return np.exp(e) * np.expm1(2.0 * _power_eps_diff(g, s, t, float(n)))
-
-    return prefix + semi_infinite_sum(tail, K + 1)
-
-
-def _rn_unit_explicit(fam: ExplicitFamily, n: int) -> float:
+    eps vanishes below ``first``; past ``last`` it is the power tail's own
+    formula, or zero when the tail (returned as None) is.  A power family
+    is the empty table: first 2, last 1.
+    """
+    if isinstance(fam, PowerFamily):
+        return 2, 1, fam
     tmin, tmax = fam.index_range()
     if isinstance(fam.tail, StepFamily):
-        raise ProfileError("square-integral series requires a zero or power tail")
-    lo = min(2, tmin)
-    if fam.tail is None or isinstance(fam.tail, ZeroFamily):
-        hi = tmax + n + 1
-        k = np.arange(lo, hi + 1, dtype=float)
-        ek = epsilon_at(fam, k)
-        ekn = epsilon_at(fam, k - n)
-        return float(np.sum(np.exp(ek) * np.expm1(2.0 * (ek - ekn))))
-    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, tmax + n + _PREFIX_MARGIN)
-    k = np.arange(lo, K + 1, dtype=float)
-    ek = epsilon_at(fam, k)
-    ekn = epsilon_at(fam, k - n)
-    prefix = float(np.sum(np.exp(ek) * np.expm1(2.0 * (ek - ekn))))
-    tail_fam = fam.tail
+        raise ProfileError(f"{series} for explicit profiles requires a zero or power tail")
+    if isinstance(fam.tail, PowerFamily):
+        return min(2, tmin), max(tmax, 1), fam.tail
+    return min(2, tmin), tmax, None
 
-    def tail(t: np.ndarray) -> np.ndarray:
-        e = tail_fam.sign * np.power(t, -tail_fam.gamma)
-        return np.exp(e) * np.expm1(2.0 * _power_eps_diff(tail_fam.gamma, tail_fam.sign, t, float(n)))
 
-    return prefix + semi_infinite_sum(tail, K + 1)
+def _shift_diff(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, last: int,
+                tail: Optional[PowerFamily]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eps_x, eps_{x+n} and d_x = eps_{x+n} - eps_x for x = first - n ... hi,
+    given the family's ``_span``.
+
+    Up to the end of the table d_x is a difference of ``epsilon_at`` values;
+    past it both indices lie in the power tail, so eps is the tail's own
+    formula and d_x the stable ``_power_eps_diff``.  The regions are
+    contiguous slices of one grid of eps values.
+    """
+    lo = first - n
+    t = np.arange(lo, hi + n + 1, dtype=float)
+    eps = np.zeros_like(t)
+    a, b = first - lo, last + 1 - lo  # eps[a:b] covers the table, eps[b:] lies past it
+    if b > a:
+        eps[a:b] = epsilon_at(fam, t[a:b])
+    if tail is not None:
+        eps[b:] = tail.sign * np.power(t[b:], -tail.gamma)
+    m = hi - lo + 1
+    ex, exn = eps[:m], eps[n:n + m]
+    d = exn - ex
+    if tail is not None:
+        d[b:] = _power_eps_diff(tail.gamma, tail.sign, t[n + b:n + m], float(n))
+    return ex, exn, d
+
+
+def _rn_terms(exn: np.ndarray, d: np.ndarray) -> np.ndarray:
+    return np.exp(exn) * np.expm1(2.0 * d)
+
+
+def _hellinger_terms(ex: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # (e^{eps_{x+n}/2} - e^{eps_x/2})^2 without its cancellation
+    return np.exp(ex) * np.expm1(0.5 * d) ** 2
 
 
 @lru_cache(maxsize=65536)
 def _rn_unit(fam: EpsilonFamily, n: int) -> float:
-    if isinstance(fam, ZeroFamily):
+    """sum_x e^{eps_{x+n}} expm1(2 d_x): exact over x + n <= K and, for a
+    power tail, the Euler-Maclaurin closure over k = x + n > K."""
+    if isinstance(fam, (ZeroFamily, StepFamily)):
+        # a step is reachable only for left == right (zero gap), where eps is constant
         return 0.0
-    if isinstance(fam, StepFamily):
-        # reachable only for left == right (zero gap), where eps is constant
-        return 0.0
-    if isinstance(fam, PowerFamily):
-        return _rn_unit_power(fam, n)
-    return _rn_unit_explicit(fam, n)
-
-
-def _hellinger_unit_power(fam: PowerFamily, n: int) -> float:
-    g, s = fam.gamma, fam.sign
-    j = np.arange(2.0, n + 2.0)
-    block1 = float(np.sum(np.expm1(0.5 * s * np.power(j, -g)) ** 2))
-
-    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN)
-    k = np.arange(2.0, K + 1.0)
-    ek = s * np.power(k, -g)
-    diff = _power_eps_diff(g, s, k + n, float(n))  # eps(k+n) - eps(k)
-    block2 = float(np.sum(np.exp(ek) * np.expm1(0.5 * diff) ** 2))
-
-    def tail(t: np.ndarray) -> np.ndarray:
-        e = s * np.power(t, -g)
-        d = _power_eps_diff(g, s, t + n, float(n))
-        return np.exp(e) * np.expm1(0.5 * d) ** 2
-
-    return block1 + block2 + semi_infinite_sum(tail, K + 1)
-
-
-def _hellinger_unit_generic(fam: EpsilonFamily, n: int, lo: int, hi: int) -> float:
-    x = np.arange(lo, hi + 1, dtype=float)
-    ex = epsilon_at(fam, x)
-    exn = epsilon_at(fam, x + n)
-    return float(np.sum((np.exp(0.5 * exn) - np.exp(0.5 * ex)) ** 2))
+    first, last, tail = _span(fam, "square-integral series")
+    if tail is None:
+        _, exn, d = _shift_diff(fam, n, last + 1, first, last, tail)
+        return float(np.sum(_rn_terms(exn, d)))
+    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + n + _PREFIX_MARGIN)
+    _, exn, d = _shift_diff(fam, n, K - n, first, last, tail)
+    g, s = tail.gamma, tail.sign
+    closure = semi_infinite_sum(
+        lambda k: _rn_terms(s * np.power(k, -g), _power_eps_diff(g, s, k, float(n))), K + 1)
+    return float(np.sum(_rn_terms(exn, d))) + closure
 
 
 @lru_cache(maxsize=65536)
 def _hellinger_unit(fam: EpsilonFamily, n: int) -> float:
+    """sum_x e^{eps_x} expm1(d_x / 2)^2: exact over x <= K and, for a power
+    tail, the Euler-Maclaurin closure over x > K."""
     if isinstance(fam, ZeroFamily):
         return 0.0
     if isinstance(fam, StepFamily):
         # eps(x+n) != eps(x) exactly for x in [1-n, 0]
         d = math.exp(0.5 * fam.right) - math.exp(0.5 * fam.left)
         return n * d * d
-    if isinstance(fam, PowerFamily):
-        return _hellinger_unit_power(fam, n)
-    tmin, tmax = fam.index_range()
-    if fam.tail is None or isinstance(fam.tail, ZeroFamily):
-        return _hellinger_unit_generic(fam, n, tmin - n - 1, tmax + 1)
-    if isinstance(fam.tail, StepFamily):
-        raise ProfileError("hellinger series for explicit profiles requires a zero or power tail")
-    tail_fam = fam.tail
-    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, tmax + _PREFIX_MARGIN)
-    prefix = _hellinger_unit_generic(fam, n, min(2, tmin) - n - 1, K)
-
-    def tail(t: np.ndarray) -> np.ndarray:
-        e = tail_fam.sign * np.power(t, -tail_fam.gamma)
-        d = _power_eps_diff(tail_fam.gamma, tail_fam.sign, t + n, float(n))
-        return np.exp(e) * np.expm1(0.5 * d) ** 2
-
-    return prefix + semi_infinite_sum(tail, K + 1)
+    first, last, tail = _span(fam, "hellinger series")
+    if tail is None:
+        ex, _, d = _shift_diff(fam, n, last + 1, first, last, tail)
+        return float(np.sum(_hellinger_terms(ex, d)))
+    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + _PREFIX_MARGIN)
+    ex, _, d = _shift_diff(fam, n, K, first, last, tail)
+    g, s = tail.gamma, tail.sign
+    closure = semi_infinite_sum(
+        lambda x: _hellinger_terms(s * np.power(x, -g), _power_eps_diff(g, s, x + n, float(n))), K + 1)
+    return float(np.sum(_hellinger_terms(ex, d))) + closure
 
 
 def require_condition(profile: IntensityProfile, condition: str, who: str) -> None:
@@ -436,6 +427,9 @@ class BifurcationBracket:
         }
 
 
+#: Smallest bracket rtol: well above the float spacing of hi / lo near 1.
+_MIN_RTOL = 1e-12
+
 _VERDICT_ORDER = {
     Verdict.CONSERVATIVE: 0,
     Verdict.INCONCLUSIVE: 1,
@@ -451,8 +445,12 @@ def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3,
     t_lower is the supremum of scales classified conservative, t_upper the
     infimum classified totally dissipative.  The verdict pattern along the
     scan must be monotone (conservative below dissipative); any inversion
-    raises MonotonicityError.
+    raises MonotonicityError.  ``rtol`` must be finite and at least 1e-12:
+    the bisection stops once hi / lo <= 1 + rtol, which adjacent floats
+    never reach for rtol <= 0.
     """
+    if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
+        raise ParameterDomainError(f"rtol must be finite and >= {_MIN_RTOL}, got {rtol}")
 
     def verdict_at(t: float) -> Verdict:
         # short evidence series during the scan; verdicts only use the fits

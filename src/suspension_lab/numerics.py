@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .dist import ParameterDomainError
+
 _GL_NODES, _GL_WEIGHTS = leggauss(128)
 # map [-1, 1] -> (0, 1]
 _W_NODES = 0.5 * (_GL_NODES + 1.0)
@@ -120,7 +122,7 @@ def fit_log_slope(ns: Sequence[int], ys: Sequence[float], kind: str) -> SlopeFit
 def geometric_grid(n_min: int, n_max: int) -> list[int]:
     """Powers of two covering [n_min, n_max], inclusive at both ends."""
     if n_min < 1 or n_max < n_min:
-        raise ValueError("need 1 <= n_min <= n_max")
+        raise ParameterDomainError("need 1 <= n_min <= n_max")
     out = []
     n = 1
     while n <= n_max:

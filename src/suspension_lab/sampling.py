@@ -159,13 +159,10 @@ def _invert_by_passes(cdf: np.ndarray, u: np.ndarray, passes: int) -> np.ndarray
 
 
 def invert_uniform(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Counts from uniforms against a single CDF table row."""
-    passes = _pass_count(cdf_row[None, :])
-    if passes is not None:
-        u = np.asarray(u)
-        return _invert_by_passes(cdf_row[None, :], u.reshape(-1, 1), passes).reshape(u.shape)
-    idx = np.searchsorted(cdf_row, u, side="right")
-    return np.minimum(idx, len(cdf_row) - 1).astype(np.int64)
+    """Counts from uniforms against a single CDF table row: the one-row case
+    of ``invert_uniform_rows``."""
+    u = np.asarray(u)
+    return invert_uniform_rows(cdf_row[None, :], u.reshape(-1, 1)).reshape(u.shape)
 
 
 def invert_uniform_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

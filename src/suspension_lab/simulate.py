@@ -35,6 +35,7 @@ from .intensity import (
     IntensityProfile,
     PowerFamily,
     Trivalent,
+    _tail_family,
     condition_verdict,
     epsilon_at,
     eval_intensity,
@@ -64,9 +65,9 @@ class ConfigurationWindow:
     def __post_init__(self) -> None:
         c = np.asarray(self.counts)
         if c.ndim != 1 or len(c) == 0:
-            raise ValueError("counts must be a nonempty 1-d array")
+            raise ParameterDomainError("counts must be a nonempty 1-d array")
         if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
+            raise ParameterDomainError("counts must be nonnegative")
 
     @property
     def index_range(self) -> tuple[int, int]:
@@ -105,18 +106,16 @@ def window_for_shift(profile: IntensityProfile, max_shift: int,
     omitted log factor drops below ``window_tol``.
     """
     if max_shift < 1:
-        raise ValueError(f"max_shift must be >= 1, got {max_shift}")
+        raise ParameterDomainError(f"max_shift must be >= 1, got {max_shift}")
     if window_tol <= 0:
-        raise ValueError("window_tol must be positive")
+        raise ParameterDomainError("window_tol must be positive")
     support = shift_difference_support(profile, max_shift)
     if support is None:
         return (0, 1)
     lo, hi = support
     if hi is not None:
         return (lo, hi + 1)
-    fam = profile.epsilon
-    tail = fam if isinstance(fam, PowerFamily) else fam.tail
-    g = tail.gamma
+    g = _tail_family(profile.epsilon).gamma
     # sum_{k>K} a_k (eps_{k-n} - eps_k)^2 ~ level g^2 n^2 K^(-2g-1) / (2g+1)
     K = (profile.level * g * g * max_shift**2 / ((2.0 * g + 1.0) * window_tol)) ** (1.0 / (2.0 * g + 1.0))
     return (lo, int(K) + max_shift + 16)
@@ -133,7 +132,7 @@ def sample_configuration(profile: IntensityProfile, window: tuple[int, int],
     """Independent Poisson counts with rates a_k over [lo, hi)."""
     lo, hi = window
     if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got {window}")
+        raise ParameterDomainError(f"window must satisfy lo < hi, got {window}")
     gen = _as_generator(rng)
     rates = intensities(profile, np.arange(lo, hi))
     cdf = poisson_cdf_tables(rates)
@@ -151,7 +150,7 @@ def log_rn_derivative(profile: IntensityProfile, omega: ConfigurationWindow, n: 
     truncating.  Terms are combined with exact (error-free) summation.
     """
     if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+        raise ParameterDomainError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 0.0
     lo_req, hi_req = window_for_shift(profile, n, window_tol)
@@ -259,7 +258,7 @@ def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
     """
     criteria.require_condition(profile, "nonsingularity", "hopf_diagnostic")
     if N < 1 or samples < 1:
-        raise ValueError("N and samples must be positive")
+        raise ParameterDomainError("N and samples must be positive")
     t0 = time.perf_counter()
     lo_req, hi_req = window_for_shift(profile, N, window_tol)
     if window is None:
@@ -309,7 +308,7 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     """
     criteria.require_condition(profile, "clt_regime", "clt_experiment")
     if n < 2 or samples < 2:
-        raise ValueError("need n >= 2 and samples >= 2")
+        raise ParameterDomainError("need n >= 2 and samples >= 2")
     t0 = time.perf_counter()
     gen = rng.generator()
     a0 = eval_intensity(profile, 0)
@@ -400,7 +399,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
     """
     criteria.require_condition(profile, "clt_regime", "increment_tail_decay")
     if samples < 2:
-        raise ValueError("samples must be >= 2")
+        raise ParameterDomainError("samples must be >= 2")
     t0 = time.perf_counter()
     gen = rng.generator()
     a0 = eval_intensity(profile, 0)
@@ -472,7 +471,7 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
     if eps <= 0.0:
         raise ParameterDomainError(f"eps must be positive, got {eps}")
     if not 0 <= M < N:
-        raise ValueError(f"need 0 <= M < N, got M={M}, N={N}")
+        raise ParameterDomainError(f"need 0 <= M < N, got M={M}, N={N}")
     criteria.require_condition(profile, "clt_regime", "stopping_time_experiment")
     t0 = time.perf_counter()
     gen = rng.generator()
@@ -553,7 +552,7 @@ def scan_intensity(profile: IntensityProfile, t_grid: Sequence[float], N: int,
     """
     ts = [float(t) for t in t_grid]
     if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be strictly increasing with at least two points")
+        raise ParameterDomainError("t_grid must be strictly increasing with at least two points")
     criteria.require_condition(profile, "nonsingularity", "scan_intensity")
     t0 = time.perf_counter()
     window = window_for_shift(profile.with_scale(profile.scale * max(ts)), N, window_tol)

@@ -238,6 +238,34 @@ class TestValidationAndExitCodes:
         code, _ = run_to_file(tmp_path, "scan", doc)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, extra", [
+        ("scan", {"t_grid": [2.0, 1.0], "N": 4, "samples": 10}),
+        ("hopf", {"N": 0, "samples": 10}),
+        ("hopf", {"N": 4, "samples": 10, "window_tol": 0.0}),
+        ("clt", {"n": 1, "samples": 10}),
+        ("decay", {"samples": 1}),
+        ("stopping", {"r": -2.0, "eps": 0.1, "M": 5, "N": 5, "samples": 10}),
+        ("asymptotics", {"n_min": 0}),
+    ])
+    def test_domain_error_exits_config(self, tmp_path, capsys, command, extra):
+        code, _ = run_to_file(tmp_path, command, {"profile": POWER_PROFILE, **extra})
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("rtol", [0.0, -0.1, float("nan")])
+    def test_bracket_rtol_out_of_domain(self, tmp_path, rtol):
+        # rtol <= 0 used to bisect forever, so run it with a timeout
+        cfg = write_config(tmp_path, {"profile": POWER_PROFILE, "rtol": rtol})
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "suspension_lab.cli", "bracket", "--config", cfg],
+                capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"bracket with rtol={rtol} did not finish")
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+
     def test_precondition_violation(self, tmp_path):
         code, _ = run_to_file(tmp_path, "asymptotics", {"profile": STEP_PROFILE})
         assert code == EXIT_PRECONDITION

@@ -238,6 +238,38 @@ class TestExplicitFamilySeries:
             assert hellinger_growth(p, n) == pytest.approx(want_h, abs=1e-12)
 
 
+    def test_power_tail_table_against_power_family(self):
+        # the table {0: 0.4, 1: -0.2} over a power tail changes eps only at
+        # 0 and 1, so each series is the pure power series plus the terms
+        # that touch those indices: k in {0, 1, n, n+1} for the
+        # square-integral series, x in {0, 1, -n, 1-n} for the Hellinger one
+        tail = PowerFamily(0.4, -1)
+        fam = ExplicitFamily.from_mapping({0: 0.4, 1: -0.2}, tail)
+        p_exp = IntensityProfile(1.0, fam)
+        p_pow = IntensityProfile(1.0, tail)
+
+        def eps(f, k):
+            return float(intensity.epsilon_at(f, np.array([k]))[0])
+
+        def rn_term(f, k, n):
+            return math.exp(3.0 * eps(f, k) - 2.0 * eps(f, k - n)) - math.exp(eps(f, k))
+
+        def h_term(f, x, n):
+            return (math.exp(0.5 * eps(f, x + n)) - math.exp(0.5 * eps(f, x))) ** 2
+
+        ns = sorted(set(range(1, 201)) | set(geometric_grid(*RN_FIT_RANGE))
+                    | set(geometric_grid(*HELLINGER_FIT_RANGE)))
+        for n in ns:
+            ks = {0, 1, n, n + 1}
+            want_rn = math.fsum([rn_square_integral(p_pow, n)]
+                                + [rn_term(fam, k, n) - rn_term(tail, k, n) for k in ks])
+            assert rn_square_integral(p_exp, n) == pytest.approx(want_rn, rel=1e-13, abs=0.0)
+            xs = {0, 1, -n, 1 - n}
+            want_h = math.fsum([hellinger_growth(p_pow, n)]
+                               + [h_term(fam, x, n) - h_term(tail, x, n) for x in xs])
+            assert hellinger_growth(p_exp, n) == pytest.approx(want_h, rel=1e-13, abs=0.0)
+
+
 class TestDissipativitySeries:
     def test_a5_certifies(self):
         v = dissipativity_series(IntensityProfile(5.0, HALF))
