@@ -3,6 +3,14 @@
 Usage: suspension-lab <command> --config FILE [--seed S] [--out PATH]
                        [--format json|csv]
 
+A config is one JSON object.  ``_COMMAND_TABLE`` maps each command to its
+runner and field specs; a spec is a kind, which checks shape only, and a
+default or REQUIRED; a field with neither is left out when absent, so the
+API's default applies.  Value domains are the API's.  Every command also
+takes ``command``, ``rng`` and ``output`` ({"path", "format"}, overridden
+by ``--out`` and ``--format``).  Null fields count as absent; unknown
+fields, ``NaN`` and ``Infinity`` are refused.
+
 Reports are a header plus a body.  The header carries the tool version,
 schema version, UTC timestamp, runtime, the full config echo, and the rng
 spec; the body holds only deterministic content, so two runs of the same
@@ -10,9 +18,9 @@ config and seed produce byte-identical bodies.  CSV output is offered for
 the per-n / per-t series commands (asymptotics, scan); everything else is
 JSON.
 
-Exit codes are fixed: 0 success, 2 configuration or parameter-domain
-error, 3 precondition violation, 4 window-coverage error, 5 anomaly
-(non-monotone scan), 1 unexpected failure.
+Exit codes are fixed: 0 success, 2 unreadable, malformed or out-of-domain
+config or an unwritable output path, 3 precondition violation, 4
+window-coverage error, 5 anomaly (non-monotone scan), 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .criteria import GapNotZeroError, MonotonicityError, PreconditionError
 from .dist import ParameterDomainError, SkellamLaw, skellam_tail
 from .intensity import (
     DEFAULT_EPSILON,
+    EpsilonFamily,
     ExplicitFamily,
     IntensityProfile,
     PowerFamily,
@@ -58,262 +67,216 @@ EXIT_PRECONDITION = 3
 EXIT_COVERAGE = 4
 EXIT_ANOMALY = 5
 
-COMMANDS = ("check", "asymptotics", "classify", "bracket", "clt",
-            "decay", "stopping", "hopf", "scan", "tails")
-
 #: Commands whose body is a flat series suitable for CSV.
 CSV_COMMANDS = ("asymptotics", "scan")
+
+#: Default of a field that must be given.
+REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Malformed run configuration (unknown key, bad type, bad value)."""
 
 
-def _expect_mapping(doc: Any, where: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
-    return doc
+def _kind(what: str, test, convert=None):
+    """A field kind: checks a value's shape with ``test``, then converts it."""
+    def check(value: Any, where: str):
+        if not test(value):
+            raise ConfigError(f"{where} must be {what}, got {value!r:.60}")
+        return convert(value) if convert else value
+    return check
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
+def _is_number(value: Any) -> bool:
+    """A finite JSON number; an integer beyond the float range is not one."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_INT = _kind("an integer", lambda v: type(v) is int)
+_FLOAT = _kind("a finite number", _is_number, float)
+_STR = _kind("a string", lambda v: type(v) is str)
+_DOC = _kind("an object", lambda v: type(v) is dict)
+_NUMBERS = _kind("a list of finite numbers", lambda v: type(v) is list and all(map(_is_number, v)))
+_COUNTS = _kind("a list of integers >= 1",
+                lambda v: type(v) is list and all(type(n) is int and n >= 1 for n in v))
+_WINDOW = _kind("a [lo, hi) pair of integers",
+                lambda v: type(v) is list and len(v) == 2 and all(type(n) is int for n in v), tuple)
+_PAIRS = _kind("integer indices with finite numbers, as an object or [n, eps] pairs",
+               lambda v: type(v) is list and all(type(p) is list and len(p) == 2 and type(p[0]) is int
+                                                 and _is_number(p[1]) for p in v),
+               lambda v: tuple((n, float(e)) for n, e in v))
+
+
+def _index(key: str):
+    try:
+        return int(key)
+    except ValueError:
+        return key  # refused by _PAIRS
+
+
+def _table(value: Any, where: str) -> tuple[tuple[int, float], ...]:
+    """An explicit epsilon table, {"n": eps, ...} or [[n, eps], ...]."""
+    if type(value) is dict:
+        value = [[_index(k), e] for k, e in value.items()]
+    return _PAIRS(value, where)
+
+
+def _doc(spec: dict):
+    """Kind of a nested document with its own field specs."""
+    return lambda value, where: _fields(value, spec, where)
+
+
+def _fields(doc: Any, spec: dict, where: str) -> dict:
+    """The fields of ``doc``, each checked by its kind in ``spec``, which maps
+    a name to ``(kind,)`` or ``(kind, default)``.  An absent or null field
+    takes its default, is refused when that is REQUIRED, or is left out."""
+    _DOC(doc, where)
+    unknown = sorted(set(doc) - set(spec))
     if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
-
-
-def _get(doc: dict, key: str, kind, where: str, default=None, required: bool = False):
-    if key not in doc or doc[key] is None:
-        if required:
+        raise ConfigError(f"unknown field(s) in {where}: {unknown}")
+    out = {}
+    for key, (kind, *default) in spec.items():
+        if doc.get(key) is not None:
+            out[key] = kind(doc[key], f"'{key}' in {where}")
+        elif default and default[0] is REQUIRED:
             raise ConfigError(f"missing required field '{key}' in {where}")
-        return default
-    val = doc[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        raise ConfigError(f"field '{key}' in {where} must be {kind}, got {type(val).__name__}")
-    return val
+        elif default:
+            out[key] = default[0]
+    return out
 
 
-def _finite_numbers(val: Any, what: str) -> list:
-    """``val`` itself, once it is checked to be a list of finite numbers."""
-    if not (isinstance(val, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in val)):
-        raise ConfigError(f"{what} must be a list of finite numbers")
-    return val
+#: Epsilon kind -> (family, field specs).
+_EPSILON_KINDS = {
+    "zero": (ZeroFamily, {}),
+    "power": (PowerFamily, {"gamma": (_FLOAT, REQUIRED), "sign": (_INT,)}),
+    "step": (StepFamily, {"left": (_FLOAT, REQUIRED), "right": (_FLOAT, REQUIRED)}),
+    "explicit": (ExplicitFamily, {"table": (_table, REQUIRED),
+                                  "tail": (lambda v, where: parse_epsilon(v),)}),
+}
 
 
-def parse_epsilon(doc: Any) -> ZeroFamily | PowerFamily | StepFamily | ExplicitFamily:
-    doc = _expect_mapping(doc, "epsilon")
-    kind = _get(doc, "kind", str, "epsilon", required=True)
-    if kind == "zero":
-        _check_keys(doc, {"kind"}, "epsilon")
-        return ZeroFamily()
-    if kind == "power":
-        _check_keys(doc, {"kind", "gamma", "sign"}, "epsilon")
-        return PowerFamily(gamma=_get(doc, "gamma", float, "epsilon", required=True),
-                           sign=int(_get(doc, "sign", int, "epsilon", default=-1)))
-    if kind == "step":
-        _check_keys(doc, {"kind", "left", "right"}, "epsilon")
-        return StepFamily(left=_get(doc, "left", float, "epsilon", required=True),
-                          right=_get(doc, "right", float, "epsilon", required=True))
-    if kind == "explicit":
-        _check_keys(doc, {"kind", "table", "tail"}, "epsilon")
-        table_doc = doc.get("table")
-        if isinstance(table_doc, dict):
-            pairs = [(int(k), float(v)) for k, v in table_doc.items()]
-        elif isinstance(table_doc, list):
-            pairs = [(int(n), float(e)) for n, e in table_doc]
-        else:
-            raise ConfigError("explicit epsilon needs a 'table' mapping or pair list")
-        tail = parse_epsilon(doc["tail"]) if doc.get("tail") is not None else None
-        if isinstance(tail, ExplicitFamily):
-            raise ConfigError("explicit tail families cannot nest")
-        return ExplicitFamily(tuple(sorted(pairs)), tail)
-    raise ConfigError(f"unknown epsilon kind {kind!r}")
+def parse_epsilon(doc: Any) -> EpsilonFamily:
+    kind = _DOC(doc, "epsilon").get("kind")
+    if type(kind) is not str or kind not in _EPSILON_KINDS:
+        raise ConfigError(f"epsilon 'kind' must be one of {sorted(_EPSILON_KINDS)}, got {kind!r:.60}")
+    family, spec = _EPSILON_KINDS[kind]
+    return family(**_fields({k: v for k, v in doc.items() if k != "kind"}, spec, f"{kind} epsilon"))
 
 
 def parse_profile(doc: Any) -> IntensityProfile:
     """Profile from its config document; omitting "epsilon" selects the
     default square-root-decay family."""
-    doc = _expect_mapping(doc, "profile")
-    _check_keys(doc, {"base", "scale", "epsilon"}, "profile")
-    base = _get(doc, "base", float, "profile", required=True)
-    scale = _get(doc, "scale", float, "profile", default=1.0)
-    eps = parse_epsilon(doc["epsilon"]) if "epsilon" in doc else DEFAULT_EPSILON
-    return IntensityProfile(base=base, epsilon=eps, scale=scale)
+    return IntensityProfile(**_fields(doc, {
+        "base": (_FLOAT, REQUIRED), "scale": (_FLOAT,),
+        "epsilon": (lambda v, where: parse_epsilon(v), DEFAULT_EPSILON)}, "profile"))
 
 
-def parse_rng(doc: Any, seed_override: Optional[int]) -> RNGSpec:
-    if doc is None:
-        doc = {}
-    doc = _expect_mapping(doc, "rng")
-    _check_keys(doc, {"seed", "stream"}, "rng")
-    seed = _get(doc, "seed", int, "rng", default=0)
-    stream = _get(doc, "stream", int, "rng", default=0)
+def parse_rng(doc: dict, seed_override: Optional[int]) -> RNGSpec:
+    fields = _fields(doc, {"seed": (_INT, 0), "stream": (_INT,)}, "rng")
     if seed_override is not None:
-        seed = seed_override
+        fields["seed"] = seed_override
+    return RNGSpec(**fields)
+
+
+# Runners take the rng and the parsed fields and return (body, anomaly flag);
+# the API they call is looked up when they run.
+
+
+def _check(rng: RNGSpec, profile: IntensityProfile) -> tuple[dict, bool]:
+    sets = limit_sets(profile)
+    return {
+        "profile": criteria.profile_as_dict(profile),
+        "conditions": {cid: check_condition(profile, cid).as_dict() for cid in CONDITION_IDS},
+        "nonsingularity_deficit": [[N, criteria.nonsingularity_deficit(profile, N)]
+                                   for N in (100, 1_000, 10_000)],
+        "limit_gap": limit_gap(profile),
+        "limit_sets": sets.as_dict() if sets is not None else None,
+    }, False
+
+
+def _asymptotics(rng: RNGSpec, profile: IntensityProfile, n_min: int, n_max: int) -> tuple[dict, bool]:
+    series = [{"n": n,
+               "rn_square_integral": criteria.rn_square_integral(profile, n),
+               "hellinger_growth": criteria.hellinger_growth(profile, n)}
+              for n in geometric_grid(n_min, n_max)]
+    return {
+        "profile": criteria.profile_as_dict(profile),
+        "series": series,
+        "rn_fit": criteria.rn_slope_fit(profile).as_dict(),
+        "hellinger_fit": criteria.hellinger_slope_fit(profile).as_dict(),
+    }, False
+
+
+def _tails(rng: RNGSpec, skellam: dict, L: int) -> tuple[dict, bool]:
+    law = SkellamLaw(**skellam)
+    est = skellam_tail(law, L)
+    return {"skellam": {"a": law.a, "b": law.b}, "L": L,
+            "exact": est.exact, "bound": est.bound,
+            "exact_le_bound": bool(est.exact <= est.bound)}, False
+
+
+def _criterion(name: str):
+    """Runner for ``criteria.<name>``."""
+    def run(rng: RNGSpec, **fields) -> tuple[dict, bool]:
+        return getattr(criteria, name)(**fields).as_dict(), False
+    return run
+
+
+def _experiment(name: str):
+    """Runner for ``simulate.<name>``; a summary's anomaly statistic (scan)
+    sets the anomaly flag."""
+    def run(rng: RNGSpec, **fields) -> tuple[dict, bool]:
+        summary = getattr(simulate, name)(rng=rng, **fields)
+        return summary.body_dict(), bool(summary.statistics.get("anomaly", False))
+    return run
+
+
+_PROFILE = {"profile": (lambda v, where: parse_profile(v), REQUIRED)}
+_COMMON = {"command": (_STR,), "rng": (_DOC, {}),
+           "output": (_doc({"path": (_STR,), "format": (_STR,)}), {})}
+
+#: Command -> (runner, field specs beyond the common ones).  CLI defaults
+#: appear only where the API has none or a different one.
+_COMMAND_TABLE = {
+    "check": (_check, _PROFILE),
+    "asymptotics": (_asymptotics, {**_PROFILE, "n_min": (_INT, criteria.RN_FIT_RANGE[0]),
+                                   "n_max": (_INT, criteria.RN_FIT_RANGE[1])}),
+    "classify": (_criterion("classify"), {**_PROFILE, "series_N": (_INT,)}),
+    "bracket": (_criterion("bifurcation_bracket"), {**_PROFILE, "rtol": (_FLOAT,)}),
+    "clt": (_experiment("clt_experiment"), {**_PROFILE, "n": (_INT, 10_000),
+                                            "samples": (_INT, 10_000), "thresholds": (_NUMBERS,)}),
+    "decay": (_experiment("increment_tail_decay"), {**_PROFILE, "samples": (_INT, 100_000),
+                                                    "ns": (_COUNTS,), "mc_max": (_INT,)}),
+    "stopping": (_experiment("stopping_time_experiment"), {
+        **_PROFILE, "r": (_FLOAT, REQUIRED), "eps": (_FLOAT, REQUIRED),
+        "M": (_INT, 10_000), "N": (_INT, 1_000_000), "samples": (_INT, 1_000)}),
+    "hopf": (_experiment("hopf_diagnostic"), {
+        **_PROFILE, "N": (_INT, 64), "samples": (_INT, 2_000), "window_tol": (_FLOAT,),
+        "beta": (_FLOAT,), "window": (_WINDOW,)}),
+    "scan": (_experiment("scan_intensity"), {
+        **_PROFILE, "t_grid": (_NUMBERS, REQUIRED), "N": (_INT, 64), "samples": (_INT, 2_000),
+        "window_tol": (_FLOAT,), "anomaly_slack": (_FLOAT,)}),
+    "tails": (_tails, {"skellam": (_doc({"a": (_FLOAT, REQUIRED), "b": (_FLOAT, REQUIRED)}), REQUIRED),
+                       "L": (_INT, REQUIRED)}),
+}
+
+COMMANDS = tuple(_COMMAND_TABLE)
+
+
+def _refuse_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
+def read_config(path: str) -> Any:
+    """The JSON document at ``path``; NaN and +-Infinity are refused."""
     try:
-        return RNGSpec(seed=seed, stream=stream)
-    except ValueError as exc:
-        raise ConfigError(f"rng: {exc}") from exc
-
-
-_COMMON_KEYS = {"command", "profile", "rng", "output"}
-
-
-def _command_keys(command: str) -> set[str]:
-    per_command = {
-        "check": set(),
-        "asymptotics": {"n_min", "n_max"},
-        "classify": {"series_N"},
-        "bracket": {"rtol"},
-        "clt": {"n", "samples", "thresholds"},
-        "decay": {"samples", "ns", "mc_max"},
-        "stopping": {"r", "eps", "M", "N", "samples"},
-        "hopf": {"N", "samples", "window_tol", "beta", "window"},
-        "scan": {"t_grid", "N", "samples", "window_tol", "anomaly_slack"},
-        "tails": {"skellam", "L"},
-    }
-    return _COMMON_KEYS | per_command[command]
-
-
-def run_command(command: str, cfg: dict, seed_override: Optional[int]) -> tuple[dict, RNGSpec, bool]:
-    """Dispatch one command; returns (body, rng, anomaly_flag)."""
-    cfg = _expect_mapping(cfg, "config")
-    _check_keys(cfg, _command_keys(command), "config")
-    declared = cfg.get("command")
-    if declared is not None and declared != command:
-        raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
-    rng = parse_rng(cfg.get("rng"), seed_override)
-    anomaly = False
-
-    if command == "tails":
-        sk = _expect_mapping(cfg.get("skellam"), "skellam")
-        _check_keys(sk, {"a", "b"}, "skellam")
-        law = SkellamLaw(_get(sk, "a", float, "skellam", required=True),
-                         _get(sk, "b", float, "skellam", required=True))
-        L = _get(cfg, "L", int, "config", required=True)
-        est = skellam_tail(law, L)
-        body = {"skellam": {"a": law.a, "b": law.b}, "L": L,
-                "exact": est.exact, "bound": est.bound,
-                "exact_le_bound": bool(est.exact <= est.bound)}
-        return body, rng, anomaly
-
-    profile = parse_profile(cfg.get("profile"))
-
-    if command == "check":
-        conditions = {cid: check_condition(profile, cid).as_dict() for cid in CONDITION_IDS}
-        gap = limit_gap(profile)
-        sets = limit_sets(profile)
-        body = {
-            "profile": criteria.profile_as_dict(profile),
-            "conditions": conditions,
-            "nonsingularity_deficit": [
-                [N, criteria.nonsingularity_deficit(profile, N)] for N in (100, 1_000, 10_000)
-            ],
-            "limit_gap": gap,
-            "limit_sets": sets.as_dict() if sets is not None else None,
-        }
-        return body, rng, anomaly
-
-    if command == "asymptotics":
-        n_min = _get(cfg, "n_min", int, "config", default=criteria.RN_FIT_RANGE[0])
-        n_max = _get(cfg, "n_max", int, "config", default=criteria.RN_FIT_RANGE[1])
-        ns = geometric_grid(n_min, n_max)
-        series = [{"n": n,
-                   "rn_square_integral": criteria.rn_square_integral(profile, n),
-                   "hellinger_growth": criteria.hellinger_growth(profile, n)}
-                  for n in ns]
-        body = {
-            "profile": criteria.profile_as_dict(profile),
-            "series": series,
-            "rn_fit": criteria.rn_slope_fit(profile).as_dict(),
-            "hellinger_fit": criteria.hellinger_slope_fit(profile).as_dict(),
-        }
-        return body, rng, anomaly
-
-    if command == "classify":
-        series_N = _get(cfg, "series_N", int, "config", default=200)
-        report = criteria.classify(profile, series_N=series_N)
-        return report.as_dict(), rng, anomaly
-
-    if command == "bracket":
-        rtol = _get(cfg, "rtol", float, "config", default=1e-3)
-        bracket = criteria.bifurcation_bracket(profile, rtol=rtol)
-        return bracket.as_dict(), rng, anomaly
-
-    if command == "clt":
-        summary = simulate.clt_experiment(
-            profile,
-            n=_get(cfg, "n", int, "config", default=10_000),
-            samples=_get(cfg, "samples", int, "config", default=10_000),
-            rng=rng,
-            thresholds=_finite_numbers(cfg.get("thresholds", [1.0, 5.0, 10.0]),
-                                       "clt 'thresholds'"),
-        )
-        return summary.body_dict(), rng, anomaly
-
-    if command == "decay":
-        ns = cfg.get("ns", [10, 100, 1_000, 10_000, 100_000])
-        if not (isinstance(ns, list) and all(type(n) is int and n >= 1 for n in ns)):
-            raise ConfigError("decay 'ns' must be a list of integers >= 1")
-        summary = simulate.increment_tail_decay(
-            profile,
-            rng=rng,
-            samples=_get(cfg, "samples", int, "config", default=100_000),
-            ns=ns,
-            mc_max=_get(cfg, "mc_max", int, "config", default=100),
-        )
-        return summary.body_dict(), rng, anomaly
-
-    if command == "stopping":
-        summary = simulate.stopping_time_experiment(
-            profile,
-            r=_get(cfg, "r", float, "config", required=True),
-            eps=_get(cfg, "eps", float, "config", required=True),
-            M=_get(cfg, "M", int, "config", default=10_000),
-            N=_get(cfg, "N", int, "config", default=1_000_000),
-            samples=_get(cfg, "samples", int, "config", default=1_000),
-            rng=rng,
-        )
-        return summary.body_dict(), rng, anomaly
-
-    if command == "hopf":
-        window = cfg.get("window")
-        if window is not None:
-            if not (isinstance(window, list) and len(window) == 2
-                    and all(type(v) is int for v in window)):
-                raise ConfigError("hopf 'window' must be a [lo, hi) pair of integers")
-            window = tuple(window)
-        summary = simulate.hopf_diagnostic(
-            profile,
-            N=_get(cfg, "N", int, "config", default=64),
-            samples=_get(cfg, "samples", int, "config", default=2_000),
-            rng=rng,
-            window_tol=_get(cfg, "window_tol", float, "config", default=simulate.DEFAULT_WINDOW_TOL),
-            beta=_get(cfg, "beta", float, "config", default=None),
-            window=window,
-        )
-        return summary.body_dict(), rng, anomaly
-
-    if command == "scan":
-        t_grid = _finite_numbers(cfg.get("t_grid"), "scan 't_grid'")
-        if not t_grid:
-            raise ConfigError("scan requires a nonempty 't_grid' list")
-        summary = simulate.scan_intensity(
-            profile,
-            t_grid=[float(t) for t in t_grid],
-            N=_get(cfg, "N", int, "config", default=64),
-            samples=_get(cfg, "samples", int, "config", default=2_000),
-            rng=rng,
-            window_tol=_get(cfg, "window_tol", float, "config", default=simulate.DEFAULT_WINDOW_TOL),
-            anomaly_slack=_get(cfg, "anomaly_slack", float, "config", default=2e-3),
-        )
-        anomaly = bool(summary.statistics["anomaly"])
-        return summary.body_dict(), rng, anomaly
-
-    raise ConfigError(f"unknown command {command!r}")
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=_refuse_constant)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_report(command: str, cfg: dict, rng: RNGSpec, body: dict, runtime_s: float) -> dict:
@@ -388,33 +351,33 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="suspension-lab",
         description="Numerical laboratory for Poisson suspensions over atomic bases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the rng seed")
-        p.add_argument("--out", default=None, help="output path (default: config, else stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--seed", type=int, default=None, help="override the rng seed")
+    parser.add_argument("--out", default=None, help="output path (default: config, else stdout)")
+    parser.add_argument("--format", choices=("json", "csv"), default=None)
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        output = _expect_mapping(cfg.get("output", {}) or {}, "output")
-        _check_keys(output, {"path", "format"}, "output")
-        fmt = args.format or output.get("format") or "json"
+        cfg = read_config(args.config)
+        runner, spec = _COMMAND_TABLE[args.command]
+        fields = _fields(cfg, {**_COMMON, **spec}, "config")
+        declared = fields.pop("command", args.command)
+        if declared != args.command:
+            raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
+        output = fields.pop("output")
+        rng = parse_rng(fields.pop("rng"), args.seed)
+        body, anomaly = runner(rng, **fields)
+        report = build_report(args.command, cfg, rng, _sanitize(body), time.perf_counter() - t0)
+        text = render_report(args.command, report, args.format or output.get("format") or "json")
         out_path = args.out or output.get("path")
-        body, rng, anomaly = run_command(args.command, cfg, args.seed)
-        body = _sanitize(body)
-        report = build_report(args.command, cfg, rng, body, time.perf_counter() - t0)
-        text = render_report(args.command, report, fmt)
-    except (ConfigError, ParameterDomainError, ProfileError) as exc:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OSError, ConfigError, ParameterDomainError, ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PreconditionError, GapNotZeroError) as exc:
@@ -426,12 +389,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MonotonicityError as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
-
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_ANOMALY if anomaly else EXIT_OK
 
 

@@ -238,6 +238,14 @@ def require_condition(profile: IntensityProfile, condition: str, who: str) -> No
         raise PreconditionError(f"{who} requires condition {condition}={Trivalent.YES.value}; got {detail}")
 
 
+def _at_level(profile: IntensityProfile, unit: float, what: str) -> float:
+    """level * unit, refused when the product leaves the float range."""
+    value = profile.level * float(unit)
+    if math.isinf(value):
+        raise ParameterDomainError(f"{what} overflows at level {profile.level}")
+    return value
+
+
 def rn_square_integral(profile: IntensityProfile, n: int) -> float:
     """Level * sum_k (e^{3 eps_k - 2 eps_{k-n}} - e^{eps_k}).
 
@@ -249,14 +257,14 @@ def rn_square_integral(profile: IntensityProfile, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     require_condition(profile, "zero_gap", "rn_square_integral")
-    return profile.level * _rn_unit(profile.epsilon, n)
+    return _at_level(profile, _rn_unit(profile.epsilon, n), "rn_square_integral")
 
 
 def hellinger_growth(profile: IntensityProfile, n: int) -> float:
     """Level * sum_x (e^{eps_{x+n}/2} - e^{eps_x/2})^2 over the lattice."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return profile.level * _hellinger_unit(profile.epsilon, n)
+    return _at_level(profile, _hellinger_unit(profile.epsilon, n), "hellinger_growth")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +310,8 @@ def dissipativity_series(profile: IntensityProfile, N: int = 200,
     verdict is issued only with a three-sigma margin on the fitted slope.
     """
     require_condition(profile, "nonsingularity", "dissipativity_series")
+    if N < 1:
+        raise ParameterDomainError(f"N must be >= 1, got {N}")
     partial = math.fsum(
         math.exp(-0.5 * hellinger_growth(profile, n)) for n in range(1, N + 1)
     )
@@ -327,13 +337,18 @@ def conservativity_certificate(profile: IntensityProfile, N: int = 200,
     """
     require_condition(profile, "zero_gap", "conservativity_certificate")
     require_condition(profile, "nonsingularity", "conservativity_certificate")
+    if N < 1:
+        raise ParameterDomainError(f"N must be >= 1, got {N}")
     fit = rn_slope_fit(profile, fit_range)
     c = fit.slope
     if c + 3.0 * fit.slope_se < 1.0:
         beta = min((3.0 + c) / 4.0, 1.0)
-        series = math.fsum(
-            n ** (-2.0 * beta) * math.exp(rn_square_integral(profile, n)) for n in range(1, N + 1)
-        )
+        try:
+            series = math.fsum(
+                n ** (-2.0 * beta) * math.exp(rn_square_integral(profile, n)) for n in range(1, N + 1)
+            )
+        except OverflowError as exc:
+            raise ParameterDomainError(f"weighted series overflows at level {profile.level}") from exc
         certificate = {
             "kind": "recurrence_weights",
             "beta": beta,

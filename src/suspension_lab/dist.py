@@ -19,14 +19,18 @@ from typing import NamedTuple
 LOG_ZERO = float("-inf")
 
 # Bessel series policy: stop once a term drops below BESSEL_RTOL times the
-# partial sum; cap the series length defensively.
+# partial sum, kept below _BESSEL_RESCALE by rescaling; refuse a series that
+# has not stopped within BESSEL_MAX_TERMS terms (arguments above about 1.9e4).
 BESSEL_RTOL = 1e-18
 BESSEL_MAX_TERMS = 10_000
+_BESSEL_RESCALE = 1e280
 
 # Tail summation policy: extend the outer sum until this many consecutive
-# terms fall below TAIL_TERM_FLOOR.
+# terms past the mean fall below TAIL_TERM_FLOOR; the walk passes the mean,
+# so refuse rates above TAIL_MAX_RATE.
 TAIL_RUN = 50
 TAIL_TERM_FLOOR = 1e-18
+TAIL_MAX_RATE = 10_000.0
 
 
 class ParameterDomainError(ValueError):
@@ -81,17 +85,23 @@ def poisson_pmf(rate: float, k: int) -> float:
     return 0.0 if lp == LOG_ZERO else math.exp(lp)
 
 
-def _bessel_series_factor(k: int, z: float) -> float:
-    """sum_j (z^2/4)^j * k! / (j! (j+k)!), normalised so the j=0 term is 1."""
+def _log_bessel_series_factor(k: int, z: float) -> float:
+    """log sum_j (z^2/4)^j * k! / (j! (j+k)!), normalised so the j=0 term is 1.
+    The sum is exp(log_scale) * total, with total rescaled to 1 when large."""
     q = 0.25 * z * z
     term = 1.0
     total = 1.0
+    log_scale = 0.0
     for j in range(1, BESSEL_MAX_TERMS):
         term *= q / (j * (j + k))
         total += term
         if term < BESSEL_RTOL * total:
-            break
-    return total
+            return log_scale + math.log(total)
+        if total > _BESSEL_RESCALE:
+            log_scale += math.log(total)
+            term /= total
+            total = 1.0
+    raise ParameterDomainError(f"Bessel series of I_{k}({z}) does not settle")
 
 
 def log_bessel_i(k: int, z: float) -> float:
@@ -102,7 +112,7 @@ def log_bessel_i(k: int, z: float) -> float:
     if z == 0.0:
         return 0.0 if k == 0 else LOG_ZERO
     # log(z/2) kept as a difference: z/2 can underflow for subnormal z
-    return k * (math.log(z) - math.log(2.0)) - math.lgamma(k + 1) + math.log(_bessel_series_factor(k, z))
+    return k * (math.log(z) - math.log(2.0)) - math.lgamma(k + 1) + _log_bessel_series_factor(k, z)
 
 
 def bessel_i(k: int, z: float) -> float:
@@ -154,8 +164,10 @@ def skellam_support_cutoff(law: SkellamLaw) -> int:
 def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
     """Two-sided tail mass sum_{|k| >= L} pmf(k) and its analytic bound.
 
-    The exact tail extends outward until TAIL_RUN consecutive terms fall
-    below TAIL_TERM_FLOOR (Poisson-type tails decay super-exponentially).
+    The exact tail extends outward on each side until TAIL_RUN consecutive
+    terms past the mean (k > sign * (a - b)) fall below TAIL_TERM_FLOOR;
+    Poisson-type tails decay super-exponentially.  Rates above TAIL_MAX_RATE
+    are refused; the sum is capped at 1, which pmf rounding can pass.
     The bound is exp(-(a+b)+ab) * (a^L e^a + b^L e^b) / L!, capped at 1,
     which dominates the exact tail for every L >= 1: each pmf value is
     bounded by the leading Bessel prefactor times e^{ab}, and the two
@@ -163,6 +175,8 @@ def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
     """
     if L < 1:
         raise ParameterDomainError(f"L must be a positive integer, got {L}")
+    if not max(law.a, law.b) <= TAIL_MAX_RATE:
+        raise ParameterDomainError(f"rates ({law.a}, {law.b}) exceed the tail cap {TAIL_MAX_RATE}")
     terms: list[float] = []
     for sign in (1, -1):
         below = 0
@@ -170,9 +184,9 @@ def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
         while below < TAIL_RUN:
             p = skellam_pmf(law, sign * k)
             terms.append(p)
-            below = below + 1 if p < TAIL_TERM_FLOOR else 0
+            below = below + 1 if p < TAIL_TERM_FLOOR and k > sign * (law.a - law.b) else 0
             k += 1
-    exact = math.fsum(terms)
+    exact = min(1.0, math.fsum(terms))
     return TailEstimate(exact=exact, bound=skellam_tail_bound(law, L))
 
 
@@ -200,6 +214,9 @@ def skellam_tail_threshold(limit: float, l_max: int = 50, grid_step: float = 0.2
     """
     if limit <= 0.0:
         raise ParameterDomainError("limit must be positive")
+    # the decrease condition tightens as L falls: without it at l_max, no L qualifies
+    if ((l_max + 1) / l_max) ** 8 * limit / (l_max + 1) >= 1.0:
+        raise ParameterDomainError(f"no threshold found up to l_max={l_max} for limit={limit}")
     grid = [grid_step * i for i in range(1, int(limit / grid_step) + 1) if grid_step * i < limit]
     grid.append(limit)
     for L in range(1, l_max + 1):

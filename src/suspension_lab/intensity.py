@@ -28,6 +28,10 @@ class ProfileError(ValueError):
     """An intensity profile is malformed or outside the supported families."""
 
 
+#: log of the largest float: intensities must stay below it.
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
+
 @dataclass(frozen=True)
 class ZeroFamily:
     """eps_n = 0 everywhere (constant intensity)."""
@@ -75,6 +79,8 @@ class ExplicitFamily:
             if n in seen:
                 raise ProfileError(f"duplicate table index {n}")
             seen.add(n)
+        if isinstance(self.tail, ExplicitFamily):
+            raise ProfileError("explicit tail families cannot nest")
         object.__setattr__(self, "table", tuple(sorted(self.table)))
 
     @staticmethod
@@ -114,7 +120,8 @@ def epsilon_at(family: EpsilonFamily, ns) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntensityProfile:
-    """a_n = scale * base * exp(eps_n); base is the level, scale the sweep knob."""
+    """a_n = scale * base * exp(eps_n); base is the level, scale the sweep knob.
+    The level, exp(sup eps) and their product must be finite floats."""
 
     base: float
     epsilon: EpsilonFamily = field(default_factory=ZeroFamily)
@@ -125,6 +132,10 @@ class IntensityProfile:
             raise ProfileError(f"base must be positive, got {self.base}")
         if not self.scale > 0.0:
             raise ProfileError(f"scale must be positive, got {self.scale}")
+        log_peak = max(0.0, math.log(self.base) + math.log(self.scale)) + max(0.0, sup_epsilon(self.epsilon))
+        if not log_peak < _LOG_MAX:
+            raise ProfileError(f"peak intensity of base {self.base}, scale {self.scale} and sup eps "
+                               f"{sup_epsilon(self.epsilon)} overflows the float range")
 
     @property
     def level(self) -> float:

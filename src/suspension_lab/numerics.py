@@ -69,15 +69,14 @@ class SlopeFit:
     n_max: int
 
     def scaled(self, factor: float) -> "SlopeFit":
-        """The fit of ``factor * y``; least squares is linear in the data."""
+        """The fit of ``factor * y``; least squares is linear in the data.
+        A finite field that the factor takes past the float range is refused."""
         f = float(factor)
-        return replace(
-            self,
-            slope=self.slope * f,
-            intercept=self.intercept * f,
-            residual_rms=self.residual_rms * abs(f),
-            slope_se=self.slope_se * abs(f),
-        )
+        fields = {"slope": self.slope * f, "intercept": self.intercept * f,
+                  "residual_rms": self.residual_rms * abs(f), "slope_se": self.slope_se * abs(f)}
+        if any(math.isinf(v) and math.isfinite(getattr(self, k)) for k, v in fields.items()):
+            raise ParameterDomainError(f"{self.kind} fit overflows when scaled by {f}")
+        return replace(self, **fields)
 
     def as_dict(self) -> dict:
         return {

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import ParameterDomainError
+
 _TABLE_MASS_EPS = 1e-16
 _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
@@ -62,9 +64,9 @@ class RNGSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ParameterDomainError(f"seed must fit in 64 bits, got {self.seed}")
         if self.stream < 0:
-            raise ValueError(f"stream must be nonnegative, got {self.stream}")
+            raise ParameterDomainError(f"stream must be nonnegative, got {self.stream}")
 
     def generator(self) -> np.random.Generator:
         bg = np.random.PCG64(self.seed)
@@ -84,10 +86,10 @@ def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     if np.any(rates < 0.0):
-        raise ValueError("rates must be nonnegative")
+        raise ParameterDomainError("rates must be nonnegative")
     rmax = float(rates.max(initial=0.0))
     if rmax > _MAX_RATE:
-        raise ValueError(f"rate {rmax} exceeds the supported cap {_MAX_RATE}")
+        raise ParameterDomainError(f"rate {rmax} exceeds the supported cap {_MAX_RATE}")
     # Poisson(r) mass above r + m*sqrt(r) + c decays like a Gaussian tail in m
     K = int(rmax + 12.0 * math.sqrt(rmax + 1.0) + 30.0)
     pmf = np.empty((len(rates), K + 1))

@@ -21,9 +21,7 @@ certificates live in ``criteria``.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,6 +33,7 @@ from .intensity import (
     IntensityProfile,
     PowerFamily,
     Trivalent,
+    _LOG_MAX,
     _tail_family,
     condition_verdict,
     epsilon_at,
@@ -47,8 +46,8 @@ from .numerics import fit_log_slope, kolmogorov_critical, ks_statistic, normal_c
 from .sampling import RNGSpec, invert_uniform, invert_uniform_rows, poisson_cdf_tables
 
 DEFAULT_WINDOW_TOL = 1e-4
-
-WORKERS_ENV = "SUSPENSION_LAB_WORKERS"
+#: Most indices in a Hopf window; every index costs a CDF-table row.
+MAX_WINDOW = 1 << 17
 
 
 class WindowCoverageError(RuntimeError):
@@ -118,6 +117,8 @@ def window_for_shift(profile: IntensityProfile, max_shift: int,
     g = _tail_family(profile.epsilon).gamma
     # sum_{k>K} a_k (eps_{k-n} - eps_k)^2 ~ level g^2 n^2 K^(-2g-1) / (2g+1)
     K = (profile.level * g * g * max_shift**2 / ((2.0 * g + 1.0) * window_tol)) ** (1.0 / (2.0 * g + 1.0))
+    if not K < MAX_WINDOW:
+        raise ParameterDomainError(f"window_tol {window_tol} needs a window of {K:.3g} indices")
     return (lo, int(K) + max_shift + 16)
 
 
@@ -180,7 +181,24 @@ def _checkpoints(N: int, count: int = 9) -> np.ndarray:
 def _hopf_core(profile: IntensityProfile, N: int, samples: int,
                gen: np.random.Generator, window: tuple[int, int],
                beta: Optional[float], chunk: int = 256) -> dict:
-    """Shared machinery for hopf_diagnostic and scan_intensity."""
+    """Shared machinery for hopf_diagnostic and scan_intensity.  Partial sums and
+    moment bounds are linear-space floats: a level that overflows them is refused."""
+    if N < 2 or samples < 1:
+        raise ParameterDomainError(f"need N >= 2 and samples >= 1, got N={N}, samples={samples}")
+    if window[1] - window[0] > MAX_WINDOW:
+        raise ParameterDomainError(f"window {list(window)} spans more than {MAX_WINDOW} indices")
+    zero_gap = condition_verdict(profile.epsilon, "zero_gap")[0] is Trivalent.YES
+    markov_bound = None
+    log_bn = None
+    if zero_gap:
+        b = 0.75 if beta is None else beta
+        ns = np.arange(1, N + 1)
+        log_bn = -b * np.log(ns.astype(float))
+        log_bound = 2.0 * log_bn + np.array([criteria.rn_square_integral(profile, int(n)) for n in ns])
+        if not log_bound.max() < _LOG_MAX:
+            raise ParameterDomainError(f"Hopf moment bounds overflow at level {profile.level}")
+        markov_bound = np.exp(log_bound)
+
     lo, hi = window
     ks = np.arange(lo, hi)
     eps_k = epsilon_at(profile.epsilon, ks)
@@ -192,18 +210,6 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
         theta[:, n - 1] = eps_kn - eps_k
         drift[n - 1] = float(np.sum(a_k - profile.level * np.exp(eps_kn)))
     cdf = poisson_cdf_tables(a_k)
-
-    zero_gap = condition_verdict(profile.epsilon, "zero_gap")[0] is Trivalent.YES
-    markov_bound = None
-    log_bn = None
-    if zero_gap:
-        b = 0.75 if beta is None else beta
-        ns = np.arange(1, N + 1)
-        log_bn = -b * np.log(ns.astype(float))
-        markov_bound = np.exp(2.0 * log_bn + np.array(
-            [criteria.rn_square_integral(profile, int(n)) for n in ns]
-        ))
-
     checkpoints = _checkpoints(N)
     partials = np.empty((samples, len(checkpoints)))
     event_counts = np.zeros(N, dtype=np.int64)
@@ -217,6 +223,8 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
         P = np.cumsum(np.exp(logrn), axis=1)
         partials[done:done + m] = P[:, checkpoints - 1]
         done += m
+    if not np.isfinite(partials).all():
+        raise ParameterDomainError(f"Hopf partial sums overflow at level {profile.level}")
 
     med = np.median(partials, axis=0)
     growth = fit_log_slope(checkpoints.tolist(), np.log(np.maximum(med, 1e-300)).tolist(),
@@ -257,8 +265,6 @@ def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
     truncating.
     """
     criteria.require_condition(profile, "nonsingularity", "hopf_diagnostic")
-    if N < 1 or samples < 1:
-        raise ParameterDomainError("N and samples must be positive")
     t0 = time.perf_counter()
     lo_req, hi_req = window_for_shift(profile, N, window_tol)
     if window is None:
@@ -472,6 +478,8 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         raise ParameterDomainError(f"eps must be positive, got {eps}")
     if not 0 <= M < N:
         raise ParameterDomainError(f"need 0 <= M < N, got M={M}, N={N}")
+    if samples < 1:
+        raise ParameterDomainError(f"samples must be >= 1, got {samples}")
     criteria.require_condition(profile, "clt_regime", "stopping_time_experiment")
     t0 = time.perf_counter()
     gen = rng.generator()
@@ -557,19 +565,8 @@ def scan_intensity(profile: IntensityProfile, t_grid: Sequence[float], N: int,
     t0 = time.perf_counter()
     window = window_for_shift(profile.with_scale(profile.scale * max(ts)), N, window_tol)
 
-    def one(t: float) -> dict:
-        scaled = profile.with_scale(profile.scale * t)
-        return _hopf_core(scaled, N, samples, rng.generator(), window, beta=None)
-
-    try:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, ts))
-    else:
-        results = [one(t) for t in ts]
+    results = [_hopf_core(profile.with_scale(profile.scale * t), N, samples, rng.generator(),
+                          window, beta=None) for t in ts]
 
     growth = [res["growth_exponent"] for res in results]
     rises = [b - a for a, b in zip(growth, growth[1:])]

@@ -1,12 +1,19 @@
 """CLI surface: dispatch, validation, exit codes, report schema, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from suspension_lab import cli
 from suspension_lab.cli import (
@@ -17,7 +24,15 @@ from suspension_lab.cli import (
     EXIT_PRECONDITION,
     body_bytes,
 )
-from suspension_lab.intensity import CONDITION_IDS, check_condition
+from suspension_lab.criteria import nonsingularity_deficit, profile_as_dict
+from suspension_lab.intensity import (
+    CONDITION_IDS,
+    ExplicitFamily,
+    IntensityProfile,
+    PowerFamily,
+    check_condition,
+    limit_gap,
+)
 from suspension_lab.simulate import ExperimentSummary
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text())
@@ -155,6 +170,32 @@ class TestCommands:
         body = json.loads(out.read_text())["body"]
         assert body["statistics"]["window"] == [0, 5000]
 
+    @pytest.mark.parametrize("a, b, lo, hi", [
+        # mean 149: the terms at k = 3.. lie far below it and must not stop the walk
+        (150.0, 1.0, 1.0 - 1e-12, 1.0),
+        # at z = 800 the unscaled Bessel series factor of I_3 overflows
+        (400.0, 400.0, 0.92, 0.94),
+    ])
+    def test_tails_near_one(self, tmp_path, a, b, lo, hi):
+        code, out = run_to_file(tmp_path, "tails", {"skellam": {"a": a, "b": b}, "L": 3})
+        assert code == EXIT_OK
+        body = json.loads(out.read_text())["body"]
+        assert lo < body["exact"] <= hi and body["exact_le_bound"] is True
+
+    @pytest.mark.parametrize("table", [{"0": 0.4, "1": -0.2}, [[0, 0.4], [1, -0.2]], [[1, -0.2], [0, 0.4]]])
+    def test_explicit_epsilon_matches_api(self, tmp_path, table):
+        tail = {"kind": "power", "gamma": 0.4, "sign": -1}
+        doc = {"profile": {"base": 1.5, "epsilon": {"kind": "explicit", "table": table, "tail": tail}}}
+        code, out = run_to_file(tmp_path, "check", doc)
+        assert code == EXIT_OK
+        body = json.loads(out.read_text())["body"]
+        profile = IntensityProfile(1.5, ExplicitFamily(((0, 0.4), (1, -0.2)), PowerFamily(0.4, -1)))
+        assert body["profile"] == json.loads(json.dumps(profile_as_dict(profile)))
+        assert body["conditions"] == {cid: json.loads(json.dumps(check_condition(profile, cid).as_dict()))
+                                      for cid in CONDITION_IDS}
+        assert body["limit_gap"] == limit_gap(profile)
+        assert body["nonsingularity_deficit"][0] == [100, nonsingularity_deficit(profile, 100)]
+
     def test_output_path_from_config(self, tmp_path):
         target = tmp_path / "from-config.json"
         doc = {"skellam": {"a": 1.0, "b": 2.0}, "L": 4,
@@ -246,6 +287,26 @@ class TestValidationAndExitCodes:
         ("decay", {"samples": 1}),
         ("stopping", {"r": -2.0, "eps": 0.1, "M": 5, "N": 5, "samples": 10}),
         ("asymptotics", {"n_min": 0}),
+        ("stopping", {"r": -2.0, "eps": 0.1, "M": 10, "N": 100, "samples": 0}),
+        ("classify", {"series_N": 0}),
+        ("classify", {"series_N": -5}),
+        # moment bounds and partial sums are linear-space floats
+        ("hopf", {"profile": {"base": 500.0}, "N": 8, "samples": 20}),
+        ("scan", {"profile": {"base": 500.0}, "t_grid": [0.5, 1.0], "N": 8, "samples": 20}),
+        # sampler rate cap
+        ("clt", {"profile": {"base": 200000.0}, "n": 10, "samples": 10}),
+        # peak intensity beyond the float range
+        ("check", {"profile": {"base": 1e308, "scale": 1e308}}),
+        ("check", {"profile": {**STEP_PROFILE, "epsilon": {"kind": "step", "left": 0.0, "right": 1e308}}}),
+        ("bracket", {"profile": {**STEP_PROFILE, "epsilon": {"kind": "step", "left": 0.0, "right": 1e308}}}),
+        ("check", {"profile": {"base": 1e-300, "epsilon": {"kind": "step", "left": 0.0, "right": 1000.0}}}),
+        # found by the config fuzz below
+        ("hopf", {"profile": {"base": 0.01}, "N": 1, "samples": 1}),
+        ("hopf", {"profile": {"base": 1e308}, "N": 6, "samples": 2, "window_tol": 0.002}),
+        ("decay", {"profile": {"base": 1e308, "scale": 0.3}, "samples": 30}),
+        ("asymptotics", {"profile": {"base": 1e307}}),
+        ("classify", {"profile": {"base": 1.3e5, "epsilon": {
+            "kind": "explicit", "table": [[0, -1.05]], "tail": {"kind": "zero"}}}, "series_N": 20}),
     ])
     def test_domain_error_exits_config(self, tmp_path, capsys, command, extra):
         code, _ = run_to_file(tmp_path, command, {"profile": POWER_PROFILE, **extra})
@@ -263,6 +324,73 @@ class TestValidationAndExitCodes:
             )
         except subprocess.TimeoutExpired:
             pytest.fail(f"bracket with rtol={rtol} did not finish")
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", [
+        '{"profile": {"base": 1.0}, "N": 4, "samples": 10, "window_tol": NaN}',
+        '{"profile": {"base": Infinity}, "N": 4, "samples": 10}',
+        '{"profile": {"base": 1.0}, "N": 4, "samples": 10, "beta": -Infinity}',
+        '{"profile": {"base": 1e400}, "N": 4, "samples": 10}',
+    ])
+    def test_non_finite_numbers(self, tmp_path, capsys, text):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        assert cli.main(["hopf", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("table", [{"x": 1}, [[1]], [["a", 1]], {"1": "z"}, {}, [[1.5, 0.1]],
+                                       {"1": 0.1, "01": 0.2}, {"1": True}])
+    def test_malformed_explicit_table(self, tmp_path, capsys, table):
+        doc = {"profile": {"base": 1.0, "epsilon": {"kind": "explicit", "table": table}}}
+        code, _ = run_to_file(tmp_path, "check", doc)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_nested_explicit_tail(self, tmp_path):
+        inner = {"kind": "explicit", "table": {"2": 0.1}}
+        doc = {"profile": {"base": 1.0, "epsilon": {"kind": "explicit", "table": {"1": 0.1}, "tail": inner}}}
+        code, _ = run_to_file(tmp_path, "check", doc)
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "3", "null", "[" * 100_000],
+                             ids=["list", "string", "number", "null", "deep"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "notobject.json"
+        path.write_text(text)
+        assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_config_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert cli.main(["check", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("output", [{"path": 12345}, {"format": 7}, [], {"path": "x", "mode": "w"}])
+    def test_malformed_output(self, tmp_path, output):
+        doc = {"skellam": {"a": 1.0, "b": 1.0}, "L": 3, "output": output}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["tails", "--config", cfg]) == EXIT_CONFIG
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        doc = {"skellam": {"a": 1.0, "b": 1.0}, "L": 3, "output": {"path": str(missing / "a.json")}}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["tails", "--config", cfg]) == EXIT_CONFIG
+        assert cli.main(["tails", "--config", cfg, "--out", str(missing / "b.json")]) == EXIT_CONFIG
+        assert cli.main(["tails", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_tails_rates_beyond_the_walk(self, tmp_path):
+        # the walk to the mean used to run forever at a = 1e300
+        cfg = write_config(tmp_path, {"skellam": {"a": 1e300, "b": 1.0}, "L": 3})
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "suspension_lab.cli", "tails", "--config", cfg],
+                capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("tails with a = 1e300 did not finish")
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr
 
@@ -300,6 +428,96 @@ class TestValidationAndExitCodes:
         doc = {"profile": POWER_PROFILE}
         code, _ = run_to_file(tmp_path, "classify", doc, "--format", "csv")
         assert code == EXIT_CONFIG
+
+
+#: Any JSON value, with small numbers only (sizes stay tiny) and the
+#: non-finite floats json.dumps writes as NaN and Infinity tokens.
+NOISE = st.recursive(
+    st.booleans() | st.integers(-3, 12) | st.text(max_size=3)
+    | st.sampled_from([-1.5, 0.0, 0.25, 3.0, 64.0, math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def noisy(valid):
+    """A valid value nine times in ten; otherwise any JSON value (wrong
+    type, non-finite token, nesting)."""
+    return st.integers(0, 9).flatmap(lambda i: NOISE if i == 0 else valid)
+
+
+def document(required: dict, optional: Optional[dict] = None):
+    """An object of the given fields, one in ten times with an unknown
+    field, or one of another command."""
+    fields = st.fixed_dictionaries({k: noisy(v) for k, v in required.items()},
+                                   optional={k: noisy(v) for k, v in (optional or {}).items()})
+    unknown = st.dictionaries(st.sampled_from(["bogus", "t_grid", "kind"]), NOISE, min_size=1, max_size=1)
+    return st.integers(0, 9).flatmap(
+        lambda i: st.builds(lambda d, u: {**d, **u}, fields, unknown) if i == 0 else fields)
+
+
+TABLE = (st.dictionaries(st.integers(-4, 4).map(str), st.floats(-2, 2), max_size=3)
+         | st.lists(st.tuples(st.integers(-4, 4), st.floats(-2, 2)).map(list), max_size=3))
+EPSILON = st.deferred(lambda: st.one_of(
+    document({"kind": st.just("zero")}),
+    document({"kind": st.just("power"), "gamma": st.floats(0.05, 2)}, {"sign": st.sampled_from([-1, 1])}),
+    document({"kind": st.just("step"), "left": st.floats(-3, 3), "right": st.floats(-3, 3) | st.just(1e308)}),
+    document({"kind": st.just("explicit"), "table": TABLE}, {"tail": EPSILON}),
+))
+#: Bases up to the sampler's rate cap (1e5) and beyond.
+BASES = st.floats(0.01, 10) | st.sampled_from([0.05, 8.0, 1e5, 2e5, 1e308])
+PROFILE = document({"base": BASES}, {"scale": st.floats(0.25, 2), "epsilon": EPSILON})
+FLOATS = st.floats(0.25, 4)
+SIZES = st.integers(-1, 8)
+
+#: command -> config document at tiny sizes; every size field is given,
+#: since an absent one takes a full-size default.
+CONFIGS = {
+    "check": document({"profile": PROFILE}),
+    "asymptotics": document({"profile": PROFILE}, {"n_min": st.integers(-1, 64),
+                                                   "n_max": st.integers(0, 512)}),
+    "classify": document({"profile": PROFILE}, {"series_N": st.integers(-2, 30)}),
+    "bracket": document({"profile": PROFILE}, {"rtol": st.sampled_from([0.0, 1e-3, 0.5])}),
+    "clt": document({"profile": PROFILE, "n": st.integers(1, 40), "samples": st.integers(1, 20)},
+                    {"thresholds": st.lists(st.floats(-2, 12), max_size=3)}),
+    "decay": document({"profile": PROFILE, "samples": st.integers(1, 30)},
+                      {"ns": st.lists(st.integers(-1, 200), max_size=3), "mc_max": st.integers(0, 50)}),
+    "stopping": document({"profile": PROFILE, "r": st.floats(-4, -0.5), "eps": st.floats(0.05, 2),
+                          "M": st.integers(-1, 20), "N": st.integers(1, 60), "samples": st.integers(0, 20)}),
+    "hopf": document({"profile": PROFILE, "N": SIZES, "samples": st.integers(0, 20)},
+                     {"window_tol": st.floats(1e-4, 0.1), "beta": FLOATS,
+                      "window": st.lists(st.integers(-30, 50), min_size=2, max_size=2)}),
+    "scan": document({"profile": PROFILE, "t_grid": st.lists(FLOATS, max_size=3).map(sorted), "N": SIZES,
+                      "samples": st.integers(0, 10)},
+                     {"window_tol": st.floats(1e-4, 0.1), "anomaly_slack": st.floats(0, 0.1)}),
+    "tails": document({"skellam": document({"a": st.floats(0, 50) | st.sampled_from([150.0, 400.0, 2e4, 1e300]),
+                                            "b": st.floats(0, 50) | st.sampled_from([0.0, 400.0, 1e300])}),
+                       "L": st.integers(-1, 40)}),
+}
+
+
+def _strict(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestConfigFuzz:
+    @given(st.sampled_from(sorted(CONFIGS)).flatmap(lambda c: st.tuples(st.just(c), CONFIGS[c])))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_config_exits_with_a_documented_code(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as work:
+            cfg, out = Path(work) / "cfg.json", Path(work) / "out.json"
+            cfg.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_COVERAGE, EXIT_ANOMALY)
+            assert "Traceback" not in err.getvalue()
+            if code in (EXIT_OK, EXIT_ANOMALY):
+                jsonschema.validate(json.loads(out.read_text(), parse_constant=_strict), SCHEMA)
+            else:
+                assert err.getvalue().split(":")[0] in (
+                    "config error", "precondition violation", "coverage error", "anomaly")
 
 
 class TestDeterminism:

@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from suspension_lab.dist import (
     LOG_ZERO,
+    TAIL_MAX_RATE,
     ParameterDomainError,
     PoissonLaw,
     SkellamLaw,
     bessel_i,
+    log_bessel_i,
     hellinger_sq_poisson,
     poisson_log_pmf,
     poisson_pmf,
@@ -43,6 +46,21 @@ def conv_oracle(a: float, b: float, k: int, jmax: int = 250) -> float:
             continue
         total += poisson_pmf(a, k + j) * poisson_pmf(b, j)
     return total
+
+
+def _tail_by_convolution(a: float, b: float, L: int) -> float:
+    """sum_{|k| >= L} P(X - Y = k), from the direct convolution of the two
+    Poisson pmfs (each from its log-pmf, over mean + 12 sd + 30)."""
+    def pmf(rate):
+        k = np.arange(int(rate + 12.0 * math.sqrt(rate + 1.0) + 30.0))
+        if rate == 0.0:
+            return (k == 0).astype(float)
+        return np.exp(-rate + k * math.log(rate) - gammaln(k + 1))
+
+    pa, pb = pmf(a), pmf(b)
+    diff = np.convolve(pa, pb[::-1])  # diff[i] = P(X - Y = i - (len(pb) - 1))
+    ks = np.arange(len(diff)) - (len(pb) - 1)
+    return math.fsum(diff[np.abs(ks) >= L].tolist())
 
 
 class TestPoissonLaw:
@@ -109,6 +127,16 @@ class TestBessel:
         with mpmath.workdps(60):
             expected = float(mpmath.besseli(k, z))
         assert bessel_i(k, z) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("k, z", [(0, 800.0), (3, 800.0), (1, 5000.0), (40, 18000.0)])
+    def test_large_argument_against_mpmath(self, k, z):
+        # the unscaled series factor passes the float range near z = 713
+        expected = float(mpmath.log(mpmath.besseli(k, z)))
+        assert log_bessel_i(k, z) == pytest.approx(expected, rel=1e-13)
+
+    def test_unsettled_series_refused(self):
+        with pytest.raises(ParameterDomainError):
+            log_bessel_i(0, 1e5)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ParameterDomainError):
@@ -270,6 +298,25 @@ class TestSkellamTail:
     def test_invalid_l(self):
         with pytest.raises(ParameterDomainError):
             skellam_tail(SkellamLaw(1.0, 1.0), 0)
+
+    @pytest.mark.parametrize("a, b, L", [
+        (150.0, 1.0, 3),     # mean 149: terms below 1e-18 at k = 3.. lie before the mean
+        (150.0, 1.0, 140),
+        (1.0, 150.0, 3),
+        (60.0, 0.0, 2),
+        (380.0, 380.0, 2),   # the unscaled Bessel series factor overflows past z = 713
+        (400.0, 400.0, 3),
+        (400.0, 400.0, 60),
+    ])
+    def test_tail_against_convolution(self, a, b, L):
+        oracle = _tail_by_convolution(a, b, L)
+        est = skellam_tail(SkellamLaw(a, b), L)
+        assert est.exact == pytest.approx(oracle, rel=1e-10)
+        assert est.exact <= est.bound
+
+    def test_rates_beyond_the_walk_refused(self):
+        with pytest.raises(ParameterDomainError):
+            skellam_tail(SkellamLaw(2 * TAIL_MAX_RATE, 0.0), 3)
 
     def test_bound_capped_at_one(self):
         # at a = b = 27, L = 20 each uncapped term is about e^725 and

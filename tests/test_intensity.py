@@ -68,6 +68,27 @@ class TestEvaluation:
         assert eval_intensity(p, -1) == pytest.approx(math.exp(-0.25))
         assert eval_intensity(p, 4) == pytest.approx(math.exp(-0.5))
 
+    @pytest.mark.parametrize("base, epsilon, scale", [
+        (1e308, ZeroFamily(), 1e308),
+        (1.0, StepFamily(0.0, 1e308), 1.0),
+        (1e300, PowerFamily(0.5, 1), 1e10),
+        (1e308, StepFamily(-5.0, -5.0), 10.0),   # the level itself overflows
+        (1.0, ExplicitFamily(((3, 800.0),), DEFAULT_EPSILON), 1.0),
+        (1e-300, StepFamily(0.0, 1000.0), 1.0),  # a finite peak, but exp(eps) overflows
+    ])
+    def test_peak_intensity_must_be_finite(self, base, epsilon, scale):
+        with pytest.raises(ProfileError):
+            IntensityProfile(base, epsilon, scale)
+
+    def test_largest_finite_peaks_accepted(self):
+        IntensityProfile(1.7e308)
+        IntensityProfile(1.0, StepFamily(0.0, 700.0))
+        IntensityProfile(1e300, StepFamily(-1e308, 0.0))
+
+    def test_explicit_tail_cannot_nest(self):
+        with pytest.raises(ProfileError):
+            ExplicitFamily(((1, 0.1),), ExplicitFamily(((2, 0.1),)))
+
     def test_positive_parameters_enforced(self):
         with pytest.raises(ProfileError):
             IntensityProfile(0.0)
