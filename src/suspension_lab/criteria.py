@@ -36,6 +36,7 @@ from .intensity import (
     EpsilonFamily,
     ExplicitFamily,
     IntensityProfile,
+    MAX_WINDOW,
     PowerFamily,
     ProfileError,
     StepFamily,
@@ -141,16 +142,19 @@ def _span(fam: PowerFamily | ExplicitFamily, series: str) -> tuple[int, int, Opt
 
     eps vanishes below ``first``; past ``last`` it is the power tail's own
     formula, or zero when the tail (returned as None) is.  A power family
-    is the empty table: first 2, last 1.
+    is the empty table: first 2, last 1.  The series grids run from
+    first - n to last + n, so a span above ``MAX_WINDOW`` is refused.
     """
     if isinstance(fam, PowerFamily):
         return 2, 1, fam
     tmin, tmax = fam.index_range()
     if isinstance(fam.tail, StepFamily):
         raise ProfileError(f"{series} for explicit profiles requires a zero or power tail")
-    if isinstance(fam.tail, PowerFamily):
-        return min(2, tmin), max(tmax, 1), fam.tail
-    return min(2, tmin), tmax, None
+    tail = fam.tail if isinstance(fam.tail, PowerFamily) else None
+    first, last = min(2, tmin), (tmax if tail is None else max(tmax, 1))
+    if last - first > MAX_WINDOW:
+        raise ParameterDomainError(f"{series} over table indices {first}..{last} spans more than {MAX_WINDOW}")
+    return first, last, tail
 
 
 def _shift_diff(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, last: int,

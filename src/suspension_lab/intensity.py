@@ -30,6 +30,8 @@ class ProfileError(ValueError):
 
 #: log of the largest float: intensities must stay below it.
 _LOG_MAX = float(np.log(np.finfo(float).max))
+#: Most indices in a Hopf window or in the span of an explicit table's series.
+MAX_WINDOW = 1 << 17
 
 
 @dataclass(frozen=True)

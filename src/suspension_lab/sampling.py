@@ -15,20 +15,19 @@ float (rate below about 708.4); above that, P(X = 0) is subnormal or zero,
 so the row is built from its mode in log space instead, recursing both
 ways and normalized to unit mass.
 
-Inversion returns min(#{k : cdf[k] <= u}, K - 1) for a K-column table, the
-count a right-sided binary search gives.  For many rows at once that search
-is one flat ``searchsorted`` over the rows offset by 2*r, with each query
-offset the same way, so queries cannot cross rows.  Low-count tables are
-inverted by sequential search instead (Devroye, *Non-Uniform Random Variate
-Generation*, 1986, section III.2): pass k compares every query with column
-k and adds the outcome to its count, which sums to the same count because
-rows are non-decreasing.  The passes keep the search's exact operands (the
-offset queries u + 2r against the offset table cdf + 2r), so they return
-the same counts bit for bit.  Their number is read off the table: the
-fewest passes after which, by the table's own CDF, at most
-``_CLIMB_SHARE`` of uniform draws can still be climbing, up to
-``_MAX_PASSES``; the flat search then resolves only those draws.  Tables
-that need more passes (mean rates above about 20) keep the flat search.
+Inversion returns min(#{k : cdf[r, k] <= u}, top[r]) for row r, top[r]
+being the first index of the row's float plateau (its first entry equal to
+its last).  Uniforms are compared with the raw table entries, so a count
+depends only on its row and uniform, not on the row's place in the table.
+Wide tables take one ``searchsorted`` per row.  Low-count tables take
+sequential search (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+section III.2): pass k compares every query with column k (+inf from the
+plateau on) and adds the outcome to its count, the same count since rows
+are non-decreasing.  Their number is read off the table: the fewest passes
+after which, by the table's own CDF, at most ``_CLIMB_SHARE`` of draws are
+still climbing, up to ``_MAX_PASSES``; those climb on by gathered steps.
+Tables that need more passes (mean rates above about 20) take the per-row
+search.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
 
 #: Most comparison passes run; below 256, since the passes count in uint8.
-#: Conservative: at rate 20, 32 passes took 30 ns per draw and the flat
-#: search 83 ns; they break even near 125 passes (rate 100).
+#: At rate 20 over 8192 rows on a 2-core VM, 32 passes took 29 ns per draw
+#: and the per-row search 88 ns.
 _MAX_PASSES = 32
-#: Largest expected share of draws left to the flat search after the passes.
+#: Largest expected share of draws still climbing after the passes.
 _CLIMB_SHARE = 0.01
 #: Queries per chunk of sample rows: 1 MiB of float64, which stays in cache
 #: across the passes.
@@ -120,43 +119,38 @@ def _pmf_from_mode(rate: float, K: int) -> np.ndarray:
 
 
 def _pass_count(cdf: np.ndarray) -> int | None:
-    """Comparison passes for a (rows, K) table, or None for the flat search.
+    """Comparison passes for a (rows, K) table, or None for the per-row search.
 
     After p passes a uniform draw is still climbing with probability
     1 - cdf[r, p - 1]; take the fewest passes that leave at most
-    ``_CLIMB_SHARE`` climbing on average over the rows.  K - 1 passes
-    resolve every draw, whatever the table.
+    ``_CLIMB_SHARE`` climbing on average over the rows.
     """
-    K = cdf.shape[1]
-    head = cdf[:, :min(K - 1, _MAX_PASSES)]
+    head = cdf[:, :min(cdf.shape[1] - 1, _MAX_PASSES)]
     climbing = 1.0 - head.sum(axis=0) / max(len(head), 1)
     enough = np.flatnonzero(climbing <= _CLIMB_SHARE)
-    if len(enough):
-        return int(enough[0]) + 1
-    return K - 1 if 0 < K - 1 <= _MAX_PASSES else None
+    return int(enough[0]) + 1 if len(enough) else None
 
 
-def _invert_by_passes(cdf: np.ndarray, u: np.ndarray, passes: int) -> np.ndarray:
+def _invert_by_passes(cdf: np.ndarray, u: np.ndarray, top: np.ndarray, passes: int) -> np.ndarray:
     """``invert_uniform_rows`` by ``passes`` comparison passes per chunk of
-    sample rows; draws still climbing after them go to the flat search."""
+    sample rows; draws still climbing after them step up one column at a
+    time until the row's entry exceeds them or its plateau is reached."""
     S, R = u.shape
-    K = cdf.shape[1]
-    offsets = 2.0 * np.arange(R)
-    table = cdf + offsets[:, None]
-    columns = np.ascontiguousarray(table[:, :passes].T)
+    columns = np.where(np.arange(passes)[:, None] < top, cdf[:, :passes].T, np.inf)
     counts = np.empty((S, R), dtype=np.int64, order="F")
     step = max(1, _CHUNK_CELLS // max(R, 1))
     for s0 in range(0, S, step):
-        queries = u[s0:s0 + step] + offsets
-        n = np.greater_equal(queries, columns[0]).view(np.uint8)
+        chunk, block = u[s0:s0 + step], counts[s0:s0 + step]
+        n = np.greater_equal(chunk, columns[0]).view(np.uint8)
         for k in range(1, passes):
-            n += queries >= columns[k]
-        counts[s0:s0 + step] = n
-        if passes < K - 1:
-            # grouped by column, like the flat search's own query order
-            r_i, s_i = np.nonzero((n == passes).T)
-            idx = np.searchsorted(table.ravel(), queries[s_i, r_i], side="right") - r_i * K
-            counts[s0 + s_i, r_i] = np.minimum(idx, K - 1)
+            n += chunk >= columns[k]
+        block[:] = n
+        s_i, r_i = np.nonzero(n == passes)
+        while len(s_i):
+            c = block[s_i, r_i]  # at most top[r_i] <= K - 1, so the gather stays in the row
+            up = (c < top[r_i]) & (chunk[s_i, r_i] >= cdf[r_i, c])
+            s_i, r_i = s_i[up], r_i[up]
+            block[s_i, r_i] += 1
     return counts
 
 
@@ -170,24 +164,23 @@ def invert_uniform(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
 def invert_uniform_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Counts from uniforms u[s, r] against per-column-rate tables cdf[r, k].
 
-    Columns of ``u`` correspond to rows of ``cdf``.  Low-count tables take
-    the comparison passes; the rest one flat searchsorted, each row's CDF
-    offset by 2*r so queries cannot cross rows (CDF values live in [0, 1]).
-    Either way the result is Fortran-ordered.
+    Columns of ``u`` correspond to rows of ``cdf``; each count is
+    min(#{k : cdf[r, k] <= u[s, r]}, top[r]), top[r] being the first index
+    of row r's plateau.  Low-count tables take the comparison passes, the
+    rest one searchsorted per row.  Either way the result is
+    Fortran-ordered.
     """
     S, R = u.shape
     if cdf.shape[0] != R:
         raise ValueError(f"need one cdf row per uniform column: {cdf.shape[0]} != {R}")
+    top = np.argmax(cdf == cdf[:, -1:], axis=1)
     passes = _pass_count(cdf)
     if passes is not None:
-        return _invert_by_passes(cdf, u, passes)
-    K = cdf.shape[1]
-    offsets = 2.0 * np.arange(R)
-    flat = (cdf + offsets[:, None]).ravel()
-    queries = (u + offsets[None, :]).ravel(order="F")
-    idx = np.searchsorted(flat, queries, side="right") - np.repeat(np.arange(R), S) * K
-    counts = np.minimum(idx, K - 1)
-    return counts.reshape(R, S).T.astype(np.int64)
+        return _invert_by_passes(cdf, u, top, passes)
+    counts = np.empty((S, R), dtype=np.int64, order="F")
+    for r in range(R):
+        np.minimum(np.searchsorted(cdf[r], u[:, r], side="right"), top[r], out=counts[:, r])
+    return counts
 
 
 def sample_poisson(rate: float, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,6 +31,7 @@ from . import criteria
 from .dist import ParameterDomainError, SkellamLaw, skellam_tail, skellam_tail_threshold
 from .intensity import (
     IntensityProfile,
+    MAX_WINDOW,
     PowerFamily,
     Trivalent,
     _LOG_MAX,
@@ -46,8 +47,6 @@ from .numerics import fit_log_slope, kolmogorov_critical, ks_statistic, normal_c
 from .sampling import RNGSpec, invert_uniform, invert_uniform_rows, poisson_cdf_tables
 
 DEFAULT_WINDOW_TOL = 1e-4
-#: Most indices in a Hopf window; every index costs a CDF-table row.
-MAX_WINDOW = 1 << 17
 
 
 class WindowCoverageError(RuntimeError):
@@ -505,18 +504,18 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         y = invert_uniform(cdf0, uy.ravel()).reshape(len(alive), len(js))
         X = (y - x) * eps_j[None, :]
         sums = partial[alive, None] + np.cumsum(X, axis=1)
-        hit_any = (sums < r).any(axis=1)
-        first = np.where(hit_any, (sums < r).argmax(axis=1), len(js) - 1)
-        absX = np.abs(X)
-        in_prefix = np.arange(len(js))[None, :] <= first[:, None]
-        max_abs_x[alive] = np.maximum(max_abs_x[alive], np.max(np.where(in_prefix, absX, 0.0), axis=1))
-        rows = np.arange(len(alive))
-        hits = alive[hit_any]
-        crossing[hits] = js[first[hit_any]]
-        overshoot[hits] = np.abs(sums[rows[hit_any], first[hit_any]] - r)
-        x_at_crossing[hits] = absX[rows[hit_any], first[hit_any]]
-        partial[alive] = sums[rows, len(js) - 1]
-        alive = alive[~hit_any]
+        below = sums < r
+        first = below.argmax(axis=1)
+        h = np.flatnonzero(below[np.arange(len(alive)), first])  # rows that cross in this block
+        absX = np.abs(X, out=X)
+        block_max = absX.max(axis=1)
+        block_max[h] = np.maximum.accumulate(absX[h], axis=1)[np.arange(len(h)), first[h]]
+        max_abs_x[alive] = np.maximum(max_abs_x[alive], block_max)
+        crossing[alive[h]] = js[first[h]]
+        overshoot[alive[h]] = np.abs(sums[h, first[h]] - r)
+        x_at_crossing[alive[h]] = absX[h, first[h]]
+        partial[alive] = sums[:, -1]
+        alive = np.delete(alive, h)
         j = j_hi
 
     ok = crossing > 0

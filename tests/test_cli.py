@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 import tempfile
@@ -393,6 +394,21 @@ class TestValidationAndExitCodes:
             pytest.fail("tails with a = 1e300 did not finish")
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, index", [("classify", 1_000_000_000), ("asymptotics", -300_000_000)])
+    def test_far_explicit_table_is_refused(self, tmp_path, command, index):
+        # the series grids would span the table: 7.45 and 2.24 GiB, beyond a
+        # 3 GiB address-space limit
+        epsilon = {"kind": "explicit", "table": {str(index): 0.1}, "tail": {"kind": "power", "gamma": 0.5}}
+        cfg = write_config(tmp_path, {"profile": {"base": 1.0, "epsilon": epsilon}})
+        limit = 3 * 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "suspension_lab.cli", command, "--config", cfg],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("config error:")
 
     def test_precondition_violation(self, tmp_path):
         code, _ = run_to_file(tmp_path, "asymptotics", {"profile": STEP_PROFILE})

@@ -30,10 +30,11 @@ from suspension_lab.criteria import (
     rn_slope_fit,
     rn_square_integral,
 )
-from suspension_lab.dist import hellinger_sq_poisson
+from suspension_lab.dist import ParameterDomainError, hellinger_sq_poisson
 from suspension_lab.intensity import (
     ExplicitFamily,
     IntensityProfile,
+    MAX_WINDOW,
     PowerFamily,
     ProfileError,
     StepFamily,
@@ -237,6 +238,20 @@ class TestExplicitFamilySeries:
             want_h = 1.3 * float(np.sum((np.exp(exn / 2) - np.exp(ek / 2)) ** 2))
             assert hellinger_growth(p, n) == pytest.approx(want_h, abs=1e-12)
 
+
+    @pytest.mark.parametrize("tail", [HALF, ZeroFamily()])
+    def test_table_span_is_bounded(self, tail):
+        # the series grids run from min(2, first index) to the last index,
+        # or to 1 at least under a power tail
+        at_bound = IntensityProfile(1.0, ExplicitFamily.from_mapping({2 + MAX_WINDOW: 0.1}, tail))
+        assert math.isfinite(rn_square_integral(at_bound, 1))
+        far = [3 + MAX_WINDOW] + ([-MAX_WINDOW] if tail is HALF else [])
+        for index in far:
+            beyond = IntensityProfile(1.0, ExplicitFamily.from_mapping({index: 0.1}, tail))
+            with pytest.raises(ParameterDomainError):
+                rn_square_integral(beyond, 1)
+            with pytest.raises(ParameterDomainError):
+                hellinger_growth(beyond, 1)
 
     def test_power_tail_table_against_power_family(self):
         # the table {0: 0.4, 1: -0.2} over a power tail changes eps only at

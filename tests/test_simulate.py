@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from suspension_lab import sampling
+from suspension_lab import sampling, simulate
 from suspension_lab.criteria import PreconditionError
 from suspension_lab.dist import ParameterDomainError, poisson_log_pmf
 from suspension_lab.intensity import (
@@ -18,6 +18,7 @@ from suspension_lab.intensity import (
     PowerFamily,
     StepFamily,
     ZeroFamily,
+    epsilon_at,
     eval_intensity,
 )
 from suspension_lab.sampling import (
@@ -158,15 +159,14 @@ class TestLargeRates:
         assert abs(cdf[1, -1] - 1.0) <= 1e-12
 
 
-def _flat_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Oracle: one flat searchsorted over rows offset by 2*r."""
-    S, R = u.shape
-    K = cdf.shape[1]
-    offsets = 2.0 * np.arange(R)
-    flat = (cdf + offsets[:, None]).ravel()
-    queries = (u + offsets[None, :]).ravel(order="F")
-    idx = np.searchsorted(flat, queries, side="right") - np.repeat(np.arange(R), S) * K
-    return np.minimum(idx, K - 1).reshape(R, S).T.astype(np.int64)
+def _raw_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Oracle: each column searched in its own raw row, capped at the first
+    index of the row's float plateau (its first entry equal to its last)."""
+    counts = np.empty(u.shape, dtype=np.int64)
+    for r, row in enumerate(cdf):
+        top = int(np.flatnonzero(row == row[-1])[0])
+        counts[:, r] = np.minimum(np.searchsorted(row, u[:, r], side="right"), top)
+    return counts
 
 
 def _adversarial_uniforms(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
@@ -189,8 +189,21 @@ def _adversarial_uniforms(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
 
 
 class TestInversionExactness:
-    """Both inversion entry points equal the flat-search oracle element for
+    """Both inversion entry points equal the raw-operand oracle element for
     element, on both sides of the comparison-pass switch."""
+
+    @staticmethod
+    def _check(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+        counts = invert_uniform_rows(cdf, u)
+        assert counts.dtype == np.int64
+        assert counts.flags.f_contiguous
+        assert np.array_equal(counts, _raw_search(cdf, u))
+        for r in range(cdf.shape[0]):
+            # a count depends on its row and uniform, not on the row's column
+            row = invert_uniform(cdf[r], u[:, r])
+            assert row.dtype == np.int64
+            assert np.array_equal(row, counts[:, r])
+        return counts
 
     @given(scale=st.sampled_from([0.05, 1.0, 8.0, 25.0, 300.0]),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
@@ -199,31 +212,35 @@ class TestInversionExactness:
     @example(scale=1.0, fractions=[1.0], S=0, width=2, seed=0)
     @example(scale=1.0, fractions=[1.0], S=1, width=2, seed=0)
     @example(scale=300.0, fractions=[0.0, 1.0], S=1, width=400, seed=0)
-    def test_matches_flat_search(self, scale, fractions, S, width, seed):
+    def test_matches_raw_search(self, scale, fractions, S, width, seed):
         rates = scale * np.array(fractions)
         full = poisson_cdf_tables(rates)
         for cdf in (full, full[:, :width]):  # the cut table's rows end below 1
-            u = _adversarial_uniforms(cdf, S, seed)
-            counts = invert_uniform_rows(cdf, u)
-            expected = _flat_search(cdf, u)
-            assert counts.dtype == np.int64
-            assert counts.flags.f_contiguous == expected.flags.f_contiguous
-            assert np.array_equal(counts, expected)
-            for r in range(len(rates)):
-                # a lone row has offset 0; offset queries u + 2r may round up
-                row = invert_uniform(cdf[r], u[:, r])
-                assert row.dtype == np.int64
-                assert np.array_equal(row, _flat_search(cdf[r:r + 1], u[:, r:r + 1])[:, 0])
+            self._check(cdf, _adversarial_uniforms(cdf, S, seed))
 
-    def test_matches_flat_search_across_chunks(self):
+    def test_matches_raw_search_across_chunks(self):
         cdf = poisson_cdf_tables(np.linspace(0.0, 6.0, 4_000))
         u = _adversarial_uniforms(cdf, 70, seed=1)  # several chunks, the last partial
-        assert np.array_equal(invert_uniform_rows(cdf, u), _flat_search(cdf, u))
+        assert np.array_equal(invert_uniform_rows(cdf, u), _raw_search(cdf, u))
         y = _adversarial_uniforms(cdf[:1], 300_000, seed=2)
-        assert np.array_equal(invert_uniform(cdf[0], y[:, 0]), _flat_search(cdf[:1], y)[:, 0])
+        assert np.array_equal(invert_uniform(cdf[0], y[:, 0]), _raw_search(cdf[:1], y)[:, 0])
+
+    def test_largest_uniform_in_a_far_column(self):
+        # u = 1 - 2^-53 on rate-1 rows: the count is the plateau index, 18, in every column
+        cdf = poisson_cdf_tables(np.full(8_192, 1.0))
+        counts = self._check(cdf, np.full((2, 8_192), np.nextafter(1.0, 0.0)))
+        assert np.all(counts == 18)
+
+    @pytest.mark.parametrize("direction", [-1.0, 2.0])
+    def test_neighbours_of_a_far_row(self, direction):
+        # every entry of row 8190 and its float neighbour on one side
+        cdf = poisson_cdf_tables(np.full(8_192, 1.0))
+        u = RNGSpec(seed=4).generator().random((cdf.shape[1], 8_192))
+        u[:, 8_190] = np.minimum(np.nextafter(cdf[8_190], direction), np.nextafter(1.0, 0.0))
+        assert np.array_equal(invert_uniform_rows(cdf, u), _raw_search(cdf, u))
 
     def test_path_follows_the_table(self):
-        # low-count tables take the passes; wide ones the flat search
+        # low-count tables take the passes; wide ones one search per row
         assert sampling._pass_count(poisson_cdf_tables(np.full(64, 1.0))) is not None
         assert sampling._pass_count(poisson_cdf_tables(np.full(64, 8.0))) is not None
         assert sampling._pass_count(poisson_cdf_tables(np.linspace(100.0, 200.0, 64))) is None
@@ -408,6 +425,34 @@ class TestCltExperiment:
         eps = -1.0 / np.sqrt(js)
         want = float(np.sum(eps * (1.0 - np.exp(eps))) / math.sqrt(np.sum(eps**2)))
         assert snap["drift"] == pytest.approx(want, rel=1e-12)
+
+    def test_draw_protocol(self, monkeypatch):
+        # 2 * samples uniforms per live j (eps_j != 0), each inverted exactly once
+        fam = ExplicitFamily(((3, 0.0), (4, -0.3), (6, 0.0)), HALF)
+        drawn, inverted = [], []
+
+        class CountingGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size):
+                u = self.gen.random(size)
+                drawn.append(u.ravel().copy())
+                return u
+
+        generator = RNGSpec.generator
+        monkeypatch.setattr(RNGSpec, "generator", lambda spec: CountingGenerator(generator(spec)))
+        for name in ("invert_uniform_rows", "invert_uniform"):
+            def inverting(cdf, u, invert=getattr(simulate, name)):
+                inverted.append(np.asarray(u).ravel().copy())
+                return invert(cdf, u)
+            monkeypatch.setattr(simulate, name, inverting)
+        n, samples = 20, 3
+        clt_experiment(IntensityProfile(1.0, fam), n=n, samples=samples, rng=RNGSpec(seed=5), block=4)
+        live = np.count_nonzero(epsilon_at(fam, np.arange(2, n + 1)))
+        assert live == n - 3
+        assert sum(map(len, drawn)) == 2 * samples * live
+        assert np.array_equal(np.sort(np.concatenate(drawn)), np.sort(np.concatenate(inverted)))
 
     def test_reproducible(self):
         a = clt_experiment(P1, n=300, samples=500, rng=RNGSpec(seed=21))
