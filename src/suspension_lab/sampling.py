@@ -6,8 +6,9 @@ indices give statistically independent generators while identical pairs
 replay bit-for-bit.
 
 Poisson variates are drawn by CDF-table inversion at every rate: one
-uniform per variate, inverted against a per-rate cumulative table extended
-until the leftover mass is below 1e-16.  One uniform per variate keeps
+uniform per variate, inverted against a per-rate cumulative table of
+K + 1 entries, K = rate + 12 sqrt(rate + 1) + 30 at the table's largest
+rate, which leaves out a mass below 1e-16.  One uniform per variate keeps
 the stream layout trivial to reason about; the table length grows
 linearly with the rate, so rates are capped defensively.  Rows are built by
 the pmf recurrence from P(X = 0) = exp(-rate) while that value is a normal
@@ -39,7 +40,6 @@ import numpy as np
 
 from .dist import ParameterDomainError
 
-_TABLE_MASS_EPS = 1e-16
 _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
 
@@ -80,8 +80,8 @@ class RNGSpec:
 def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     """CDF tables for an array of rates, one row per rate.
 
-    Row r holds P(X <= k) for k = 0..K with K chosen so the leftover mass
-    at the largest rate is below 1e-16.
+    Row r holds P(X <= k) for k = 0..K, K = rmax + 12 sqrt(rmax + 1) + 30
+    at the largest rate rmax; the mass left out is below 1e-16.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     if np.any(rates < 0.0):

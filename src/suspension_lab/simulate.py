@@ -7,6 +7,12 @@ order in which uniforms are consumed is a fixed, documented function of
 the experiment parameters.  Identical (seed, stream) pairs therefore
 reproduce every statistic bit-for-bit.
 
+Skellam increments y_j - x_j are drawn by one rule (``_increments``): per
+block, the x uniforms, then the y uniforms, each row-major.  clt blocks are
+``_CLT_BLOCK`` live indices, stopping blocks ``_STOPPING_BLOCK`` indices
+over the samples still alive, decay one index.  Hopf chunking never changes
+the stream.
+
 Windowing: products over the lattice are truncated to a finite index
 window.  The truncated log-density equals the log-density of the
 window-restricted system exactly (the omitted factor has unit mean), and
@@ -47,6 +53,11 @@ from .numerics import fit_log_slope, kolmogorov_critical, ks_statistic, normal_c
 from .sampling import RNGSpec, invert_uniform, invert_uniform_rows, poisson_cdf_tables
 
 DEFAULT_WINDOW_TOL = 1e-4
+_CLT_BLOCK = 256  # live indices per clt draw block
+_STOPPING_BLOCK = 8_192  # indices per stopping draw block
+_MAX_CELLS = 1 << 25  # cells of one draw block, Hopf theta table or Hopf partial sums
+_HOPF_CHUNK_CELLS = 1 << 20  # per Hopf chunk, whose rows hold window + N cells each
+_CHECKPOINTS = 9
 
 
 class WindowCoverageError(RuntimeError):
@@ -121,10 +132,35 @@ def window_for_shift(profile: IntensityProfile, max_shift: int,
     return (lo, int(K) + max_shift + 16)
 
 
-def _as_generator(rng: RNGSpec | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RNGSpec):
-        return rng.generator()
-    return rng
+def _require_cells(what: str, rows: int, columns: int) -> None:
+    if rows * columns > _MAX_CELLS:
+        raise ParameterDomainError(f"{what} of {rows} x {columns} passes {_MAX_CELLS} cells")
+
+
+def _covered_window(profile: IntensityProfile, n: int, window_tol: float,
+                    window: Optional[tuple[int, int]]) -> tuple[int, int]:
+    """``window``, or the policy window for shifts up to n if it is None; one
+    that does not cover the policy window raises WindowCoverageError."""
+    lo_req, hi_req = window_for_shift(profile, n, window_tol)
+    if window is None:
+        return lo_req, hi_req
+    if window[0] > lo_req or window[1] < hi_req:
+        raise WindowCoverageError(f"window [{window[0]}, {window[1]}) does not cover "
+                                  f"required [{lo_req}, {hi_req}) for shift {n}")
+    return window
+
+
+def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
+                rows: int) -> np.ndarray:
+    """y - x for a (rows, len(a_j)) block: x[:, c] ~ Poisson(a_j[c]) and
+    y ~ Poisson(a_0), ``cdf0`` being the a_0 table row.  The x uniforms are
+    drawn first, then the y uniforms, each a row-major (rows, columns)
+    matrix."""
+    shape = (rows, len(a_j))
+    _require_cells("a draw block", *shape)
+    x = invert_uniform_rows(poisson_cdf_tables(a_j), gen.random(shape))
+    y = invert_uniform(cdf0, gen.random(shape).ravel()).reshape(shape)
+    return np.subtract(y, x, out=y)
 
 
 def sample_configuration(profile: IntensityProfile, window: tuple[int, int],
@@ -133,7 +169,7 @@ def sample_configuration(profile: IntensityProfile, window: tuple[int, int],
     lo, hi = window
     if not lo < hi:
         raise ParameterDomainError(f"window must satisfy lo < hi, got {window}")
-    gen = _as_generator(rng)
+    gen = rng.generator() if isinstance(rng, RNGSpec) else rng
     rates = intensities(profile, np.arange(lo, hi))
     cdf = poisson_cdf_tables(rates)
     counts = invert_uniform_rows(cdf, gen.random((1, hi - lo)))[0]
@@ -145,20 +181,14 @@ def log_rn_derivative(profile: IntensityProfile, omega: ConfigurationWindow, n: 
     """log of the n-step shifted density at omega:
     sum_k [(a_k - a_{k-n}) + omega_k log(a_{k-n} / a_k)].
 
-    The window must cover the shift support at the requested tolerance;
-    a short window raises WindowCoverageError rather than silently
-    truncating.  Terms are combined with exact (error-free) summation.
+    The window must cover the shift support at the requested tolerance
+    (``_covered_window``); terms are combined by exact summation.
     """
     if n < 0:
         raise ParameterDomainError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 0.0
-    lo_req, hi_req = window_for_shift(profile, n, window_tol)
-    lo, hi = omega.index_range
-    if lo > lo_req or hi < hi_req:
-        raise WindowCoverageError(
-            f"window [{lo}, {hi}) does not cover required [{lo_req}, {hi_req}) for shift {n}"
-        )
+    lo, hi = _covered_window(profile, n, window_tol, omega.index_range)
     ks = np.arange(lo, hi)
     eps_k = epsilon_at(profile.epsilon, ks)
     eps_kn = epsilon_at(profile.epsilon, ks - n)
@@ -173,24 +203,21 @@ def log_rn_derivative(profile: IntensityProfile, omega: ConfigurationWindow, n: 
 # ---------------------------------------------------------------------------
 
 
-def _checkpoints(N: int, count: int = 9) -> np.ndarray:
-    return np.unique(np.geomspace(1, N, count).astype(int))
-
-
 def _hopf_core(profile: IntensityProfile, N: int, samples: int,
                gen: np.random.Generator, window: tuple[int, int],
-               beta: Optional[float], chunk: int = 256) -> dict:
+               beta: Optional[float]) -> dict:
     """Shared machinery for hopf_diagnostic and scan_intensity.  Partial sums and
     moment bounds are linear-space floats: a level that overflows them is refused."""
-    if N < 2 or samples < 1:
-        raise ParameterDomainError(f"need N >= 2 and samples >= 1, got N={N}, samples={samples}")
-    if window[1] - window[0] > MAX_WINDOW:
-        raise ParameterDomainError(f"window {list(window)} spans more than {MAX_WINDOW} indices")
+    if not (2 <= N <= MAX_WINDOW and window[1] - window[0] <= MAX_WINDOW and samples >= 1):
+        raise ParameterDomainError(f"need 2 <= N <= {MAX_WINDOW}, a window of at most {MAX_WINDOW} indices "
+                                   f"and samples >= 1, got N={N}, window={list(window)}, samples={samples}")
+    checkpoints = np.unique(np.geomspace(1, N, _CHECKPOINTS).astype(int))
+    _require_cells("a Hopf theta table", window[1] - window[0], N)
+    _require_cells("the Hopf partial sums", samples, len(checkpoints))
     zero_gap = condition_verdict(profile.epsilon, "zero_gap")[0] is Trivalent.YES
-    markov_bound = None
-    log_bn = None
+    b = 0.75 if beta is None else beta
+    markov_bound = log_bn = None
     if zero_gap:
-        b = 0.75 if beta is None else beta
         ns = np.arange(1, N + 1)
         log_bn = -b * np.log(ns.astype(float))
         log_bound = 2.0 * log_bn + np.array([criteria.rn_square_integral(profile, int(n)) for n in ns])
@@ -209,11 +236,10 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
         theta[:, n - 1] = eps_kn - eps_k
         drift[n - 1] = float(np.sum(a_k - profile.level * np.exp(eps_kn)))
     cdf = poisson_cdf_tables(a_k)
-    checkpoints = _checkpoints(N)
     partials = np.empty((samples, len(checkpoints)))
     event_counts = np.zeros(N, dtype=np.int64)
-    done = 0
-    while done < samples:
+    chunk = max(1, _HOPF_CHUNK_CELLS // (len(ks) + N))
+    for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
         counts = invert_uniform_rows(cdf, gen.random((m, len(ks)))).astype(float)
         logrn = drift[None, :] + counts @ theta
@@ -221,7 +247,6 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
             event_counts += np.sum(logrn < log_bn[None, :], axis=0)
         P = np.cumsum(np.exp(logrn), axis=1)
         partials[done:done + m] = P[:, checkpoints - 1]
-        done += m
     if not np.isfinite(partials).all():
         raise ParameterDomainError(f"Hopf partial sums overflow at level {profile.level}")
 
@@ -240,7 +265,7 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
     }
     if markov_bound is not None:
         out["markov"] = {
-            "beta": 0.75 if beta is None else beta,
+            "beta": b,
             "ns": list(range(1, N + 1)),
             "event_freq": (event_counts / samples).tolist(),
             "bound": markov_bound.tolist(),
@@ -259,19 +284,12 @@ def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
     b_n = n^-beta, is b_n^2 * exp(rn_square_integral(n)); it applies when
     the asymptotic gap vanishes.  Everything here is labeled heuristic.
 
-    An explicit ``window`` must cover the policy window for (N, window_tol);
-    anything narrower raises WindowCoverageError rather than silently
-    truncating.
+    An explicit ``window`` must cover the policy window for (N, window_tol)
+    (``_covered_window``).
     """
     criteria.require_condition(profile, "nonsingularity", "hopf_diagnostic")
     t0 = time.perf_counter()
-    lo_req, hi_req = window_for_shift(profile, N, window_tol)
-    if window is None:
-        window = (lo_req, hi_req)
-    elif window[0] > lo_req or window[1] < hi_req:
-        raise WindowCoverageError(
-            f"window [{window[0]}, {window[1]}) does not cover required "
-            f"[{lo_req}, {hi_req}) for N={N}")
+    window = _covered_window(profile, N, window_tol, window)
     stats = _hopf_core(profile, N, samples, rng.generator(), window, beta)
     return ExperimentSummary(
         name="hopf_diagnostic",
@@ -290,13 +308,12 @@ def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
 
 
 def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec,
-                   snapshots: Optional[Sequence[int]] = None,
-                   thresholds: Sequence[float] = (1.0, 5.0, 10.0),
-                   block: int = 256) -> ExperimentSummary:
+                   thresholds: Sequence[float] = (1.0, 5.0, 10.0)) -> ExperimentSummary:
     """Weighted Skellam sums X_j = eps_j (y_j - x_j) with x_j ~ Poisson(a_j)
     and y_j ~ Poisson(a_0).
 
-    Reports, at each snapshot m: the KS distance of the normalized sum
+    Snapshots are taken at every m = 10^e below n (e from 2 to 11) and at
+    m = n.  Reports, at each snapshot m: the KS distance of the normalized sum
     Y_m = beta_m sum_{j<=m} (X_j - E X_j) from N(0, 2 a_0) (the limit law),
     the empirical and exact finite-m variances, the deterministic drift
     beta_m sum E X_j, and the frequency of {sum X_j > -p} for each p.
@@ -307,22 +324,17 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     eps falls short of the limit by Theta(1/log m); the empirical variance
     estimates it, not the limit.
 
-    Draw protocol (fixed): ascending j with eps_j != 0; per block of j,
-    first the x uniforms then the y uniforms, each as a (samples, block)
-    row-major matrix.
+    Draw protocol (fixed): ascending j with eps_j != 0, in blocks of up to
+    ``_CLT_BLOCK`` live j that end at each snapshot; each block is one
+    ``_increments`` draw, x uniforms then y uniforms.
     """
     criteria.require_condition(profile, "clt_regime", "clt_experiment")
-    if n < 2 or samples < 2:
-        raise ParameterDomainError("need n >= 2 and samples >= 2")
+    if not (2 <= n <= _MAX_CELLS and 2 <= samples <= _MAX_CELLS):
+        raise ParameterDomainError(f"need n and samples in [2, {_MAX_CELLS}], got n={n}, samples={samples}")
     t0 = time.perf_counter()
     gen = rng.generator()
     a0 = eval_intensity(profile, 0)
-    if snapshots is None:
-        snapshots = [10**e for e in range(2, 12) if 10**e < n] + [n]
-    snapshots = sorted({int(s) for s in snapshots if 2 <= int(s) <= n})
-    if not snapshots or snapshots[-1] != n:
-        snapshots.append(n)
-
+    snapshots = [10**e for e in range(2, 12) if 10**e < n] + [n]
     js = np.arange(2, n + 1)
     eps_j = epsilon_at(profile.epsilon, js)
     live = eps_j != 0.0
@@ -334,20 +346,16 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     crit = kolmogorov_critical(0.01) / math.sqrt(samples)
     per_snapshot = []
     cursor = 0
-    for snap in snapshots:
-        snap_end = snap - 2  # position in js (= arange(2, n+1)) of index j = snap
+    for m in snapshots:
+        snap_end = m - 2  # position in js (= arange(2, n+1)) of index j = m
         while cursor <= snap_end:
-            hi = min(cursor + block, snap_end + 1)
-            idx = np.arange(cursor, hi)
-            idx = idx[live[idx]]
+            hi = min(cursor + _CLT_BLOCK, snap_end + 1)
+            idx = np.flatnonzero(live[cursor:hi]) + cursor
             if len(idx):
-                ux = gen.random((samples, len(idx)))
-                uy = gen.random((samples, len(idx)))
-                x = invert_uniform_rows(poisson_cdf_tables(a_j[idx]), ux)
-                y = invert_uniform(cdf0, uy.ravel()).reshape(samples, len(idx))
-                total += (y - x) @ eps_j[idx]
+                # d lives on through the next draw, which then reuses heap pages, not fresh ones
+                d = _increments(gen, a_j[idx], cdf0, samples)
+                total += d @ eps_j[idx]
             cursor = hi
-        m = snap
         e2 = float(np.sum(eps_j[: m - 1] ** 2))
         beta_m = 1.0 / math.sqrt(e2)
         exp_sum = float(np.sum(ex_j[: m - 1]))
@@ -410,6 +418,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
     a0 = eval_intensity(profile, 0)
     rate_limit = max(a0, profile.level * math.exp(max(0.0, sup_epsilon(profile.epsilon))))
     L_cert = skellam_tail_threshold(rate_limit)
+    cdf0 = poisson_cdf_tables(np.array([a0]))[0]
 
     rows = []
     for n in sorted({int(v) for v in ns}):
@@ -430,10 +439,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
             "guaranteed": bool(threshold > L_cert),
         }
         if n <= mc_max:
-            # draw protocol: x uniforms then y uniforms, one vector each
-            x = invert_uniform(poisson_cdf_tables(np.array([a_n]))[0], gen.random(samples))
-            y = invert_uniform(poisson_cdf_tables(np.array([a0]))[0], gen.random(samples))
-            freq = float(np.mean(np.abs(y - x) > threshold))
+            freq = float(np.mean(np.abs(_increments(gen, np.array([a_n]), cdf0, samples)) > threshold))
             se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / samples)
             row["mc_freq"] = freq
             row["mc_se"] = se
@@ -462,8 +468,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
 
 
 def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
-                             M: int, N: int, samples: int, rng: RNGSpec,
-                             block: int = 8_192) -> ExperimentSummary:
+                             M: int, N: int, samples: int, rng: RNGSpec) -> ExperimentSummary:
     """First index l > M where the partial sum of X_j drops below r.
 
     Per sample: draw (X_j) for M < j <= N, stop at the first l with
@@ -477,8 +482,8 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         raise ParameterDomainError(f"eps must be positive, got {eps}")
     if not 0 <= M < N:
         raise ParameterDomainError(f"need 0 <= M < N, got M={M}, N={N}")
-    if samples < 1:
-        raise ParameterDomainError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= _MAX_CELLS:
+        raise ParameterDomainError(f"samples must be in [1, {_MAX_CELLS}], got {samples}")
     criteria.require_condition(profile, "clt_regime", "stopping_time_experiment")
     t0 = time.perf_counter()
     gen = rng.generator()
@@ -494,15 +499,10 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
 
     j = M
     while j < N and len(alive):
-        j_hi = min(j + block, N)
+        j_hi = min(j + _STOPPING_BLOCK, N)
         js = np.arange(j + 1, j_hi + 1)
         eps_j = epsilon_at(profile.epsilon, js)
-        a_j = profile.level * np.exp(eps_j)
-        ux = gen.random((len(alive), len(js)))
-        uy = gen.random((len(alive), len(js)))
-        x = invert_uniform_rows(poisson_cdf_tables(a_j), ux)
-        y = invert_uniform(cdf0, uy.ravel()).reshape(len(alive), len(js))
-        X = (y - x) * eps_j[None, :]
+        X = _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive)) * eps_j[None, :]
         sums = partial[alive, None] + np.cumsum(X, axis=1)
         below = sums < r
         first = below.argmax(axis=1)

@@ -1,6 +1,7 @@
 """CLI surface: dispatch, validation, exit codes, report schema, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -46,6 +47,12 @@ def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def far_table(index: int) -> dict:
+    """A profile whose explicit table holds one entry, at ``index``."""
+    return {"base": 1.0, "epsilon": {"kind": "explicit", "table": {str(index): 0.1},
+                                     "tail": {"kind": "power", "gamma": 0.5}}}
 
 
 def run_to_file(tmp_path: Path, command: str, doc: dict, *extra: str, name: str = "out.json"):
@@ -395,12 +402,22 @@ class TestValidationAndExitCodes:
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("command, index", [("classify", 1_000_000_000), ("asymptotics", -300_000_000)])
-    def test_far_explicit_table_is_refused(self, tmp_path, command, index):
-        # the series grids would span the table: 7.45 and 2.24 GiB, beyond a
-        # 3 GiB address-space limit
-        epsilon = {"kind": "explicit", "table": {str(index): 0.1}, "tail": {"kind": "power", "gamma": 0.5}}
-        cfg = write_config(tmp_path, {"profile": {"base": 1.0, "epsilon": epsilon}})
+    @pytest.mark.parametrize("command, config", [
+        pytest.param("classify", {"profile": far_table(1_000_000_000)}, id="classify-1000000000"),
+        pytest.param("asymptotics", {"profile": far_table(-300_000_000)}, id="asymptotics--300000000"),
+        pytest.param("hopf", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}},
+                              "N": 100_000, "samples": 2}, id="hopf-theta"),
+        pytest.param("hopf", {"profile": {"base": 1.0, "epsilon": {"kind": "zero"}}, "N": 300_000_000},
+                     id="hopf-N"),
+        pytest.param("stopping", {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 10, "N": 20_000,
+                                  "samples": 100_000}, id="stopping-block"),
+        pytest.param("clt", {"profile": {"base": 1.0}, "n": 300, "samples": 20_000_000}, id="clt-block"),
+    ])
+    def test_far_explicit_table_is_refused(self, tmp_path, command, config):
+        # each would allocate beyond a 3 GiB address-space limit: series grids
+        # of 7.45 and 2.24 GiB, a 74.5 GiB Hopf theta table, 2.24 GiB per array
+        # over N, draw blocks of 6.10 and 14.8 GiB
+        cfg = write_config(tmp_path, config)
         limit = 3 * 2**30
         proc = subprocess.run(
             [sys.executable, "-m", "suspension_lab.cli", command, "--config", cfg],
@@ -536,7 +553,41 @@ class TestConfigFuzz:
                     "config error", "precondition violation", "coverage error", "anomaly")
 
 
+#: Small runs at seed 1 and the sha256 of their report bodies.  A drift in
+#: the draw protocol, the inversion or a reduction fails here; only a
+#: deliberate body change, recorded in CHANGES.md, may update a hash.
+DEAD_COLUMNS = {"kind": "explicit", "table": {"3": 0.0, "4": -0.3, "6": 0.0, "300": 0.0, "301": 0.0},
+                "tail": {"kind": "power", "gamma": 0.5, "sign": -1}}
+TWO_ENTRIES = {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}, "tail": {"kind": "power", "gamma": 0.4, "sign": -1}}
+GOLDEN_BODIES = [
+    ("hopf", {"profile": {"base": 1.0}, "N": 8, "samples": 40},
+     "6cf5340c49b9dafa37cb6e370b4c908baceb1cb7ba98960c8b1eb249672e03fa"),
+    ("hopf", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}, "N": 8, "samples": 40},
+     "2bea45dd04590b150eb2eee592f0cb71d9d60e6fe43ef520b6fc4c69de083ede"),
+    ("hopf", {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}, "N": 8, "samples": 40, "window": [-50, 3000]},
+     "6c36c9bfc4cf0f21b41858787c43ab03ee6e5a5c19719572e229de9c92d94337"),
+    ("scan", {"profile": {"base": 1.0}, "t_grid": [0.5, 1.0, 2.0], "N": 8, "samples": 40},
+     "359806e7bd15b51fef11171ad53409f18f6ea4c5d3a8a9eee27a080f65bbda79"),
+    ("clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40},
+     "c33d0cd1290544ef4f1af919bfd1999c2b7dc7f3908bdd3a9632b976026e79f5"),
+    ("clt", {"profile": {"base": 1.0, "epsilon": DEAD_COLUMNS}, "n": 600, "samples": 40},
+     "565509ddabf5608b36f656aae7bf7adb7181463bec9a6f2d7a8c790e6d98f7e5"),
+    ("decay", {"profile": {"base": 1.0}, "samples": 500, "ns": [10, 50, 100, 1000]},
+     "3c17de900dab26556568b9ad217e103532da4f452889b4df5e6625dee2193931"),
+    ("stopping", {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
+     "357fe8bff366fc39607919b125ccf01b5e2ba743dc01eb97c1dc6f2414d7a887"),
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("command, doc, digest", GOLDEN_BODIES,
+                             ids=["hopf_power", "hopf_step", "hopf_explicit_window", "scan", "clt_power",
+                                  "clt_dead_columns", "decay", "stopping"])
+    def test_golden_body_hashes(self, tmp_path, command, doc, digest):
+        code, out = run_to_file(tmp_path, command, doc, "--seed", "1")
+        assert code in (EXIT_OK, EXIT_ANOMALY)
+        assert hashlib.sha256(body_bytes(json.loads(out.read_text()))).hexdigest() == digest
+
     def test_bodies_byte_identical(self, tmp_path):
         doc = {"profile": POWER_PROFILE, "n": 300, "samples": 300, "rng": {"seed": 9}}
         _, out1 = run_to_file(tmp_path, "clt", doc, name="one.json")

@@ -426,9 +426,11 @@ class TestCltExperiment:
         want = float(np.sum(eps * (1.0 - np.exp(eps))) / math.sqrt(np.sum(eps**2)))
         assert snap["drift"] == pytest.approx(want, rel=1e-12)
 
-    def test_draw_protocol(self, monkeypatch):
-        # 2 * samples uniforms per live j (eps_j != 0), each inverted exactly once
-        fam = ExplicitFamily(((3, 0.0), (4, -0.3), (6, 0.0)), HALF)
+    @pytest.mark.parametrize("experiment", ["clt", "decay", "stopping"])
+    def test_draw_protocol(self, monkeypatch, experiment):
+        # every uniform is inverted exactly once, in the order drawn, x block
+        # before y block; clt draws 2 * samples per live j (eps_j != 0), decay
+        # 2 * samples per row with n <= mc_max
         drawn, inverted = [], []
 
         class CountingGenerator:
@@ -447,12 +449,23 @@ class TestCltExperiment:
                 inverted.append(np.asarray(u).ravel().copy())
                 return invert(cdf, u)
             monkeypatch.setattr(simulate, name, inverting)
-        n, samples = 20, 3
-        clt_experiment(IntensityProfile(1.0, fam), n=n, samples=samples, rng=RNGSpec(seed=5), block=4)
-        live = np.count_nonzero(epsilon_at(fam, np.arange(2, n + 1)))
-        assert live == n - 3
-        assert sum(map(len, drawn)) == 2 * samples * live
-        assert np.array_equal(np.sort(np.concatenate(drawn)), np.sort(np.concatenate(inverted)))
+        samples = 3
+        if experiment == "clt":
+            # dead columns in the blocks j <= 100 (up to the first snapshot) and 101..356
+            fam = ExplicitFamily(((3, 0.0), (4, -0.3), (6, 0.0), (300, 0.0), (301, 0.0)), HALF)
+            n = 600
+            clt_experiment(IntensityProfile(1.0, fam), n=n, samples=samples, rng=RNGSpec(seed=5))
+            live = np.count_nonzero(epsilon_at(fam, np.arange(2, n + 1)))
+            assert live == n - 5 > simulate._CLT_BLOCK
+            assert sum(map(len, drawn)) == 2 * samples * live
+        elif experiment == "decay":
+            increment_tail_decay(P1, RNGSpec(seed=5), samples=samples, ns=(10, 50, 100, 1_000), mc_max=100)
+            assert [len(u) for u in drawn] == [samples] * 6
+        else:
+            stopping_time_experiment(P1, r=-2.0, eps=0.1, M=100, N=20_000, samples=20, rng=RNGSpec(seed=5))
+            sizes = [len(u) for u in drawn]
+            assert len(sizes) > 2 and sizes[0::2] == sizes[1::2]  # more than one block, x and y alike
+        assert np.array_equal(np.concatenate(drawn), np.concatenate(inverted))
 
     def test_reproducible(self):
         a = clt_experiment(P1, n=300, samples=500, rng=RNGSpec(seed=21))
