@@ -11,19 +11,24 @@ starting indices used in this package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .dist import ParameterDomainError
 
-_GL_NODES, _GL_WEIGHTS = leggauss(128)
-# map [-1, 1] -> (0, 1]
-_W_NODES = 0.5 * (_GL_NODES + 1.0)
-_W_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+@functools.cache
+def _unit_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """128-node Gauss-Legendre nodes and weights mapped from [-1, 1] onto
+    (0, 1], computed on first use rather than at import."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(128)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def improper_integral(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
@@ -33,9 +38,10 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
     t^-3/2 decay into a bounded analytic integrand, which 128-node
     Gauss-Legendre integrates to near machine precision.
     """
-    t = a / _W_NODES**2
-    vals = f(t) * (2.0 * a / _W_NODES**3)
-    return float(np.dot(vals, _W_WEIGHTS))
+    w_nodes, w_weights = _unit_gauss_legendre()
+    t = a / w_nodes**2
+    vals = f(t) * (2.0 * a / w_nodes**3)
+    return float(np.dot(vals, w_weights))
 
 
 def semi_infinite_sum(f: Callable[[np.ndarray], np.ndarray], start: int,

@@ -10,25 +10,33 @@ uniform per variate, inverted against a per-rate cumulative table of
 K + 1 entries, K = rate + 12 sqrt(rate + 1) + 30 at the table's largest
 rate, which leaves out a mass below 1e-16.  One uniform per variate keeps
 the stream layout trivial to reason about; the table length grows
-linearly with the rate, so rates are capped defensively.  Rows are built by
-the pmf recurrence from P(X = 0) = exp(-rate) while that value is a normal
-float (rate below about 708.4); above that, P(X = 0) is subnormal or zero,
-so the row is built from its mode in log space instead, recursing both
-ways and normalized to unit mass.
+linearly with the rate, so rates are capped defensively, and so are a
+table's cells.  Rows are built by the pmf recurrence from
+P(X = 0) = exp(-rate) while that value is a normal float (rate below about
+708.4); above that, P(X = 0) is subnormal or zero, so the row is built from
+its mode in log space instead, recursing both ways and normalized to unit
+mass.
 
 Inversion returns min(#{k : cdf[r, k] <= u}, top[r]) for row r, top[r]
 being the first index of the row's float plateau (its first entry equal to
 its last).  Uniforms are compared with the raw table entries, so a count
 depends only on its row and uniform, not on the row's place in the table.
-Wide tables take one ``searchsorted`` per row.  Low-count tables take
-sequential search (Devroye, *Non-Uniform Random Variate Generation*, 1986,
-section III.2): pass k compares every query with column k (+inf from the
-plateau on) and adds the outcome to its count, the same count since rows
-are non-decreasing.  Their number is read off the table: the fewest passes
-after which, by the table's own CDF, at most ``_CLIMB_SHARE`` of draws are
-still climbing, up to ``_MAX_PASSES``; those climb on by gathered steps.
-Tables that need more passes (mean rates above about 20) take the per-row
-search.
+Low-count tables take sequential search (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, section III.2): pass k compares every query with
+column k (+inf from the plateau on) and adds the outcome to its count, the
+same count since rows are non-decreasing.  Their number is read off the
+table: the fewest passes after which, by the table's own CDF, at most
+``_CLIMB_SHARE`` of draws are still climbing, up to ``_MAX_PASSES``; those
+climb on by gathered steps.  Tables that need more passes (mean rates above
+about 20) take indexed search (Chen and Asau, *AIIE Trans.* 6(2), 1974):
+a guide table splits [0, 1) into G cells and holds, per row and cell
+boundary j / G, the count of that boundary, so a uniform in cell
+j = floor(u G) has its count between the guide entries j and j + 1;
+bisection on the raw test u >= cdf[r, mid - 1] finds it there.  G is the
+smallest power of two at least min(K + 1, S), S being the number of sample
+rows inverted, so u G, j / G and G cdf are exact and the guide costs no
+more than the table or the queries; one sample row (G = 1) bisects over
+[0, top[r]].
 """
 
 from __future__ import annotations
@@ -44,14 +52,22 @@ _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
 
 #: Most comparison passes run; below 256, since the passes count in uint8.
-#: At rate 20 over 8192 rows on a 2-core VM, 32 passes took 29 ns per draw
-#: and the per-row search 88 ns.
+#: At rate 20 over 8192 rows and 250 sample rows on a 2-core VM, 32 passes
+#: took 29 ns per draw and the guide search 58 ns; at rates 74 to 188 over
+#: 256 rows and 2000 sample rows the guide search took 32 ns.
 _MAX_PASSES = 32
 #: Largest expected share of draws still climbing after the passes.
 _CLIMB_SHARE = 0.01
 #: Queries per chunk of sample rows: 1 MiB of float64, which stays in cache
 #: across the passes.
 _CHUNK_CELLS = 1 << 17
+#: Queries per chunk of the guide search; bounds its index arrays (cells,
+#: bracket ends, bisection state) and so its share of peak RSS.  On the
+#: clt_hirate op, 2^16 ran about 5% faster than 2^15 and 2^17 for 2 MB more.
+_GUIDE_CHUNK = 1 << 16
+#: Most cells of one CDF table (256 MiB of float64); it also keeps every
+#: flat position of the guide search within int32.
+_MAX_TABLE_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -91,6 +107,8 @@ def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
         raise ParameterDomainError(f"rate {rmax} exceeds the supported cap {_MAX_RATE}")
     # Poisson(r) mass above r + m*sqrt(r) + c decays like a Gaussian tail in m
     K = int(rmax + 12.0 * math.sqrt(rmax + 1.0) + 30.0)
+    if len(rates) * (K + 1) > _MAX_TABLE_CELLS:
+        raise ParameterDomainError(f"a CDF table of {len(rates)} x {K + 1} passes {_MAX_TABLE_CELLS} cells")
     pmf = np.empty((len(rates), K + 1))
     pmf[:, 0] = np.exp(-rates)
     for k in range(1, K + 1):
@@ -154,6 +172,74 @@ def _invert_by_passes(cdf: np.ndarray, u: np.ndarray, top: np.ndarray, passes: i
     return counts
 
 
+def _guide_table(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
+    """Guide entries as flat positions r K + guide[r, j] in a (rows, K)
+    table, guide[r, j] being min(#{k : cdf[r, k] <= j / G}, top[r]) for
+    0 < j < G, 0 for j = 0 and top[r] for j = G: guide[r, j] and
+    guide[r, j + 1] bracket the count of every uniform in [j / G, (j + 1) / G).
+
+    With G a power of two, cdf <= j / G exactly when ceil(G cdf) <= j.  Only
+    a band of W columns is counted, from the first one nonzero in some row
+    to the last plateau start: the columns before it hold 0 in every row,
+    and those after it only raise counts that the cap at top takes back.
+    Row r's cells are keyed r (G + 1) + cell, below every later row's, so
+    the running count of keys up to r (G + 1) + j is r W plus the row's
+    count in the band.
+    """
+    R, K = cdf.shape
+    start = np.arange(R) * K
+    guide = np.empty((R, G + 1), dtype=np.int32)
+    if G > 1:
+        first = int(np.argmax(cdf.max(axis=0, initial=0.0) > 0.0))
+        band = cdf[:, first:int(top.max(initial=0)) + 1]
+        cells = np.ceil(band * G)
+        np.minimum(cells, G, out=cells)  # cells from G on count toward no inner entry
+        cells += (np.arange(R) * (G + 1.0))[:, None]
+        per_key = np.bincount(cells.astype(np.intp).ravel(), minlength=R * (G + 1))
+        np.cumsum(per_key, dtype=np.int32, out=guide.reshape(-1))
+        guide += (start + first - np.arange(R) * band.shape[1])[:, None]
+        np.minimum(guide, (start + top)[:, None], out=guide)
+    guide[:, 0] = start
+    guide[:, G] = start + top
+    return guide
+
+
+def _invert_by_guide(cdf: np.ndarray, u: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``invert_uniform_rows`` by guide table and bisection per chunk of
+    sample rows: a uniform in cell j = floor(u G) of row r has its count in
+    [guide[r, j], guide[r, j + 1]], and bisection on u >= cdf[r, mid - 1]
+    narrows that bracket to the count.  Brackets are flat positions in the
+    table, within int32 since tables are capped at ``_MAX_TABLE_CELLS``."""
+    S, R = u.shape
+    K = cdf.shape[1]
+    G = 1 << (max(min(K, S), 1) - 1).bit_length()
+    guide = _guide_table(cdf, top, G).ravel()
+    flat = np.ascontiguousarray(cdf).ravel()
+    start, first_cell = np.arange(R) * K, np.arange(R) * (G + 1)
+    counts = np.empty((S, R), dtype=np.int64, order="F")
+    step = max(1, _GUIDE_CHUNK // max(R, 1))
+    for s0 in range(0, S, step):
+        chunk = u[s0:s0 + step]
+        cell = (chunk * G).astype(np.intp, order="C")
+        cell += first_cell
+        lo = guide[cell]
+        cell += 1
+        hi = guide[cell]
+        at = np.flatnonzero(hi > lo)
+        flat_lo, q = lo.ravel(), chunk.ravel()[at]
+        a, b = flat_lo[at], hi.ravel()[at]
+        while len(at):
+            mid = (a + b + 1) >> 1
+            up = q >= flat[mid - 1]
+            np.copyto(a, mid, where=up)
+            np.subtract(mid, 1, out=b, where=~up)
+            flat_lo[at] = a
+            go = a < b
+            at, a, b, q = at[go], a[go], b[go], q[go]
+        np.subtract(lo, start, out=counts[s0:s0 + step])
+    return counts
+
+
 def invert_uniform(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Counts from uniforms against a single CDF table row: the one-row case
     of ``invert_uniform_rows``."""
@@ -166,8 +252,8 @@ def invert_uniform_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Columns of ``u`` correspond to rows of ``cdf``; each count is
     min(#{k : cdf[r, k] <= u[s, r]}, top[r]), top[r] being the first index
-    of row r's plateau.  Low-count tables take the comparison passes, the
-    rest one searchsorted per row.  Either way the result is
+    of row r's plateau, for uniforms in [0, 1).  Low-count tables take the
+    comparison passes, the rest the guide search.  Either way the result is
     Fortran-ordered.
     """
     S, R = u.shape
@@ -177,10 +263,7 @@ def invert_uniform_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     passes = _pass_count(cdf)
     if passes is not None:
         return _invert_by_passes(cdf, u, top, passes)
-    counts = np.empty((S, R), dtype=np.int64, order="F")
-    for r in range(R):
-        np.minimum(np.searchsorted(cdf[r], u[:, r], side="right"), top[r], out=counts[:, r])
-    return counts
+    return _invert_by_guide(cdf, u, top)
 
 
 def sample_poisson(rate: float, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -412,11 +412,16 @@ class TestValidationAndExitCodes:
         pytest.param("stopping", {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 10, "N": 20_000,
                                   "samples": 100_000}, id="stopping-block"),
         pytest.param("clt", {"profile": {"base": 1.0}, "n": 300, "samples": 20_000_000}, id="clt-block"),
+        pytest.param("stopping", {"profile": {"base": 50_000.0}, "r": -2.0, "eps": 0.1, "M": 10, "N": 9_000,
+                                  "samples": 1}, id="stopping-cdf-table"),
+        pytest.param("hopf", {"profile": {"base": 100_000.0, "epsilon": {"kind": "zero"}}, "N": 8, "samples": 2,
+                              "window": [0, 2_000]}, id="hopf-cdf-table"),
     ])
     def test_far_explicit_table_is_refused(self, tmp_path, command, config):
         # each would allocate beyond a 3 GiB address-space limit: series grids
         # of 7.45 and 2.24 GiB, a 74.5 GiB Hopf theta table, 2.24 GiB per array
-        # over N, draw blocks of 6.10 and 14.8 GiB
+        # over N, draw blocks of 6.10 and 14.8 GiB, CDF tables of 3.18 and
+        # 1.55 GiB
         cfg = write_config(tmp_path, config)
         limit = 3 * 2**30
         proc = subprocess.run(
@@ -576,13 +581,24 @@ GOLDEN_BODIES = [
      "3c17de900dab26556568b9ad217e103532da4f452889b4df5e6625dee2193931"),
     ("stopping", {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
      "357fe8bff366fc39607919b125ccf01b5e2ba743dc01eb97c1dc6f2414d7a887"),
+    # wide tables, past the comparison passes: x over three blocks and y at rate 200
+    ("clt", {"profile": {"base": 200.0}, "n": 600, "samples": 40},
+     "133fab449567d8c5fd912df617c6b065db5dcc9fba98245ee093ce0c137a6a8e"),
+    # decay refuses bases above about 5 (no certified tail threshold), so a
+    # stopping run draws the 8192-column blocks and the y row at base 200
+    ("stopping", {"profile": {"base": 200.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
+     "61a4a293bb599550c4843f781d4b7fa822a07f2f42fc872b40bf328371ecbe0d"),
+    # fewer sample rows (a chunk of 40) than table columns
+    ("hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 40},
+     "8452b7ca924e1611e8cfb4b382becb792039c3d42caff0284c93a018a5a2166a"),
 ]
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("command, doc, digest", GOLDEN_BODIES,
                              ids=["hopf_power", "hopf_step", "hopf_explicit_window", "scan", "clt_power",
-                                  "clt_dead_columns", "decay", "stopping"])
+                                  "clt_dead_columns", "decay", "stopping", "clt_base_200", "stopping_base_200",
+                                  "hopf_base_50"])
     def test_golden_body_hashes(self, tmp_path, command, doc, digest):
         code, out = run_to_file(tmp_path, command, doc, "--seed", "1")
         assert code in (EXIT_OK, EXIT_ANOMALY)

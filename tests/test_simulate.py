@@ -96,6 +96,11 @@ class TestPoissonSampler:
         with pytest.raises(ParameterDomainError):
             poisson_cdf_tables(np.array([1e9]))
 
+    def test_rejects_oversized_tables(self):
+        # 8192 rows of 52714 columns would take 3.2 GiB; refused before allocating
+        with pytest.raises(ParameterDomainError, match="cells"):
+            poisson_cdf_tables(np.full(8_192, 5e4))
+
     def test_table_mass_closes(self):
         cdf = poisson_cdf_tables(np.array([0.1, 5.0, 30.0]))
         assert np.all(cdf[:, -1] >= 1.0 - 1e-15)
@@ -190,7 +195,8 @@ def _adversarial_uniforms(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
 
 class TestInversionExactness:
     """Both inversion entry points equal the raw-operand oracle element for
-    element, on both sides of the comparison-pass switch."""
+    element, on both sides of the switch from comparison passes to guide
+    search."""
 
     @staticmethod
     def _check(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -239,8 +245,62 @@ class TestInversionExactness:
         u[:, 8_190] = np.minimum(np.nextafter(cdf[8_190], direction), np.nextafter(1.0, 0.0))
         assert np.array_equal(invert_uniform_rows(cdf, u), _raw_search(cdf, u))
 
+    @staticmethod
+    def _with_cell_edges(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
+        """Adversarial uniforms with u = 0, u = 1 - 2^-53 and, for the finest
+        guide any call on this table can use (G at most the power of two at
+        or above its width), every cell edge j / G and both float neighbours
+        of it put in at random places."""
+        u = _adversarial_uniforms(cdf, S, seed)
+        G = 1 << (cdf.shape[1] - 1).bit_length()
+        edges = np.arange(G + 1) / G
+        special = np.concatenate([[0.0, 1.0], edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        special = np.clip(special, 0.0, np.nextafter(1.0, 0.0))
+        gen = np.random.default_rng(seed)
+        flat = u.reshape(-1)
+        n = min(len(flat), len(special))
+        flat[gen.choice(len(flat), n, replace=False)] = gen.permutation(special)[:n]
+        return u
+
+    @pytest.mark.parametrize("rates, S", [
+        pytest.param([200.0], 1, id="one-sample-row"),  # G = 1: bisection over [0, top]
+        pytest.param([200.0, 900.0, 1e5], 1, id="one-sample-row-wide"),
+        pytest.param([150.0, 200.0], 255, id="S-255"),
+        pytest.param([150.0, 200.0], 256, id="S-256"),
+        pytest.param([150.0, 200.0], 257, id="S-257"),
+        pytest.param([200.0], 400, id="S-below-width"),  # the width is 401
+        pytest.param([200.0], 401, id="S-at-width"),
+        pytest.param([200.0], 402, id="S-above-width"),
+        # three rows, so chunks of _GUIDE_CHUNK // 3 sample rows: two and a half
+        pytest.param([30.0, 120.0, 200.0], 5 * sampling._GUIDE_CHUNK // 6, id="chunks"),
+        pytest.param([709.0, 5e3, 1e4], 3_000, id="leading-zeros"),  # first entries exactly 0
+        pytest.param([1e5], 5_000, id="rate-cap"),
+        pytest.param([0.0, 2.0, 40.0, 1e3], 700, id="mixed"),
+    ])
+    def test_guide_matches_raw_search(self, rates, S):
+        full = poisson_cdf_tables(np.array(rates))
+        assert sampling._pass_count(full) is None
+        for cdf in (full, full[:, :full.shape[1] // 2]):  # the cut table's rows end below 1
+            self._check(cdf, self._with_cell_edges(cdf, S, seed=S))
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 5, 6, 7, 12])
+    def test_cells_split_at_exact_edges(self, S):
+        # one row holding m / d for every d <= 16 and both float neighbours,
+        # inverted at the same values: u G and G cdf must be exact, or a
+        # value and its neighbour fall into one cell and are miscounted
+        fractions = np.concatenate([np.arange(d + 1) / d for d in range(1, 17)])
+        values = np.unique(np.concatenate([fractions, np.nextafter(fractions, -1.0), np.nextafter(fractions, 2.0)]))
+        row = np.clip(values, 0.0, 1.0)
+        queries = np.clip(values, 0.0, np.nextafter(1.0, 0.0))
+        R = -(-len(queries) // S)
+        cdf = np.tile(row, (R, 1))
+        assert sampling._pass_count(cdf) is None
+        u = RNGSpec(seed=S).generator().random(S * R)
+        u[:len(queries)] = queries
+        self._check(cdf, u.reshape(S, R))
+
     def test_path_follows_the_table(self):
-        # low-count tables take the passes; wide ones one search per row
+        # low-count tables take the passes; wide ones the guide search
         assert sampling._pass_count(poisson_cdf_tables(np.full(64, 1.0))) is not None
         assert sampling._pass_count(poisson_cdf_tables(np.full(64, 8.0))) is not None
         assert sampling._pass_count(poisson_cdf_tables(np.linspace(100.0, 200.0, 64))) is None
