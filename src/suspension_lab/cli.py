@@ -16,7 +16,7 @@ schema version, UTC timestamp, runtime, the full config echo, and the rng
 spec; the body holds only deterministic content, so two runs of the same
 config and seed produce byte-identical bodies.  CSV output is offered for
 the per-n / per-t series commands (asymptotics, scan); everything else is
-JSON.
+JSON.  A format the command cannot be written in is refused before the run.
 
 Exit codes are fixed: 0 success, 2 unreadable, malformed or out-of-domain
 config or an unwritable output path, 3 precondition violation, 4
@@ -38,7 +38,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__, criteria, simulate
-from .criteria import GapNotZeroError, MonotonicityError, PreconditionError
+from .criteria import MonotonicityError, PreconditionError
 from .dist import ParameterDomainError, SkellamLaw, skellam_tail
 from .intensity import (
     DEFAULT_EPSILON,
@@ -302,33 +302,41 @@ def body_bytes(report: dict) -> bytes:
 
 
 def _csv_rows(command: str, body: dict) -> tuple[list[str], list[list]]:
+    """Header and rows of an asymptotics or a scan body."""
     if command == "asymptotics":
         header = ["n", "rn_square_integral", "hellinger_growth"]
         rows = [[r["n"], repr(r["rn_square_integral"]), repr(r["hellinger_growth"])]
                 for r in body["series"]]
         return header, rows
-    if command == "scan":
-        header = ["t", "growth_exponent"]
-        rows = [[t, repr(g)] for t, g in
-                zip(body["statistics"]["t_grid"], body["statistics"]["growth_exponents"])]
-        return header, rows
-    raise ConfigError(f"csv format is only offered for {CSV_COMMANDS}, not {command!r}")
+    header = ["t", "growth_exponent"]
+    rows = [[t, repr(g)] for t, g in
+            zip(body["statistics"]["t_grid"], body["statistics"]["growth_exponents"])]
+    return header, rows
+
+
+def _output_format(command: str, fmt: str) -> str:
+    """``fmt`` if ``command`` can be written in it; checked before the run."""
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"unknown format {fmt!r}")
+    if fmt == "csv" and command not in CSV_COMMANDS:
+        raise ConfigError(f"csv format is only offered for {CSV_COMMANDS}, not {command!r}")
+    return fmt
 
 
 def render_report(command: str, report: dict, fmt: str) -> str:
+    """The report as JSON, or as CSV for a ``fmt`` that ``_output_format``
+    has accepted."""
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if fmt == "csv":
-        header, rows = _csv_rows(command, report["body"])
-        buf = io.StringIO()
-        hdr = report["header"]
-        buf.write(f"# tool: {hdr['tool']} {hdr['version']} schema {hdr['schema_version']}\n")
-        buf.write(f"# created_utc: {hdr['created_utc']}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    raise ConfigError(f"unknown format {fmt!r}")
+    header, rows = _csv_rows(command, report["body"])
+    buf = io.StringIO()
+    hdr = report["header"]
+    buf.write(f"# tool: {hdr['tool']} {hdr['version']} schema {hdr['schema_version']}\n")
+    buf.write(f"# created_utc: {hdr['created_utc']}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _sanitize(obj):
@@ -367,10 +375,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if declared != args.command:
             raise ConfigError(f"config declares command {declared!r} but {args.command!r} was invoked")
         output = fields.pop("output")
+        fmt = _output_format(args.command, args.format or output.get("format") or "json")
         rng = parse_rng(fields.pop("rng"), args.seed)
         body, anomaly = runner(rng, **fields)
         report = build_report(args.command, cfg, rng, _sanitize(body), time.perf_counter() - t0)
-        text = render_report(args.command, report, args.format or output.get("format") or "json")
+        text = render_report(args.command, report, fmt)
         out_path = args.out or output.get("path")
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -380,7 +389,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ConfigError, ParameterDomainError, ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PreconditionError, GapNotZeroError) as exc:
+    except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except WindowCoverageError as exc:

@@ -50,10 +50,10 @@ from .intensity import (
 )
 from .numerics import SlopeFit, fit_log_slope, geometric_grid, semi_infinite_sum
 
-#: Default least-squares windows (powers of two, inclusive).  The
-#: square-integral series is fitted from 16; the Hellinger series carries a
-#: boundary block whose O(1) drift at small n biases the slope well past
-#: the certificate margins, so its default window starts at 1024.
+#: Least-squares windows (powers of two, inclusive).  The square-integral
+#: series is fitted from 16; the Hellinger series carries a boundary block
+#: whose O(1) drift at small n biases the slope well past the certificate
+#: margins, so its window starts at 1024.
 RN_FIT_RANGE = (16, 131_072)
 HELLINGER_FIT_RANGE = (1_024, 131_072)
 
@@ -276,15 +276,14 @@ def hellinger_growth(profile: IntensityProfile, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rn_slope_fit(profile: IntensityProfile, fit_range: tuple[int, int] = RN_FIT_RANGE) -> SlopeFit:
-    ns = geometric_grid(*fit_range)
+def rn_slope_fit(profile: IntensityProfile) -> SlopeFit:
+    ns = geometric_grid(*RN_FIT_RANGE)
     unit = fit_log_slope(ns, [_rn_unit(profile.epsilon, n) for n in ns], kind="rn_square_integral")
     return unit.scaled(profile.level)
 
 
-def hellinger_slope_fit(profile: IntensityProfile,
-                        fit_range: tuple[int, int] = HELLINGER_FIT_RANGE) -> SlopeFit:
-    ns = geometric_grid(*fit_range)
+def hellinger_slope_fit(profile: IntensityProfile) -> SlopeFit:
+    ns = geometric_grid(*HELLINGER_FIT_RANGE)
     unit = fit_log_slope(ns, [_hellinger_unit(profile.epsilon, n) for n in ns], kind="hellinger_growth")
     return unit.scaled(profile.level)
 
@@ -305,8 +304,7 @@ class SeriesVerdict:
         }
 
 
-def dissipativity_series(profile: IntensityProfile, N: int = 200,
-                         fit_range: tuple[int, int] = HELLINGER_FIT_RANGE) -> SeriesVerdict:
+def dissipativity_series(profile: IntensityProfile, N: int = 200) -> SeriesVerdict:
     """Partial sum of sum_n exp(-hellinger_growth(n)/2) and its convergence verdict.
 
     The terms behave like n^(-slope/2); the series converges (certifying a
@@ -319,7 +317,7 @@ def dissipativity_series(profile: IntensityProfile, N: int = 200,
     partial = math.fsum(
         math.exp(-0.5 * hellinger_growth(profile, n)) for n in range(1, N + 1)
     )
-    fit = hellinger_slope_fit(profile, fit_range)
+    fit = hellinger_slope_fit(profile)
     if (fit.slope - 3.0 * fit.slope_se) / 2.0 > 1.0:
         verdict = Trivalent.YES
     elif (fit.slope + 3.0 * fit.slope_se) / 2.0 < 1.0:
@@ -329,8 +327,7 @@ def dissipativity_series(profile: IntensityProfile, N: int = 200,
     return SeriesVerdict(partial=partial, N=N, convergent=verdict, fit=fit)
 
 
-def conservativity_certificate(profile: IntensityProfile, N: int = 200,
-                               fit_range: tuple[int, int] = RN_FIT_RANGE) -> ClassificationReport:
+def conservativity_certificate(profile: IntensityProfile, N: int = 200) -> ClassificationReport:
     """Weighted-series recurrence certificate.
 
     With c the fitted log-slope of the square-integral series, weights
@@ -343,7 +340,7 @@ def conservativity_certificate(profile: IntensityProfile, N: int = 200,
     require_condition(profile, "nonsingularity", "conservativity_certificate")
     if N < 1:
         raise ParameterDomainError(f"N must be >= 1, got {N}")
-    fit = rn_slope_fit(profile, fit_range)
+    fit = rn_slope_fit(profile)
     c = fit.slope
     if c + 3.0 * fit.slope_se < 1.0:
         beta = min((3.0 + c) / 4.0, 1.0)
@@ -377,14 +374,15 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
     Certificates are attempted in fixed order, cheap exact tests first:
     nonzero asymptotic gap, disjoint limit sets, summable overlap series
     (dissipative), weighted recurrence series (conservative).  Anything
-    else is an honest "inconclusive".
+    else is an honest "inconclusive".  Nonsingularity holds only for a
+    declared tail, which also fixes the asymptotic gap and limit sets.
     """
     if condition_verdict(profile.epsilon, "nonsingularity")[0] is not Trivalent.YES:
         return ClassificationReport(Verdict.NOT_NONSINGULAR, None, profile,
                                     notes=("nonsingularity condition not established",))
 
     gap = limit_gap(profile)
-    if gap is not None and gap != 0.0:
+    if gap != 0.0:
         return ClassificationReport(
             Verdict.TOTALLY_DISSIPATIVE,
             {"kind": "nonzero_limit_gap", "gap": gap},
@@ -392,17 +390,12 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
         )
 
     sets = limit_sets(profile)
-    if sets is not None and sets.disjoint:
+    if sets.disjoint:
         return ClassificationReport(
             Verdict.TOTALLY_DISSIPATIVE,
             {"kind": "disjoint_limit_sets", "limit_sets": sets.as_dict()},
             profile,
         )
-
-    notes: list[str] = []
-    if gap is None:
-        notes.append("asymptotic gap undetermined; fitted certificates skipped")
-        return ClassificationReport(Verdict.INCONCLUSIVE, None, profile, tuple(notes))
 
     series = dissipativity_series(profile, N=series_N)
     if series.convergent is Trivalent.YES:
@@ -416,17 +409,15 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
     if report.verdict is Verdict.CONSERVATIVE:
         return report
 
-    notes.append(f"dissipativity series verdict: {series.convergent.value}")
-    notes.extend(report.notes)
     return ClassificationReport(
         Verdict.INCONCLUSIVE,
         {
             "kind": "none",
             "hellinger_slope_fit": series.fit.as_dict(),
-            "rn_slope_fit": report.certificate.get("rn_slope_fit") if report.certificate else None,
+            "rn_slope_fit": report.certificate["rn_slope_fit"],
         },
         profile,
-        tuple(notes),
+        (f"dissipativity series verdict: {series.convergent.value}", *report.notes),
     )
 
 
@@ -448,6 +439,8 @@ class BifurcationBracket:
 
 #: Smallest bracket rtol: well above the float spacing of hi / lo near 1.
 _MIN_RTOL = 1e-12
+#: Scales probed in octaves before the bisection, inclusive.
+_PROBE_RANGE = (2.0**-20, 2.0**20)
 
 _VERDICT_ORDER = {
     Verdict.CONSERVATIVE: 0,
@@ -456,8 +449,7 @@ _VERDICT_ORDER = {
 }
 
 
-def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3,
-                        probe_range: tuple[float, float] = (2.0**-20, 2.0**20)) -> BifurcationBracket:
+def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3) -> BifurcationBracket:
     """Certificate-limited bracket for the conservative/dissipative transition
     under intensity scaling.
 
@@ -477,8 +469,8 @@ def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3,
 
     # Coarse scan over octaves establishes the pattern and the two seams.
     probes = []
-    t = probe_range[0]
-    while t <= probe_range[1]:
+    t = _PROBE_RANGE[0]
+    while t <= _PROBE_RANGE[1]:
         probes.append(t)
         t *= 2.0
     verdicts = [verdict_at(t) for t in probes]

@@ -32,6 +32,10 @@ TAIL_RUN = 50
 TAIL_TERM_FLOOR = 1e-18
 TAIL_MAX_RATE = 10_000.0
 
+# Tail threshold search: L up to THRESHOLD_L_MAX, parameter grid step THRESHOLD_GRID_STEP.
+THRESHOLD_L_MAX = 50
+THRESHOLD_GRID_STEP = 0.25
+
 
 class ParameterDomainError(ValueError):
     """A distribution parameter is outside its admissible domain."""
@@ -203,9 +207,9 @@ def skellam_tail_bound(law: SkellamLaw, L: int) -> float:
     return min(1.0, math.fsum(math.exp(x) for x in logs))
 
 
-def skellam_tail_threshold(limit: float, l_max: int = 50, grid_step: float = 0.25) -> int:
-    """Smallest L <= l_max such that tail(l) <= l^-8 for all l >= L and all
-    Skellam parameters in (0, limit]^2.
+def skellam_tail_threshold(limit: float) -> int:
+    """Smallest L <= THRESHOLD_L_MAX such that tail(l) <= l^-8 for all
+    l >= L and all Skellam parameters in (0, limit]^2.
 
     Certified through the analytic bound: the bound is evaluated at L over a
     parameter grid including the corner (limit, limit), and validity for
@@ -214,10 +218,11 @@ def skellam_tail_threshold(limit: float, l_max: int = 50, grid_step: float = 0.2
     """
     if limit <= 0.0:
         raise ParameterDomainError("limit must be positive")
+    l_max, step = THRESHOLD_L_MAX, THRESHOLD_GRID_STEP
     # the decrease condition tightens as L falls: without it at l_max, no L qualifies
     if ((l_max + 1) / l_max) ** 8 * limit / (l_max + 1) >= 1.0:
         raise ParameterDomainError(f"no threshold found up to l_max={l_max} for limit={limit}")
-    grid = [grid_step * i for i in range(1, int(limit / grid_step) + 1) if grid_step * i < limit]
+    grid = [step * i for i in range(1, int(limit / step) + 1) if step * i < limit]
     grid.append(limit)
     for L in range(1, l_max + 1):
         if ((L + 1) / L) ** 8 * limit / (L + 1) >= 1.0:

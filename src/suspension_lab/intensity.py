@@ -226,10 +226,7 @@ def condition_verdict(family: EpsilonFamily, condition: str) -> tuple[Trivalent,
         return Trivalent.NO, f"power gamma={g}: sum n^-4g diverges"
 
     if condition == "zero_gap":
-        lims = _epsilon_limits(family)
-        if lims is None:
-            return Trivalent.UNDETERMINED, "limits unknown"
-        lo, hi = lims
+        lo, hi = _epsilon_limits(family)
         if lo == hi:
             return Trivalent.YES, "both asymptotic eps limits coincide"
         return Trivalent.NO, f"asymptotic eps limits differ: {lo} vs {hi}"
@@ -282,11 +279,9 @@ def check_condition(profile: IntensityProfile, condition: str) -> ConditionVerdi
 def limit_gap(profile: IntensityProfile) -> Optional[float]:
     """a_{+inf} - a_{-inf}, or None when the limits are not symbolically known.
 
-    Requires the absolute-increment series to converge, which guarantees
-    both one-sided limits exist.
+    Both one-sided limits exist whenever a tail is declared: the
+    absolute-increment series then converges.
     """
-    if condition_verdict(profile.epsilon, "l1_increments")[0] is not Trivalent.YES:
-        return None
     lims = _epsilon_limits(profile.epsilon)
     if lims is None:
         return None

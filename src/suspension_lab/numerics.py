@@ -20,6 +20,9 @@ import numpy as np
 
 from .dist import ParameterDomainError
 
+#: Step of the central difference stencils in ``semi_infinite_sum``.
+_STENCIL_H = 8.0
+
 
 @functools.cache
 def _unit_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
@@ -44,21 +47,21 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
     return float(np.dot(vals, w_weights))
 
 
-def semi_infinite_sum(f: Callable[[np.ndarray], np.ndarray], start: int,
-                      stencil_h: float = 8.0) -> float:
+def semi_infinite_sum(f: Callable[[np.ndarray], np.ndarray], start: int) -> float:
     """sum_{k=start}^inf f(k) for smooth f decaying at least like k^-3/2.
 
     Euler-Maclaurin through the third-derivative term; derivatives come from
-    central stencils (f is slowly varying on the scale of ``stencil_h``).
-    ``start`` must exceed 2*stencil_h and sit inside the smooth regime of f.
+    central stencils (f is slowly varying on the scale of ``_STENCIL_H``).
+    ``start`` must exceed 2 * _STENCIL_H and sit inside the smooth regime of f.
     """
+    h = _STENCIL_H
     a = float(start)
-    if a <= 2.0 * stencil_h:
-        raise ValueError(f"start {start} too small for stencil width {stencil_h}")
+    if a <= 2.0 * h:
+        raise ValueError(f"start {start} too small for stencil width {h}")
     integral = improper_integral(f, a)
-    v = f(np.array([a - 2 * stencil_h, a - stencil_h, a, a + stencil_h, a + 2 * stencil_h]))
-    d1 = (v[3] - v[1]) / (2.0 * stencil_h)
-    d3 = (v[4] - 2.0 * v[3] + 2.0 * v[1] - v[0]) / (2.0 * stencil_h**3)
+    v = f(np.array([a - 2 * h, a - h, a, a + h, a + 2 * h]))
+    d1 = (v[3] - v[1]) / (2.0 * h)
+    d3 = (v[4] - 2.0 * v[3] + 2.0 * v[1] - v[0]) / (2.0 * h**3)
     return integral + v[2] / 2.0 - d1 / 12.0 + d3 / 720.0
 
 

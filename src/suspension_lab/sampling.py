@@ -11,11 +11,15 @@ K + 1 entries, K = rate + 12 sqrt(rate + 1) + 30 at the table's largest
 rate, which leaves out a mass below 1e-16.  One uniform per variate keeps
 the stream layout trivial to reason about; the table length grows
 linearly with the rate, so rates are capped defensively, and so are a
-table's cells.  Rows are built by the pmf recurrence from
-P(X = 0) = exp(-rate) while that value is a normal float (rate below about
-708.4); above that, P(X = 0) is subnormal or zero, so the row is built from
-its mode in log space instead, recursing both ways and normalized to unit
-mass.
+table's cells: ``MAX_CELLS`` bounds every table and draw block of the
+package, and ``require_cells`` refuses one past it.  Rows are one running
+product of rate / k from P(X = 0) = exp(-rate) while that value is a normal
+float (rate below about 708.4); above that, P(X = 0) is subnormal or zero,
+so the row is built from its mode in log space instead, recursing both ways
+and normalized to unit mass.
+
+``invert_uniform_rows`` is the one inversion entry point; a single rate is
+its one-row table, with the uniforms as one column.
 
 Inversion returns min(#{k : cdf[r, k] <= u}, top[r]) for row r, top[r]
 being the first index of the row's float plateau (its first entry equal to
@@ -65,9 +69,10 @@ _CHUNK_CELLS = 1 << 17
 #: bracket ends, bisection state) and so its share of peak RSS.  On the
 #: clt_hirate op, 2^16 ran about 5% faster than 2^15 and 2^17 for 2 MB more.
 _GUIDE_CHUNK = 1 << 16
-#: Most cells of one CDF table (256 MiB of float64); it also keeps every
-#: flat position of the guide search within int32.
-_MAX_TABLE_CELLS = 1 << 25
+#: Most cells of one CDF table, draw block, Hopf theta table or set of Hopf
+#: partial sums (256 MiB of float64); it also keeps every flat position of
+#: the guide search within int32.
+MAX_CELLS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,12 @@ class RNGSpec:
         return {"seed": self.seed, "stream": self.stream}
 
 
+def require_cells(what: str, rows: int, columns: int) -> None:
+    """Refuse a ``what`` of rows x columns cells past ``MAX_CELLS``."""
+    if rows * columns > MAX_CELLS:
+        raise ParameterDomainError(f"{what} of {rows} x {columns} passes {MAX_CELLS} cells")
+
+
 def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     """CDF tables for an array of rates, one row per rate.
 
@@ -107,12 +118,11 @@ def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
         raise ParameterDomainError(f"rate {rmax} exceeds the supported cap {_MAX_RATE}")
     # Poisson(r) mass above r + m*sqrt(r) + c decays like a Gaussian tail in m
     K = int(rmax + 12.0 * math.sqrt(rmax + 1.0) + 30.0)
-    if len(rates) * (K + 1) > _MAX_TABLE_CELLS:
-        raise ParameterDomainError(f"a CDF table of {len(rates)} x {K + 1} passes {_MAX_TABLE_CELLS} cells")
+    require_cells("a CDF table", len(rates), K + 1)
     pmf = np.empty((len(rates), K + 1))
     pmf[:, 0] = np.exp(-rates)
-    for k in range(1, K + 1):
-        pmf[:, k] = pmf[:, k - 1] * (rates / k)
+    pmf[:, 1:] = rates[:, None] / np.arange(1, K + 1)
+    np.cumprod(pmf, axis=1, out=pmf)
     for r in np.flatnonzero(pmf[:, 0] < _TINY):
         pmf[r] = _pmf_from_mode(float(rates[r]), K)
     cdf = np.cumsum(pmf, axis=1)
@@ -209,7 +219,7 @@ def _invert_by_guide(cdf: np.ndarray, u: np.ndarray, top: np.ndarray) -> np.ndar
     sample rows: a uniform in cell j = floor(u G) of row r has its count in
     [guide[r, j], guide[r, j + 1]], and bisection on u >= cdf[r, mid - 1]
     narrows that bracket to the count.  Brackets are flat positions in the
-    table, within int32 since tables are capped at ``_MAX_TABLE_CELLS``."""
+    table, within int32 since tables are capped at ``MAX_CELLS``."""
     S, R = u.shape
     K = cdf.shape[1]
     G = 1 << (max(min(K, S), 1) - 1).bit_length()
@@ -240,13 +250,6 @@ def _invert_by_guide(cdf: np.ndarray, u: np.ndarray, top: np.ndarray) -> np.ndar
     return counts
 
 
-def invert_uniform(cdf_row: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Counts from uniforms against a single CDF table row: the one-row case
-    of ``invert_uniform_rows``."""
-    u = np.asarray(u)
-    return invert_uniform_rows(cdf_row[None, :], u.reshape(-1, 1)).reshape(u.shape)
-
-
 def invert_uniform_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Counts from uniforms u[s, r] against per-column-rate tables cdf[r, k].
 
@@ -264,9 +267,3 @@ def invert_uniform_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     if passes is not None:
         return _invert_by_passes(cdf, u, top, passes)
     return _invert_by_guide(cdf, u, top)
-
-
-def sample_poisson(rate: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Poisson draws at one rate: one uniform per variate, table inversion."""
-    cdf = poisson_cdf_tables(np.array([rate]))[0]
-    return invert_uniform(cdf, rng.random(size))

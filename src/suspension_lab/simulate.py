@@ -8,7 +8,8 @@ the experiment parameters.  Identical (seed, stream) pairs therefore
 reproduce every statistic bit-for-bit.
 
 Skellam increments y_j - x_j are drawn by one rule (``_increments``): per
-block, the x uniforms, then the y uniforms, each row-major.  clt blocks are
+block, the x uniforms, then the y uniforms, each row-major; the y block is
+inverted as one column against the one-row a_0 table.  clt blocks are
 ``_CLT_BLOCK`` live indices, stopping blocks ``_STOPPING_BLOCK`` indices
 over the samples still alive, decay one index.  Hopf chunking never changes
 the stream.
@@ -50,12 +51,11 @@ from .intensity import (
     sup_epsilon,
 )
 from .numerics import fit_log_slope, kolmogorov_critical, ks_statistic, normal_cdf
-from .sampling import RNGSpec, invert_uniform, invert_uniform_rows, poisson_cdf_tables
+from .sampling import MAX_CELLS, RNGSpec, invert_uniform_rows, poisson_cdf_tables, require_cells
 
 DEFAULT_WINDOW_TOL = 1e-4
 _CLT_BLOCK = 256  # live indices per clt draw block
 _STOPPING_BLOCK = 8_192  # indices per stopping draw block
-_MAX_CELLS = 1 << 25  # cells of one draw block, Hopf theta table or Hopf partial sums
 _HOPF_CHUNK_CELLS = 1 << 20  # per Hopf chunk, whose rows hold window + N cells each
 _CHECKPOINTS = 9
 
@@ -132,11 +132,6 @@ def window_for_shift(profile: IntensityProfile, max_shift: int,
     return (lo, int(K) + max_shift + 16)
 
 
-def _require_cells(what: str, rows: int, columns: int) -> None:
-    if rows * columns > _MAX_CELLS:
-        raise ParameterDomainError(f"{what} of {rows} x {columns} passes {_MAX_CELLS} cells")
-
-
 def _covered_window(profile: IntensityProfile, n: int, window_tol: float,
                     window: Optional[tuple[int, int]]) -> tuple[int, int]:
     """``window``, or the policy window for shifts up to n if it is None; one
@@ -153,13 +148,13 @@ def _covered_window(profile: IntensityProfile, n: int, window_tol: float,
 def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
                 rows: int) -> np.ndarray:
     """y - x for a (rows, len(a_j)) block: x[:, c] ~ Poisson(a_j[c]) and
-    y ~ Poisson(a_0), ``cdf0`` being the a_0 table row.  The x uniforms are
-    drawn first, then the y uniforms, each a row-major (rows, columns)
-    matrix."""
+    y ~ Poisson(a_0), ``cdf0`` being the one-row a_0 table.  The x uniforms
+    are drawn first, then the y uniforms, each a row-major (rows, columns)
+    matrix; the y matrix is inverted as one column of rows * columns."""
     shape = (rows, len(a_j))
-    _require_cells("a draw block", *shape)
+    require_cells("a draw block", *shape)
     x = invert_uniform_rows(poisson_cdf_tables(a_j), gen.random(shape))
-    y = invert_uniform(cdf0, gen.random(shape).ravel()).reshape(shape)
+    y = invert_uniform_rows(cdf0, gen.random((rows * len(a_j), 1))).reshape(shape)
     return np.subtract(y, x, out=y)
 
 
@@ -212,8 +207,8 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
         raise ParameterDomainError(f"need 2 <= N <= {MAX_WINDOW}, a window of at most {MAX_WINDOW} indices "
                                    f"and samples >= 1, got N={N}, window={list(window)}, samples={samples}")
     checkpoints = np.unique(np.geomspace(1, N, _CHECKPOINTS).astype(int))
-    _require_cells("a Hopf theta table", window[1] - window[0], N)
-    _require_cells("the Hopf partial sums", samples, len(checkpoints))
+    require_cells("a Hopf theta table", window[1] - window[0], N)
+    require_cells("the Hopf partial sums", samples, len(checkpoints))
     zero_gap = condition_verdict(profile.epsilon, "zero_gap")[0] is Trivalent.YES
     b = 0.75 if beta is None else beta
     markov_bound = log_bn = None
@@ -225,23 +220,24 @@ def _hopf_core(profile: IntensityProfile, N: int, samples: int,
             raise ParameterDomainError(f"Hopf moment bounds overflow at level {profile.level}")
         markov_bound = np.exp(log_bound)
 
+    # eps and a over [lo - N, hi): eps_k and each eps_{k-n} are slices of one grid
     lo, hi = window
-    ks = np.arange(lo, hi)
-    eps_k = epsilon_at(profile.epsilon, ks)
-    a_k = profile.level * np.exp(eps_k)
-    theta = np.empty((len(ks), N))
+    W = hi - lo
+    eps = epsilon_at(profile.epsilon, np.arange(lo - N, hi))
+    a = profile.level * np.exp(eps)
+    eps_k, a_k = eps[N:], a[N:]
+    theta = np.empty((W, N))
     drift = np.empty(N)
     for n in range(1, N + 1):
-        eps_kn = epsilon_at(profile.epsilon, ks - n)
-        theta[:, n - 1] = eps_kn - eps_k
-        drift[n - 1] = float(np.sum(a_k - profile.level * np.exp(eps_kn)))
+        theta[:, n - 1] = eps[N - n:N - n + W] - eps_k
+        drift[n - 1] = float(np.sum(a_k - a[N - n:N - n + W]))
     cdf = poisson_cdf_tables(a_k)
     partials = np.empty((samples, len(checkpoints)))
     event_counts = np.zeros(N, dtype=np.int64)
-    chunk = max(1, _HOPF_CHUNK_CELLS // (len(ks) + N))
+    chunk = max(1, _HOPF_CHUNK_CELLS // (W + N))
     for done in range(0, samples, chunk):
         m = min(chunk, samples - done)
-        counts = invert_uniform_rows(cdf, gen.random((m, len(ks)))).astype(float)
+        counts = invert_uniform_rows(cdf, gen.random((m, W))).astype(float)
         logrn = drift[None, :] + counts @ theta
         if log_bn is not None:
             event_counts += np.sum(logrn < log_bn[None, :], axis=0)
@@ -329,8 +325,8 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     ``_increments`` draw, x uniforms then y uniforms.
     """
     criteria.require_condition(profile, "clt_regime", "clt_experiment")
-    if not (2 <= n <= _MAX_CELLS and 2 <= samples <= _MAX_CELLS):
-        raise ParameterDomainError(f"need n and samples in [2, {_MAX_CELLS}], got n={n}, samples={samples}")
+    if not (2 <= n <= MAX_CELLS and 2 <= samples <= MAX_CELLS):
+        raise ParameterDomainError(f"need n and samples in [2, {MAX_CELLS}], got n={n}, samples={samples}")
     t0 = time.perf_counter()
     gen = rng.generator()
     a0 = eval_intensity(profile, 0)
@@ -340,7 +336,7 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     live = eps_j != 0.0
     a_j = profile.level * np.exp(eps_j)
     ex_j = eps_j * (a0 - a_j)
-    cdf0 = poisson_cdf_tables(np.array([a0]))[0]
+    cdf0 = poisson_cdf_tables(np.array([a0]))
 
     total = np.zeros(samples)
     crit = kolmogorov_critical(0.01) / math.sqrt(samples)
@@ -418,7 +414,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
     a0 = eval_intensity(profile, 0)
     rate_limit = max(a0, profile.level * math.exp(max(0.0, sup_epsilon(profile.epsilon))))
     L_cert = skellam_tail_threshold(rate_limit)
-    cdf0 = poisson_cdf_tables(np.array([a0]))[0]
+    cdf0 = poisson_cdf_tables(np.array([a0]))
 
     rows = []
     for n in sorted({int(v) for v in ns}):
@@ -482,13 +478,13 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         raise ParameterDomainError(f"eps must be positive, got {eps}")
     if not 0 <= M < N:
         raise ParameterDomainError(f"need 0 <= M < N, got M={M}, N={N}")
-    if not 1 <= samples <= _MAX_CELLS:
-        raise ParameterDomainError(f"samples must be in [1, {_MAX_CELLS}], got {samples}")
+    if not 1 <= samples <= MAX_CELLS:
+        raise ParameterDomainError(f"samples must be in [1, {MAX_CELLS}], got {samples}")
     criteria.require_condition(profile, "clt_regime", "stopping_time_experiment")
     t0 = time.perf_counter()
     gen = rng.generator()
     a0 = eval_intensity(profile, 0)
-    cdf0 = poisson_cdf_tables(np.array([a0]))[0]
+    cdf0 = poisson_cdf_tables(np.array([a0]))
 
     partial = np.zeros(samples)
     crossing = np.full(samples, -1, dtype=np.int64)

@@ -467,6 +467,18 @@ class TestValidationAndExitCodes:
         code, _ = run_to_file(tmp_path, "classify", doc, "--format", "csv")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("fmt", ["xml", "csv"])
+    def test_unusable_format_refused_before_the_run(self, tmp_path, capsys, monkeypatch, fmt):
+        def never(**fields):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("suspension_lab.simulate.stopping_time_experiment", never)
+        doc = {"profile": POWER_PROFILE, "r": -2.0, "eps": 0.1, "output": {"format": fmt}}
+        code, out = run_to_file(tmp_path, "stopping", doc)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 #: Any JSON value, with small numbers only (sizes stay tiny) and the
 #: non-finite floats json.dumps writes as NaN and Infinity tokens.
@@ -534,8 +546,58 @@ CONFIGS = {
 }
 
 
+#: Bases log-uniform up to the sampler's rate cap (1e5), and window
+#: tolerances down to 1e-12: windows, tables and draw blocks reach the
+#: package's size caps, so these run in a child process under a memory limit.
+HEAVY_PROFILE = document({"base": st.floats(-2, 5).map(lambda e: 10.0 ** e) | BASES},
+                         {"scale": st.floats(0.25, 2), "epsilon": EPSILON})
+WINDOW_TOLS = st.floats(-12, -1).map(lambda e: 10.0 ** e)
+HEAVY_CONFIGS = {
+    "clt": document({"profile": HEAVY_PROFILE, "n": st.integers(1, 40), "samples": st.integers(1, 20)}),
+    "stopping": document({"profile": HEAVY_PROFILE, "r": st.floats(-4, -0.5), "eps": st.floats(0.05, 2),
+                          "M": st.integers(-1, 20), "N": st.integers(1, 60), "samples": st.integers(0, 20)}),
+    "hopf": document({"profile": HEAVY_PROFILE, "N": SIZES, "samples": st.integers(0, 20),
+                      "window_tol": WINDOW_TOLS}, {"beta": FLOATS}),
+    "scan": document({"profile": HEAVY_PROFILE, "t_grid": st.lists(FLOATS, max_size=3).map(sorted),
+                      "N": SIZES, "samples": st.integers(0, 10), "window_tol": WINDOW_TOLS}),
+}
+
+#: Runs each [command, config] read from stdin through ``cli.main`` and
+#: writes [exit code, stderr, report text or None] for each; an exception
+#: out of ``main`` is exit 1 with its traceback.
+FUZZ_CHILD = """
+import contextlib, io, json, sys, tempfile, traceback
+from pathlib import Path
+from suspension_lab import cli
+results = []
+with tempfile.TemporaryDirectory() as work:
+    cfg, out = Path(work) / "cfg.json", Path(work) / "out.json"
+    for command, doc in json.load(sys.stdin):
+        cfg.write_text(json.dumps(doc))
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+            except BaseException:
+                traceback.print_exc()
+                code = 1
+        results.append([code, err.getvalue(), out.read_text() if out.exists() else None])
+json.dump(results, sys.stdout)
+"""
+
+
 def _strict(name):
     raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _check_exit(code: int, err: str, text: Optional[str], case: str = "") -> None:
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_COVERAGE, EXIT_ANOMALY), f"{case}: {err}"
+    assert "Traceback" not in err, f"{case}: {err}"
+    if code in (EXIT_OK, EXIT_ANOMALY):
+        jsonschema.validate(json.loads(text, parse_constant=_strict), SCHEMA)
+    else:
+        assert err.split(":")[0] in ("config error", "precondition violation", "coverage error", "anomaly")
 
 
 class TestConfigFuzz:
@@ -549,13 +611,21 @@ class TestConfigFuzz:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = cli.main([command, "--config", str(cfg), "--out", str(out)])
-            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_COVERAGE, EXIT_ANOMALY)
-            assert "Traceback" not in err.getvalue()
-            if code in (EXIT_OK, EXIT_ANOMALY):
-                jsonschema.validate(json.loads(out.read_text(), parse_constant=_strict), SCHEMA)
-            else:
-                assert err.getvalue().split(":")[0] in (
-                    "config error", "precondition violation", "coverage error", "anomaly")
+            _check_exit(code, err.getvalue(), out.read_text() if out.exists() else None)
+
+    @given(st.lists(st.sampled_from(sorted(HEAVY_CONFIGS)).flatmap(
+        lambda c: st.tuples(st.just(c), HEAVY_CONFIGS[c])), min_size=10, max_size=40))
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_heavy_configs_under_a_memory_limit(self, cases):
+        limit = 3 * 2**30
+        proc = subprocess.run(
+            [sys.executable, "-c", FUZZ_CHILD], input=json.dumps(cases),
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for (command, doc), (code, err, text) in zip(cases, json.loads(proc.stdout)):
+            _check_exit(code, err, text, f"{command} {json.dumps(doc)}")
 
 
 #: Small runs at seed 1 and the sha256 of their report bodies.  A drift in
@@ -591,6 +661,23 @@ GOLDEN_BODIES = [
     # fewer sample rows (a chunk of 40) than table columns
     ("hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 40},
      "8452b7ca924e1611e8cfb4b382becb792039c3d42caff0284c93a018a5a2166a"),
+    # the analytic layer: condition verdicts, series units, fits, certificates and the bracket
+    ("bracket", {"profile": {"base": 1.0}},
+     "96569cd9f28eea9e3527db517bb2f8049de5679344a6cd8f2bf2b8f4d0fdbe4a"),
+    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.3, "sign": -1}}},
+     "9d99203566f481de5f970767acc0f3eea417c2302c7e878b2bd837351c165483"),
+    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.75, "sign": -1}}},
+     "caad23ed16f9e1c7de26c255ae744d78527898aac344f7b2fe386bbf083a1080"),
+    ("classify", {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}},
+     "e97cf3ff259fabcbc54747db3bced0026ed9fe63cf62b8fdcb97c24f490d6617"),
+    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
+     "b53ff87ef00f70cb42098a7ac412cd3cdc45cb2b713c2588804ebc797f860ec7"),
+    ("check", {"profile": {"base": 1.0}},
+     "032bd234c32109a4b23b2ae777118760472499765049860962ba6289ac85e94e"),
+    ("asymptotics", {"profile": {"base": 1.0}},
+     "597ca97b787142417aa32e447c488dfb66b29e344bf92d0c1ac7bf4ad2b1f168"),
+    ("tails", {"skellam": {"a": 1.0, "b": 0.6}, "L": 4},
+     "b19dca6937a22db2ac804d99d8a3b8b2b6759a55894f40874ef1856146b4107d"),
 ]
 
 
@@ -598,7 +685,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("command, doc, digest", GOLDEN_BODIES,
                              ids=["hopf_power", "hopf_step", "hopf_explicit_window", "scan", "clt_power",
                                   "clt_dead_columns", "decay", "stopping", "clt_base_200", "stopping_base_200",
-                                  "hopf_base_50"])
+                                  "hopf_base_50", "bracket", "classify_power_0.3", "classify_power_0.75",
+                                  "classify_explicit", "classify_step", "check", "asymptotics", "tails"])
     def test_golden_body_hashes(self, tmp_path, command, doc, digest):
         code, out = run_to_file(tmp_path, command, doc, "--seed", "1")
         assert code in (EXIT_OK, EXIT_ANOMALY)

@@ -377,8 +377,8 @@ class TestBifurcationBracket:
         assert other.t_upper * a == pytest.approx(unit.t_upper, rel=5e-3)
 
     def test_no_transition_rejected(self):
-        with pytest.raises(ProfileError):
-            bifurcation_bracket(IntensityProfile(1.0), probe_range=(0.25, 4.0))
+        with pytest.raises(ProfileError, match="does not straddle the transition"):
+            bifurcation_bracket(IntensityProfile(1.0))
 
 
 class TestContinuousBaseBound:

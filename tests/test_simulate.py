@@ -21,13 +21,7 @@ from suspension_lab.intensity import (
     epsilon_at,
     eval_intensity,
 )
-from suspension_lab.sampling import (
-    RNGSpec,
-    invert_uniform,
-    invert_uniform_rows,
-    poisson_cdf_tables,
-    sample_poisson,
-)
+from suspension_lab.sampling import RNGSpec, invert_uniform_rows, poisson_cdf_tables
 from suspension_lab.simulate import (
     ConfigurationWindow,
     WindowCoverageError,
@@ -43,6 +37,11 @@ from suspension_lab.simulate import (
 
 HALF = PowerFamily(gamma=0.5, sign=-1)
 P1 = IntensityProfile(1.0, HALF)
+
+
+def sample_poisson(rate: float, size: int, gen: np.random.Generator) -> np.ndarray:
+    """``size`` draws at one rate: its one-row table, the uniforms as one column."""
+    return invert_uniform_rows(poisson_cdf_tables(np.array([rate])), gen.random((size, 1)))[:, 0]
 
 
 class TestPoissonSampler:
@@ -75,9 +74,9 @@ class TestPoissonSampler:
         assert chi2 < scipy_stats.chi2.ppf(0.999, len(obs) - 1)
 
     def test_monotone_coupling_in_rate(self):
-        u = RNGSpec(seed=5).generator().random(10_000)
-        lo = invert_uniform(poisson_cdf_tables(np.array([0.7]))[0], u)
-        hi = invert_uniform(poisson_cdf_tables(np.array([1.9]))[0], u)
+        u = RNGSpec(seed=5).generator().random((10_000, 1))
+        lo = invert_uniform_rows(poisson_cdf_tables(np.array([0.7])), u)
+        hi = invert_uniform_rows(poisson_cdf_tables(np.array([1.9])), u)
         assert np.all(hi >= lo)
 
     def test_row_inversion_matches_scalar(self):
@@ -85,8 +84,8 @@ class TestPoissonSampler:
         u = RNGSpec(seed=9).generator().random((500, 3))
         rows = invert_uniform_rows(poisson_cdf_tables(rates), u)
         for j, rate in enumerate(rates):
-            direct = invert_uniform(poisson_cdf_tables(np.array([rate]))[0], u[:, j])
-            assert np.array_equal(rows[:, j], direct)
+            direct = invert_uniform_rows(poisson_cdf_tables(np.array([rate])), u[:, j:j + 1])
+            assert np.array_equal(rows[:, j], direct[:, 0])
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ParameterDomainError):
@@ -194,9 +193,9 @@ def _adversarial_uniforms(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
 
 
 class TestInversionExactness:
-    """Both inversion entry points equal the raw-operand oracle element for
-    element, on both sides of the switch from comparison passes to guide
-    search."""
+    """Inversion equals the raw-operand oracle element for element, on both
+    sides of the switch from comparison passes to guide search, over a whole
+    table and over each of its rows alone."""
 
     @staticmethod
     def _check(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -206,9 +205,9 @@ class TestInversionExactness:
         assert np.array_equal(counts, _raw_search(cdf, u))
         for r in range(cdf.shape[0]):
             # a count depends on its row and uniform, not on the row's column
-            row = invert_uniform(cdf[r], u[:, r])
+            row = invert_uniform_rows(cdf[r:r + 1], u[:, r:r + 1])
             assert row.dtype == np.int64
-            assert np.array_equal(row, counts[:, r])
+            assert np.array_equal(row[:, 0], counts[:, r])
         return counts
 
     @given(scale=st.sampled_from([0.05, 1.0, 8.0, 25.0, 300.0]),
@@ -229,7 +228,7 @@ class TestInversionExactness:
         u = _adversarial_uniforms(cdf, 70, seed=1)  # several chunks, the last partial
         assert np.array_equal(invert_uniform_rows(cdf, u), _raw_search(cdf, u))
         y = _adversarial_uniforms(cdf[:1], 300_000, seed=2)
-        assert np.array_equal(invert_uniform(cdf[0], y[:, 0]), _raw_search(cdf[:1], y)[:, 0])
+        assert np.array_equal(invert_uniform_rows(cdf[:1], y), _raw_search(cdf[:1], y))
 
     def test_largest_uniform_in_a_far_column(self):
         # u = 1 - 2^-53 on rate-1 rows: the count is the plateau index, 18, in every column
@@ -504,11 +503,10 @@ class TestCltExperiment:
 
         generator = RNGSpec.generator
         monkeypatch.setattr(RNGSpec, "generator", lambda spec: CountingGenerator(generator(spec)))
-        for name in ("invert_uniform_rows", "invert_uniform"):
-            def inverting(cdf, u, invert=getattr(simulate, name)):
-                inverted.append(np.asarray(u).ravel().copy())
-                return invert(cdf, u)
-            monkeypatch.setattr(simulate, name, inverting)
+        def inverting(cdf, u, invert=simulate.invert_uniform_rows):
+            inverted.append(u.ravel().copy())
+            return invert(cdf, u)
+        monkeypatch.setattr(simulate, "invert_uniform_rows", inverting)
         samples = 3
         if experiment == "clt":
             # dead columns in the blocks j <= 100 (up to the first snapshot) and 101..356
