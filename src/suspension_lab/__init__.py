@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .dist import (
     LOG_ZERO,
     ParameterDomainError,
-    PoissonLaw,
     SkellamLaw,
     bessel_i,
     hellinger_sq_poisson,

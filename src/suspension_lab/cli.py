@@ -14,9 +14,13 @@ fields, ``NaN`` and ``Infinity`` are refused.
 Reports are a header plus a body.  The header carries the tool version,
 schema version, UTC timestamp, runtime, the full config echo, and the rng
 spec; the body holds only deterministic content, so two runs of the same
-config and seed produce byte-identical bodies.  CSV output is offered for
-the per-n / per-t series commands (asymptotics, scan); everything else is
-JSON.  A format the command cannot be written in is refused before the run.
+config and seed produce byte-identical bodies.  One writer, ``_sanitize``,
+gives every result its report form: a dataclass is the object of its
+fields, an epsilon family also carries its ``_EPSILON_KINDS`` kind, so the
+profile document is parsed and written here only.  CSV output is offered
+for the per-n / per-t series commands (asymptotics, scan); everything else
+is JSON.  A format the command cannot be written in is refused before the
+run.
 
 Exit codes are fixed: 0 success, 2 unreadable, malformed or out-of-domain
 config or an unwritable output path, 3 precondition violation, 4
@@ -27,12 +31,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 import time
 from datetime import datetime, timezone
+from enum import Enum
 from typing import Any, Optional
 
 import numpy as np
@@ -186,27 +192,27 @@ def parse_rng(doc: dict, seed_override: Optional[int]) -> RNGSpec:
 
 
 def _check(rng: RNGSpec, profile: IntensityProfile) -> tuple[dict, bool]:
-    sets = limit_sets(profile)
     return {
-        "profile": criteria.profile_as_dict(profile),
-        "conditions": {cid: check_condition(profile, cid).as_dict() for cid in CONDITION_IDS},
+        "profile": profile,
+        "conditions": {cid: check_condition(profile, cid) for cid in CONDITION_IDS},
         "nonsingularity_deficit": [[N, criteria.nonsingularity_deficit(profile, N)]
                                    for N in (100, 1_000, 10_000)],
         "limit_gap": limit_gap(profile),
-        "limit_sets": sets.as_dict() if sets is not None else None,
+        "limit_sets": limit_sets(profile),
     }, False
 
 
 def _asymptotics(rng: RNGSpec, profile: IntensityProfile, n_min: int, n_max: int) -> tuple[dict, bool]:
+    criteria.require_series_index(n_max, "n_max")
     series = [{"n": n,
                "rn_square_integral": criteria.rn_square_integral(profile, n),
                "hellinger_growth": criteria.hellinger_growth(profile, n)}
               for n in geometric_grid(n_min, n_max)]
     return {
-        "profile": criteria.profile_as_dict(profile),
+        "profile": profile,
         "series": series,
-        "rn_fit": criteria.rn_slope_fit(profile).as_dict(),
-        "hellinger_fit": criteria.hellinger_slope_fit(profile).as_dict(),
+        "rn_fit": criteria.rn_slope_fit(profile),
+        "hellinger_fit": criteria.hellinger_slope_fit(profile),
     }, False
 
 
@@ -221,16 +227,17 @@ def _tails(rng: RNGSpec, skellam: dict, L: int) -> tuple[dict, bool]:
 def _criterion(name: str):
     """Runner for ``criteria.<name>``."""
     def run(rng: RNGSpec, **fields) -> tuple[dict, bool]:
-        return getattr(criteria, name)(**fields).as_dict(), False
+        return getattr(criteria, name)(**fields), False
     return run
 
 
 def _experiment(name: str):
-    """Runner for ``simulate.<name>``; a summary's anomaly statistic (scan)
-    sets the anomaly flag."""
+    """Runner for ``simulate.<name>``; the body leaves out the runtime, and a
+    summary's anomaly statistic (scan) sets the anomaly flag."""
     def run(rng: RNGSpec, **fields) -> tuple[dict, bool]:
         summary = getattr(simulate, name)(rng=rng, **fields)
-        return summary.body_dict(), bool(summary.statistics.get("anomaly", False))
+        body = {key: getattr(summary, key) for key in ("name", "parameters", "statistics", "rng")}
+        return body, bool(summary.statistics.get("anomaly", False))
     return run
 
 
@@ -288,7 +295,7 @@ def build_report(command: str, cfg: dict, rng: RNGSpec, body: dict, runtime_s: f
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "command": command,
             "config": cfg,
-            "rng": rng.as_dict(),
+            "rng": _sanitize(rng),
             "runtime_s": runtime_s,
         },
         "body": body,
@@ -339,18 +346,31 @@ def render_report(command: str, report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+#: Epsilon family -> its kind in the profile document.
+_KIND_OF = {family: kind for kind, (family, _) in _EPSILON_KINDS.items()}
+
+
 def _sanitize(obj):
-    """Make numpy scalars and tuples JSON-clean."""
+    """The report form of a result: a dataclass is the object of its fields,
+    plus its "kind" for an epsilon family; an enum is its value; tuples and
+    arrays are lists and numpy scalars Python numbers."""
+    if type(obj) in (float, int, str, bool) or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        out = {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        if type(obj) in _KIND_OF:
+            out["kind"] = _KIND_OF[type(obj)]
+        return out
     return obj
 
 

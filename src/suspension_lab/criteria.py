@@ -24,7 +24,7 @@ the decisive inequality clears three residual standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -86,31 +86,6 @@ class ClassificationReport:
     certificate: Optional[dict]
     profile: IntensityProfile
     notes: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "certificate": self.certificate,
-            "profile": profile_as_dict(self.profile),
-            "notes": list(self.notes),
-        }
-
-
-def profile_as_dict(profile: IntensityProfile) -> dict:
-    fam = profile.epsilon
-    if isinstance(fam, ZeroFamily):
-        eps: dict = {"kind": "zero"}
-    elif isinstance(fam, PowerFamily):
-        eps = {"kind": "power", "gamma": fam.gamma, "sign": fam.sign}
-    elif isinstance(fam, StepFamily):
-        eps = {"kind": "step", "left": fam.left, "right": fam.right}
-    else:
-        eps = {
-            "kind": "explicit",
-            "table": [[n, e] for n, e in fam.table],
-            "tail": profile_as_dict(IntensityProfile(1.0, fam.tail))["epsilon"] if fam.tail else None,
-        }
-    return {"base": profile.base, "scale": profile.scale, "epsilon": eps}
 
 
 def nonsingularity_deficit(profile: IntensityProfile, N: int) -> float:
@@ -242,6 +217,13 @@ def require_condition(profile: IntensityProfile, condition: str, who: str) -> No
         raise PreconditionError(f"{who} requires condition {condition}={Trivalent.YES.value}; got {detail}")
 
 
+def require_series_index(n: int, what: str) -> None:
+    """Refuse a last series index outside [1, MAX_WINDOW], the top of both
+    fit ranges: the series grids grow like 2n to 4n cells."""
+    if not 1 <= n <= MAX_WINDOW:
+        raise ParameterDomainError(f"{what} must be in [1, {MAX_WINDOW}], got {n}")
+
+
 def _at_level(profile: IntensityProfile, unit: float, what: str) -> float:
     """level * unit, refused when the product leaves the float range."""
     value = profile.level * float(unit)
@@ -295,14 +277,6 @@ class SeriesVerdict:
     convergent: Trivalent
     fit: SlopeFit
 
-    def as_dict(self) -> dict:
-        return {
-            "partial": self.partial,
-            "N": self.N,
-            "convergent": self.convergent.value,
-            "fit": self.fit.as_dict(),
-        }
-
 
 def dissipativity_series(profile: IntensityProfile, N: int = 200) -> SeriesVerdict:
     """Partial sum of sum_n exp(-hellinger_growth(n)/2) and its convergence verdict.
@@ -312,8 +286,7 @@ def dissipativity_series(profile: IntensityProfile, N: int = 200) -> SeriesVerdi
     verdict is issued only with a three-sigma margin on the fitted slope.
     """
     require_condition(profile, "nonsingularity", "dissipativity_series")
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N}")
+    require_series_index(N, "N")
     partial = math.fsum(
         math.exp(-0.5 * hellinger_growth(profile, n)) for n in range(1, N + 1)
     )
@@ -338,8 +311,7 @@ def conservativity_certificate(profile: IntensityProfile, N: int = 200) -> Class
     """
     require_condition(profile, "zero_gap", "conservativity_certificate")
     require_condition(profile, "nonsingularity", "conservativity_certificate")
-    if N < 1:
-        raise ParameterDomainError(f"N must be >= 1, got {N}")
+    require_series_index(N, "N")
     fit = rn_slope_fit(profile)
     c = fit.slope
     if c + 3.0 * fit.slope_se < 1.0:
@@ -353,7 +325,7 @@ def conservativity_certificate(profile: IntensityProfile, N: int = 200) -> Class
         certificate = {
             "kind": "recurrence_weights",
             "beta": beta,
-            "rn_slope_fit": fit.as_dict(),
+            "rn_slope_fit": asdict(fit),
             "weighted_series_partial": series,
             "weighted_series_N": N,
             "exponent_margin": 2.0 * beta - c,
@@ -362,7 +334,7 @@ def conservativity_certificate(profile: IntensityProfile, N: int = 200) -> Class
     note = f"rn slope {c:.4f} + 3se {3 * fit.slope_se:.4f} not below 1"
     return ClassificationReport(
         Verdict.INCONCLUSIVE,
-        {"kind": "none", "rn_slope_fit": fit.as_dict()},
+        {"kind": "none", "rn_slope_fit": asdict(fit)},
         profile,
         notes=(note,),
     )
@@ -377,6 +349,7 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
     else is an honest "inconclusive".  Nonsingularity holds only for a
     declared tail, which also fixes the asymptotic gap and limit sets.
     """
+    require_series_index(series_N, "series_N")
     if condition_verdict(profile.epsilon, "nonsingularity")[0] is not Trivalent.YES:
         return ClassificationReport(Verdict.NOT_NONSINGULAR, None, profile,
                                     notes=("nonsingularity condition not established",))
@@ -393,7 +366,7 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
     if sets.disjoint:
         return ClassificationReport(
             Verdict.TOTALLY_DISSIPATIVE,
-            {"kind": "disjoint_limit_sets", "limit_sets": sets.as_dict()},
+            {"kind": "disjoint_limit_sets", "limit_sets": asdict(sets)},
             profile,
         )
 
@@ -401,7 +374,7 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
     if series.convergent is Trivalent.YES:
         return ClassificationReport(
             Verdict.TOTALLY_DISSIPATIVE,
-            {"kind": "decay_series", **series.as_dict()},
+            {"kind": "decay_series", **asdict(series)},
             profile,
         )
 
@@ -413,7 +386,7 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
         Verdict.INCONCLUSIVE,
         {
             "kind": "none",
-            "hellinger_slope_fit": series.fit.as_dict(),
+            "hellinger_slope_fit": asdict(series.fit),
             "rn_slope_fit": report.certificate["rn_slope_fit"],
         },
         profile,
@@ -427,14 +400,6 @@ class BifurcationBracket:
     t_upper: float
     lower_report: ClassificationReport
     upper_report: ClassificationReport
-
-    def as_dict(self) -> dict:
-        return {
-            "t_lower": self.t_lower,
-            "t_upper": self.t_upper,
-            "lower_report": self.lower_report.as_dict(),
-            "upper_report": self.upper_report.as_dict(),
-        }
 
 
 #: Smallest bracket rtol: well above the float spacing of hi / lo near 1.
@@ -510,15 +475,6 @@ class ContinuousBaseReport:
     series_partial: float
     N: int
     dissipative: Trivalent
-
-    def as_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "sup_mass": self.sup_mass,
-            "series_partial": self.series_partial,
-            "N": self.N,
-            "dissipative": self.dissipative.value,
-        }
 
 
 def continuous_base_bound(densities: Sequence[Sequence[float]], N: int) -> ContinuousBaseReport:

@@ -42,17 +42,6 @@ class ParameterDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class PoissonLaw:
-    """Poisson law on the nonnegative integers with the given rate."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not self.rate >= 0.0:
-            raise ParameterDomainError(f"rate must be nonnegative, got {self.rate}")
-
-
-@dataclass(frozen=True)
 class SkellamLaw:
     """Law of X - Y for independent Poisson X (rate a) and Y (rate b)."""
 

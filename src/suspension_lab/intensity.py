@@ -182,14 +182,6 @@ class ConditionVerdict:
     partial_sums: tuple[tuple[int, float], ...]
     detail: str
 
-    def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds": self.holds.value,
-            "partial_sums": [[n, v] for n, v in self.partial_sums],
-            "detail": self.detail,
-        }
-
 
 def _tail_family(family: EpsilonFamily) -> Optional[EpsilonFamily]:
     """The family that governs behaviour at infinity, if declared."""
@@ -200,6 +192,8 @@ def _tail_family(family: EpsilonFamily) -> Optional[EpsilonFamily]:
 
 def condition_verdict(family: EpsilonFamily, condition: str) -> tuple[Trivalent, str]:
     """Symbolic verdict and its reason for one of CONDITION_IDS, by family."""
+    if condition not in CONDITION_IDS:
+        raise ProfileError(f"unknown condition {condition!r}; expected one of {CONDITION_IDS}")
     tail = _tail_family(family)
     if tail is None:
         return Trivalent.UNDETERMINED, "explicit table with no declared tail"
@@ -225,13 +219,10 @@ def condition_verdict(family: EpsilonFamily, condition: str) -> tuple[Trivalent,
             return Trivalent.NO, f"power gamma={g}: sum n^-2g converges"
         return Trivalent.NO, f"power gamma={g}: sum n^-4g diverges"
 
-    if condition == "zero_gap":
-        lo, hi = _epsilon_limits(family)
-        if lo == hi:
-            return Trivalent.YES, "both asymptotic eps limits coincide"
-        return Trivalent.NO, f"asymptotic eps limits differ: {lo} vs {hi}"
-
-    raise ProfileError(f"unknown condition {condition!r}; expected one of {CONDITION_IDS}")
+    lo, hi = _epsilon_limits(family)  # zero_gap
+    if lo == hi:
+        return Trivalent.YES, "both asymptotic eps limits coincide"
+    return Trivalent.NO, f"asymptotic eps limits differ: {lo} vs {hi}"
 
 
 def _describe(tail: EpsilonFamily, conclusion: str) -> str:
@@ -261,10 +252,8 @@ def _evidence(profile: IntensityProfile, condition: str) -> tuple[tuple[int, flo
         elif condition == "clt_regime":
             eps = epsilon_at(profile.epsilon, np.arange(2, N + 1))
             val = float(np.sum(eps**2))
-        elif condition == "zero_gap":
+        else:  # zero_gap; condition_verdict has refused any other condition
             val = float(a[-1] - a[0])
-        else:
-            raise ProfileError(f"unknown condition {condition!r}")
         out.append((N, val))
     return tuple(out)
 
@@ -295,13 +284,10 @@ class LimitSets:
 
     minus: tuple[float, float]
     plus: tuple[float, float]
+    disjoint: bool = field(init=False)
 
-    @property
-    def disjoint(self) -> bool:
-        return self.minus[1] < self.plus[0] or self.plus[1] < self.minus[0]
-
-    def as_dict(self) -> dict:
-        return {"minus": list(self.minus), "plus": list(self.plus), "disjoint": self.disjoint}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "disjoint", self.minus[1] < self.plus[0] or self.plus[1] < self.minus[0])
 
 
 def limit_sets(profile: IntensityProfile) -> Optional[LimitSets]:

@@ -87,17 +87,6 @@ class SlopeFit:
             raise ParameterDomainError(f"{self.kind} fit overflows when scaled by {f}")
         return replace(self, **fields)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-            "slope_se": self.slope_se,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-        }
-
 
 def fit_log_slope(ns: Sequence[int], ys: Sequence[float], kind: str) -> SlopeFit:
     """Fit y = slope * log(n) + intercept by ordinary least squares.

@@ -94,9 +94,6 @@ class RNGSpec:
             bg = bg.jumped(self.stream)
         return np.random.Generator(bg)
 
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "stream": self.stream}
-
 
 def require_cells(what: str, rows: int, columns: int) -> None:
     """Refuse a ``what`` of rows x columns cells past ``MAX_CELLS``."""

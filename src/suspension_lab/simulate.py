@@ -10,9 +10,9 @@ reproduce every statistic bit-for-bit.
 Skellam increments y_j - x_j are drawn by one rule (``_increments``): per
 block, the x uniforms, then the y uniforms, each row-major; the y block is
 inverted as one column against the one-row a_0 table.  clt blocks are
-``_CLT_BLOCK`` live indices, stopping blocks ``_STOPPING_BLOCK`` indices
-over the samples still alive, decay one index.  Hopf chunking never changes
-the stream.
+``_CLT_BLOCK`` consecutive indices, whose dead ones (eps_j = 0) are
+skipped, stopping blocks ``_STOPPING_BLOCK`` indices over the samples
+still alive, decay one index.  Hopf chunking never changes the stream.
 
 Windowing: products over the lattice are truncated to a finite index
 window.  The truncated log-density equals the log-density of the
@@ -54,7 +54,7 @@ from .numerics import fit_log_slope, kolmogorov_critical, ks_statistic, normal_c
 from .sampling import MAX_CELLS, RNGSpec, invert_uniform_rows, poisson_cdf_tables, require_cells
 
 DEFAULT_WINDOW_TOL = 1e-4
-_CLT_BLOCK = 256  # live indices per clt draw block
+_CLT_BLOCK = 256  # consecutive indices per clt draw block, dead ones skipped
 _STOPPING_BLOCK = 8_192  # indices per stopping draw block
 _HOPF_CHUNK_CELLS = 1 << 20  # per Hopf chunk, whose rows hold window + N cells each
 _CHECKPOINTS = 9
@@ -95,15 +95,6 @@ class ExperimentSummary:
     statistics: dict
     rng: RNGSpec
     runtime_s: float
-
-    def body_dict(self) -> dict:
-        """Serializable content; runtime is quarantined with the timestamps."""
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "statistics": self.statistics,
-            "rng": self.rng.as_dict(),
-        }
 
 
 def window_for_shift(profile: IntensityProfile, max_shift: int,
@@ -289,7 +280,7 @@ def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
     stats = _hopf_core(profile, N, samples, rng.generator(), window, beta)
     return ExperimentSummary(
         name="hopf_diagnostic",
-        parameters={"profile": criteria.profile_as_dict(profile), "N": N,
+        parameters={"profile": profile, "N": N,
                     "samples": samples, "window_tol": window_tol, "beta": beta,
                     "window": [int(window[0]), int(window[1])]},
         statistics=stats,
@@ -320,9 +311,10 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     eps falls short of the limit by Theta(1/log m); the empirical variance
     estimates it, not the limit.
 
-    Draw protocol (fixed): ascending j with eps_j != 0, in blocks of up to
-    ``_CLT_BLOCK`` live j that end at each snapshot; each block is one
-    ``_increments`` draw, x uniforms then y uniforms.
+    Draw protocol (fixed): ascending j in blocks of up to ``_CLT_BLOCK``
+    consecutive j that end at each snapshot; the j with eps_j != 0 in a
+    block are one ``_increments`` draw, x uniforms then y uniforms, and a
+    block without any draws nothing.
     """
     criteria.require_condition(profile, "clt_regime", "clt_experiment")
     if not (2 <= n <= MAX_CELLS and 2 <= samples <= MAX_CELLS):
@@ -377,7 +369,7 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     }
     return ExperimentSummary(
         name="clt_experiment",
-        parameters={"profile": criteria.profile_as_dict(profile), "n": n,
+        parameters={"profile": profile, "n": n,
                     "samples": samples, "thresholds": list(thresholds)},
         statistics=stats,
         rng=rng,
@@ -450,7 +442,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
     }
     return ExperimentSummary(
         name="increment_tail_decay",
-        parameters={"profile": criteria.profile_as_dict(profile), "samples": samples,
+        parameters={"profile": profile, "samples": samples,
                     "ns": [int(v) for v in ns], "mc_max": mc_max},
         statistics=stats,
         rng=rng,
@@ -527,7 +519,7 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
     }
     return ExperimentSummary(
         name="stopping_time_experiment",
-        parameters={"profile": criteria.profile_as_dict(profile), "r": r, "eps": eps,
+        parameters={"profile": profile, "r": r, "eps": eps,
                     "M": M, "N": N, "samples": samples},
         statistics=stats,
         rng=rng,
@@ -576,7 +568,7 @@ def scan_intensity(profile: IntensityProfile, t_grid: Sequence[float], N: int,
     }
     return ExperimentSummary(
         name="scan_intensity",
-        parameters={"profile": criteria.profile_as_dict(profile), "t_grid": ts,
+        parameters={"profile": profile, "t_grid": ts,
                     "N": N, "samples": samples, "window_tol": window_tol,
                     "anomaly_slack": anomaly_slack},
         statistics=stats,

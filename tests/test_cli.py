@@ -26,7 +26,7 @@ from suspension_lab.cli import (
     EXIT_PRECONDITION,
     body_bytes,
 )
-from suspension_lab.criteria import nonsingularity_deficit, profile_as_dict
+from suspension_lab.criteria import continuous_base_bound, nonsingularity_deficit
 from suspension_lab.intensity import (
     CONDITION_IDS,
     ExplicitFamily,
@@ -198,8 +198,8 @@ class TestCommands:
         assert code == EXIT_OK
         body = json.loads(out.read_text())["body"]
         profile = IntensityProfile(1.5, ExplicitFamily(((0, 0.4), (1, -0.2)), PowerFamily(0.4, -1)))
-        assert body["profile"] == json.loads(json.dumps(profile_as_dict(profile)))
-        assert body["conditions"] == {cid: json.loads(json.dumps(check_condition(profile, cid).as_dict()))
+        assert body["profile"] == json.loads(json.dumps(cli._sanitize(profile)))
+        assert body["conditions"] == {cid: json.loads(json.dumps(cli._sanitize(check_condition(profile, cid))))
                                       for cid in CONDITION_IDS}
         assert body["limit_gap"] == limit_gap(profile)
         assert body["nonsingularity_deficit"][0] == [100, nonsingularity_deficit(profile, 100)]
@@ -416,12 +416,14 @@ class TestValidationAndExitCodes:
                                   "samples": 1}, id="stopping-cdf-table"),
         pytest.param("hopf", {"profile": {"base": 100_000.0, "epsilon": {"kind": "zero"}}, "N": 8, "samples": 2,
                               "window": [0, 2_000]}, id="hopf-cdf-table"),
+        pytest.param("asymptotics", {"profile": {"base": 1.0}, "n_max": 2**25}, id="asymptotics-n_max"),
+        pytest.param("classify", {"profile": {"base": 1.0}, "series_N": 1_000_000_000}, id="classify-series_N"),
     ])
     def test_far_explicit_table_is_refused(self, tmp_path, command, config):
         # each would allocate beyond a 3 GiB address-space limit: series grids
         # of 7.45 and 2.24 GiB, a 74.5 GiB Hopf theta table, 2.24 GiB per array
         # over N, draw blocks of 6.10 and 14.8 GiB, CDF tables of 3.18 and
-        # 1.55 GiB
+        # 1.55 GiB; series indices of 2^25 and 1e9, whose grids grow like 2n to 4n
         cfg = write_config(tmp_path, config)
         limit = 3 * 2**30
         proc = subprocess.run(
@@ -678,6 +680,23 @@ GOLDEN_BODIES = [
      "597ca97b787142417aa32e447c488dfb66b29e344bf92d0c1ac7bf4ad2b1f168"),
     ("tails", {"skellam": {"a": 1.0, "b": 0.6}, "L": 4},
      "b19dca6937a22db2ac804d99d8a3b8b2b6759a55894f40874ef1856146b4107d"),
+    # written forms no digest above reaches: disjoint limit sets, a body rng
+    # on stream 2 and an explicit table without a tail
+    ("check", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
+     "ad7b6a36ab1297b27ed4730f9999ec54cbd32c1bad68fef0d510479b4b01e009"),
+    ("clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40, "rng": {"stream": 2}},
+     "d57e1c330623f5d38df339eb42f090e99df1390226a2d6b970e63405a002d0c1"),
+    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}}}},
+     "cccff393ee769f50330b59de4c336e0a36fe8f11d13644faf4ceb5b00970e69e"),
+]
+
+#: ``continuous_base_bound`` inputs, which no command reaches, and the sha256
+#: of their written form.
+CONTINUOUS_BASE_FORMS = [
+    ([[1.0, 1.0], [1.5, 0.5], [2.0, 2.0]], 50,
+     "5ce76ff236eaa206151a979c6ab4832999729bec724cc017b7d89f36a290fc05"),
+    ([[1.0, 2.0], [3.0, 0.5], [2.0, 1.0]], 10,
+     "a3c3fffd8bda6a801d9bb729dcc0f244df0e19bd1e85e2f4a84ea6b28ef02dd7"),
 ]
 
 
@@ -686,11 +705,24 @@ class TestDeterminism:
                              ids=["hopf_power", "hopf_step", "hopf_explicit_window", "scan", "clt_power",
                                   "clt_dead_columns", "decay", "stopping", "clt_base_200", "stopping_base_200",
                                   "hopf_base_50", "bracket", "classify_power_0.3", "classify_power_0.75",
-                                  "classify_explicit", "classify_step", "check", "asymptotics", "tails"])
+                                  "classify_explicit", "classify_step", "check", "asymptotics", "tails",
+                                  "check_step", "clt_stream_2", "classify_explicit_no_tail"])
     def test_golden_body_hashes(self, tmp_path, command, doc, digest):
         code, out = run_to_file(tmp_path, command, doc, "--seed", "1")
         assert code in (EXIT_OK, EXIT_ANOMALY)
         assert hashlib.sha256(body_bytes(json.loads(out.read_text()))).hexdigest() == digest
+
+    def test_header_rng_stream(self, tmp_path):
+        doc = {"profile": {"base": 1.0}, "n": 300, "samples": 40, "rng": {"stream": 2}}
+        _, out = run_to_file(tmp_path, "clt", doc, "--seed", "1")
+        report = json.loads(out.read_text())
+        assert report["header"]["rng"] == report["body"]["rng"] == {"seed": 1, "stream": 2}
+
+    @pytest.mark.parametrize("densities, N, digest", CONTINUOUS_BASE_FORMS, ids=["gap_1", "gap_0"])
+    def test_continuous_base_written_form(self, densities, N, digest):
+        written = json.dumps(cli._sanitize(continuous_base_bound(densities, N)),
+                             sort_keys=True, separators=(",", ":"), allow_nan=False)
+        assert hashlib.sha256(written.encode()).hexdigest() == digest
 
     def test_bodies_byte_identical(self, tmp_path):
         doc = {"profile": POWER_PROFILE, "n": 300, "samples": 300, "rng": {"seed": 9}}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from suspension_lab import intensity
+from suspension_lab import cli, intensity
 from suspension_lab.criteria import (
     GapNotZeroError,
     HELLINGER_FIT_RANGE,
@@ -357,7 +357,7 @@ class TestClassify:
 
     def test_report_serializes(self):
         r = classify(IntensityProfile(0.05, HALF))
-        d = r.as_dict()
+        d = cli._sanitize(r)
         assert d["verdict"] == "conservative"
         assert d["profile"]["epsilon"]["kind"] == "power"
 

@@ -19,7 +19,6 @@ from suspension_lab.dist import (
     LOG_ZERO,
     TAIL_MAX_RATE,
     ParameterDomainError,
-    PoissonLaw,
     SkellamLaw,
     bessel_i,
     log_bessel_i,
@@ -63,20 +62,10 @@ def _tail_by_convolution(a: float, b: float, L: int) -> float:
     return math.fsum(diff[np.abs(ks) >= L].tolist())
 
 
-class TestPoissonLaw:
-    def test_validation(self):
-        assert PoissonLaw(0.0).rate == 0.0
-        with pytest.raises(ParameterDomainError):
-            PoissonLaw(-0.1)
-        with pytest.raises(ParameterDomainError):
-            PoissonLaw(float("nan"))
-
-    def test_mass_closes(self):
-        law = PoissonLaw(2.5)
-        assert math.fsum(poisson_pmf(law.rate, k) for k in range(120)) == pytest.approx(1.0, abs=1e-13)
-
-
 class TestPoissonLogPmf:
+    def test_mass_closes(self):
+        assert math.fsum(poisson_pmf(2.5, k) for k in range(120)) == pytest.approx(1.0, abs=1e-13)
+
     def test_rate_one_at_zero(self):
         assert poisson_log_pmf(1.0, 0) == -1.0
 

@@ -157,6 +157,12 @@ class TestConditions:
             check_condition(IntensityProfile(1.0), "no_such_condition")
         with pytest.raises(ProfileError):
             condition_verdict(ZeroFamily(), "no_such_condition")
+        # a table with no declared tail is undetermined for every known condition only
+        tableonly = ExplicitFamily.from_mapping({0: 0.1})
+        with pytest.raises(ProfileError):
+            condition_verdict(tableonly, "no_such_condition")
+        with pytest.raises(ProfileError):
+            check_condition(IntensityProfile(1.0, tableonly), "no_such_condition")
 
     @pytest.mark.parametrize("family", [
         ZeroFamily(), HALF, PowerFamily(1.0, -1), StepFamily(0.0, 0.5),
