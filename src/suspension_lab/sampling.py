@@ -40,7 +40,9 @@ bisection on the raw test u >= cdf[r, mid - 1] finds it there.  G is the
 smallest power of two at least min(K + 1, S), S being the number of sample
 rows inverted, so u G, j / G and G cdf are exact and the guide costs no
 more than the table or the queries; one sample row (G = 1) bisects over
-[0, top[r]].
+[0, top[r]].  ``prepare_rows`` does this set-up (plateaus, pass count,
+pass columns or guide) once for the row chunks of one block, S being
+their largest.
 """
 
 from __future__ import annotations
@@ -156,12 +158,39 @@ def _pass_count(cdf: np.ndarray) -> int | None:
     return int(enough[0]) + 1 if len(enough) else None
 
 
-def _invert_by_passes(cdf: np.ndarray, u: np.ndarray, top: np.ndarray, passes: int) -> np.ndarray:
-    """``invert_uniform_rows`` by ``passes`` comparison passes per chunk of
-    sample rows; draws still climbing after them step up one column at a
-    time until the row's entry exceeds them or its plateau is reached."""
+@dataclass(frozen=True)
+class RowTables:
+    """A (rows, K) CDF table with its inversion set-up: each row's plateau
+    start ``top``, the comparison ``passes`` (None for the guide search) and
+    ``lookup``, the (passes, rows) pass columns, +inf from each plateau on,
+    or the flat guide entries over ``G`` cells.  Row chunks of one block
+    inverted against it share that set-up."""
+
+    cdf: np.ndarray
+    top: np.ndarray
+    passes: int | None
+    lookup: np.ndarray
+    G: int
+
+
+def prepare_rows(cdf: np.ndarray, samples: int) -> RowTables:
+    """The inversion set-up of ``cdf`` for uniforms of up to ``samples``
+    sample rows, which sets G."""
+    top = np.argmax(cdf == cdf[:, -1:], axis=1)
+    passes = _pass_count(cdf)
+    if passes is not None:
+        columns = np.where(np.arange(passes)[:, None] < top, cdf[:, :passes].T, np.inf)
+        return RowTables(cdf, top, passes, columns, 0)
+    G = 1 << (max(min(cdf.shape[1], samples), 1) - 1).bit_length()
+    return RowTables(cdf, top, None, _guide_table(cdf, top, G).ravel(), G)
+
+
+def _invert_by_passes(table: RowTables, u: np.ndarray) -> np.ndarray:
+    """``invert_uniform_rows`` by ``table.passes`` comparison passes per
+    chunk of sample rows; draws still climbing after them step up one column
+    at a time until the row's entry exceeds them or its plateau is reached."""
     S, R = u.shape
-    columns = np.where(np.arange(passes)[:, None] < top, cdf[:, :passes].T, np.inf)
+    cdf, top, passes, columns = table.cdf, table.top, table.passes, table.lookup
     counts = np.empty((S, R), dtype=np.int64, order="F")
     step = max(1, _CHUNK_CELLS // max(R, 1))
     for s0 in range(0, S, step):
@@ -211,16 +240,15 @@ def _guide_table(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
     return guide
 
 
-def _invert_by_guide(cdf: np.ndarray, u: np.ndarray, top: np.ndarray) -> np.ndarray:
+def _invert_by_guide(table: RowTables, u: np.ndarray) -> np.ndarray:
     """``invert_uniform_rows`` by guide table and bisection per chunk of
     sample rows: a uniform in cell j = floor(u G) of row r has its count in
     [guide[r, j], guide[r, j + 1]], and bisection on u >= cdf[r, mid - 1]
     narrows that bracket to the count.  Brackets are flat positions in the
     table, within int32 since tables are capped at ``MAX_CELLS``."""
     S, R = u.shape
+    cdf, guide, G = table.cdf, table.lookup, table.G
     K = cdf.shape[1]
-    G = 1 << (max(min(K, S), 1) - 1).bit_length()
-    guide = _guide_table(cdf, top, G).ravel()
     flat = np.ascontiguousarray(cdf).ravel()
     start, first_cell = np.arange(R) * K, np.arange(R) * (G + 1)
     counts = np.empty((S, R), dtype=np.int64, order="F")
@@ -247,20 +275,19 @@ def _invert_by_guide(cdf: np.ndarray, u: np.ndarray, top: np.ndarray) -> np.ndar
     return counts
 
 
-def invert_uniform_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def invert_uniform_rows(cdf: np.ndarray | RowTables, u: np.ndarray) -> np.ndarray:
     """Counts from uniforms u[s, r] against per-column-rate tables cdf[r, k].
 
     Columns of ``u`` correspond to rows of ``cdf``; each count is
     min(#{k : cdf[r, k] <= u[s, r]}, top[r]), top[r] being the first index
-    of row r's plateau, for uniforms in [0, 1).  Low-count tables take the
-    comparison passes, the rest the guide search.  Either way the result is
-    Fortran-ordered.
+    of row r's plateau, for uniforms in [0, 1).  ``cdf`` is a table or its
+    ``prepare_rows`` set-up.  Low-count tables take the comparison passes,
+    the rest the guide search.  Either way the result is Fortran-ordered.
     """
     S, R = u.shape
-    if cdf.shape[0] != R:
-        raise ValueError(f"need one cdf row per uniform column: {cdf.shape[0]} != {R}")
-    top = np.argmax(cdf == cdf[:, -1:], axis=1)
-    passes = _pass_count(cdf)
-    if passes is not None:
-        return _invert_by_passes(cdf, u, top, passes)
-    return _invert_by_guide(cdf, u, top)
+    table = cdf if isinstance(cdf, RowTables) else prepare_rows(cdf, S)
+    if table.cdf.shape[0] != R:
+        raise ValueError(f"need one cdf row per uniform column: {table.cdf.shape[0]} != {R}")
+    if table.passes is not None:
+        return _invert_by_passes(table, u)
+    return _invert_by_guide(table, u)

@@ -5,14 +5,19 @@ takes an ``RNGSpec`` and derives a fresh generator from it, all Poisson
 draws go through CDF-table inversion (one uniform per variate), and the
 order in which uniforms are consumed is a fixed, documented function of
 the experiment parameters.  Identical (seed, stream) pairs therefore
-reproduce every statistic bit-for-bit.
+reproduce every statistic bit-for-bit on one CPU SIMD target, BLAS kernel
+and BLAS thread count; numpy's SIMD loops and the BLAS products may move
+the last bits of a float elsewhere.
 
 Skellam increments y_j - x_j are drawn by one rule (``_increments``): per
 block, the x uniforms, then the y uniforms, each row-major; the y block is
 inverted as one column against the one-row a_0 table.  clt blocks are
 ``_CLT_BLOCK`` consecutive indices, whose dead ones (eps_j = 0) are
 skipped, stopping blocks ``_STOPPING_BLOCK`` indices over the samples
-still alive, decay one index.  Hopf chunking never changes the stream.
+still alive, decay one index.  Every block is drawn in row chunks of at
+most ``_DRAW_CHUNK_CELLS`` cells into one int32 array, x counts and then
+y - x; stopping reduces it chunk by chunk, clt and decay whole.  Neither
+this chunking nor the Hopf chunking ever changes the stream.
 
 Windowing: products over the lattice are truncated to a finite index
 window.  The truncated log-density equals the log-density of the
@@ -51,11 +56,24 @@ from .intensity import (
     sup_epsilon,
 )
 from .numerics import fit_log_slope, kolmogorov_critical, ks_statistic, normal_cdf
-from .sampling import MAX_CELLS, RNGSpec, invert_uniform_rows, poisson_cdf_tables, require_cells
+from .sampling import (
+    MAX_CELLS,
+    RNGSpec,
+    invert_uniform_rows,
+    poisson_cdf_tables,
+    prepare_rows,
+    require_cells,
+)
 
 DEFAULT_WINDOW_TOL = 1e-4
 _CLT_BLOCK = 256  # consecutive indices per clt draw block, dead ones skipped
 _STOPPING_BLOCK = 8_192  # indices per stopping draw block
+#: Most cells per row chunk of a draw block (1 MiB of float64).  Bench ops
+#: on a 2-core VM, median of 3 to 6 runs: stopping ran 1.96 s at 105 MB
+#: peak RSS, against 2.30/2.18/2.13/2.14 s at 2^15/2^16/2^18/2^19 (121 MB
+#: at 2^19, 335 MB in whole blocks); clt_hirate ran 1.50 s, against
+#: 2.20/1.66/1.56/1.83 s.  Below it the per-chunk calls cost more.
+_DRAW_CHUNK_CELLS = 1 << 17
 _HOPF_CHUNK_CELLS = 1 << 20  # per Hopf chunk, whose rows hold window + N cells each
 _CHECKPOINTS = 9
 
@@ -136,17 +154,37 @@ def _covered_window(profile: IntensityProfile, n: int, window_tol: float,
     return window
 
 
+def _row_chunks(block: np.ndarray) -> list[np.ndarray]:
+    """Views of a 2-D block in the fewest consecutive row chunks of at most
+    ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer), of equal
+    rows but the last."""
+    parts = max(1, -(-block.size // _DRAW_CHUNK_CELLS))
+    step = max(1, -(-len(block) // parts))
+    return [block[r0:r0 + step] for r0 in range(0, len(block), step)]
+
+
 def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
                 rows: int) -> np.ndarray:
-    """y - x for a (rows, len(a_j)) block: x[:, c] ~ Poisson(a_j[c]) and
-    y ~ Poisson(a_0), ``cdf0`` being the one-row a_0 table.  The x uniforms
-    are drawn first, then the y uniforms, each a row-major (rows, columns)
-    matrix; the y matrix is inverted as one column of rows * columns."""
-    shape = (rows, len(a_j))
-    require_cells("a draw block", *shape)
-    x = invert_uniform_rows(poisson_cdf_tables(a_j), gen.random(shape))
-    y = invert_uniform_rows(cdf0, gen.random((rows * len(a_j), 1))).reshape(shape)
-    return np.subtract(y, x, out=y)
+    """y - x for a (rows, len(a_j)) block, as int32: x[:, c] ~ Poisson(a_j[c])
+    and y ~ Poisson(a_0), ``cdf0`` being the one-row a_0 table.
+
+    The x uniforms are drawn first, then the y uniforms, each a row-major
+    (rows, columns) matrix; the y matrix is inverted as one column of
+    rows * columns.  Both are drawn and inverted in the row chunks of
+    ``_row_chunks`` against the a_j table, built and prepared once: the x
+    counts go into the int32 block, and each y chunk then turns its rows
+    into y - x.  Consecutive ``gen.random`` row chunks return the doubles
+    of one matrix, so chunking never changes the stream."""
+    require_cells("a draw block", rows, len(a_j))
+    d = np.empty((rows, len(a_j)), dtype=np.int32)
+    chunks = _row_chunks(d)
+    cdf = prepare_rows(poisson_cdf_tables(a_j), len(chunks[0]))
+    for x in chunks:
+        x[:] = invert_uniform_rows(cdf, gen.random(x.shape))
+    for x in chunks:
+        y = invert_uniform_rows(cdf0, gen.random((x.size, 1))).reshape(x.shape)
+        np.subtract(y, x, out=x)
+    return d
 
 
 def sample_configuration(profile: IntensityProfile, window: tuple[int, int],
@@ -340,6 +378,7 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
             hi = min(cursor + _CLT_BLOCK, snap_end + 1)
             idx = np.flatnonzero(live[cursor:hi]) + cursor
             if len(idx):
+                # one gemv over the whole block: per-chunk products change the bits.
                 # d lives on through the next draw, which then reuses heap pages, not fresh ones
                 d = _increments(gen, a_j[idx], cdf0, samples)
                 total += d @ eps_j[idx]
@@ -490,20 +529,26 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         j_hi = min(j + _STOPPING_BLOCK, N)
         js = np.arange(j + 1, j_hi + 1)
         eps_j = epsilon_at(profile.epsilon, js)
-        X = _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive)) * eps_j[None, :]
-        sums = partial[alive, None] + np.cumsum(X, axis=1)
-        below = sums < r
-        first = below.argmax(axis=1)
-        h = np.flatnonzero(below[np.arange(len(alive)), first])  # rows that cross in this block
-        absX = np.abs(X, out=X)
-        block_max = absX.max(axis=1)
-        block_max[h] = np.maximum.accumulate(absX[h], axis=1)[np.arange(len(h)), first[h]]
-        max_abs_x[alive] = np.maximum(max_abs_x[alive], block_max)
-        crossing[alive[h]] = js[first[h]]
-        overshoot[alive[h]] = np.abs(sums[h, first[h]] - r)
-        x_at_crossing[alive[h]] = absX[h, first[h]]
-        partial[alive] = sums[:, -1]
-        alive = np.delete(alive, h)
+        d = _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive))
+        crossed, r0 = [], 0
+        for chunk in _row_chunks(d):  # the float reductions stay one chunk in size
+            rows = alive[r0:r0 + len(chunk)]
+            X = chunk * eps_j[None, :]
+            sums = partial[rows, None] + np.cumsum(X, axis=1)
+            below = sums < r
+            first = below.argmax(axis=1)
+            h = np.flatnonzero(below[np.arange(len(rows)), first])  # chunk rows that cross in this block
+            absX = np.abs(X, out=X)
+            block_max = absX.max(axis=1)
+            block_max[h] = np.maximum.accumulate(absX[h], axis=1)[np.arange(len(h)), first[h]]
+            max_abs_x[rows] = np.maximum(max_abs_x[rows], block_max)
+            crossing[rows[h]] = js[first[h]]
+            overshoot[rows[h]] = np.abs(sums[h, first[h]] - r)
+            x_at_crossing[rows[h]] = absX[h, first[h]]
+            partial[rows] = sums[:, -1]
+            crossed.append(h + r0)
+            r0 += len(chunk)
+        alive = np.delete(alive, np.concatenate(crossed))
         j = j_hi
 
     ok = crossing > 0

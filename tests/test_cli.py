@@ -630,64 +630,84 @@ class TestConfigFuzz:
             _check_exit(code, err, text, f"{command} {json.dumps(doc)}")
 
 
-#: Small runs at seed 1 and the sha256 of their report bodies.  A drift in
-#: the draw protocol, the inversion or a reduction fails here; only a
-#: deliberate body change, recorded in CHANGES.md, may update a hash.
+#: Small runs at seed 1 as (test id, command, config) and the sha256 of
+#: their report bodies.  A drift in the draw protocol, the inversion or a
+#: reduction fails here; only a deliberate body change, recorded in
+#: CHANGES.md, may update a hash.
 DEAD_COLUMNS = {"kind": "explicit", "table": {"3": 0.0, "4": -0.3, "6": 0.0, "300": 0.0, "301": 0.0},
                 "tail": {"kind": "power", "gamma": 0.5, "sign": -1}}
 TWO_ENTRIES = {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}, "tail": {"kind": "power", "gamma": 0.4, "sign": -1}}
 GOLDEN_BODIES = [
-    ("hopf", {"profile": {"base": 1.0}, "N": 8, "samples": 40},
+    ("hopf_power", "hopf", {"profile": {"base": 1.0}, "N": 8, "samples": 40},
      "6cf5340c49b9dafa37cb6e370b4c908baceb1cb7ba98960c8b1eb249672e03fa"),
-    ("hopf", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}, "N": 8, "samples": 40},
+    ("hopf_step", "hopf",
+     {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}, "N": 8, "samples": 40},
      "2bea45dd04590b150eb2eee592f0cb71d9d60e6fe43ef520b6fc4c69de083ede"),
-    ("hopf", {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}, "N": 8, "samples": 40, "window": [-50, 3000]},
+    ("hopf_explicit_window", "hopf",
+     {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}, "N": 8, "samples": 40, "window": [-50, 3000]},
      "6c36c9bfc4cf0f21b41858787c43ab03ee6e5a5c19719572e229de9c92d94337"),
-    ("scan", {"profile": {"base": 1.0}, "t_grid": [0.5, 1.0, 2.0], "N": 8, "samples": 40},
+    ("scan", "scan", {"profile": {"base": 1.0}, "t_grid": [0.5, 1.0, 2.0], "N": 8, "samples": 40},
      "359806e7bd15b51fef11171ad53409f18f6ea4c5d3a8a9eee27a080f65bbda79"),
-    ("clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40},
+    ("clt_power", "clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40},
      "c33d0cd1290544ef4f1af919bfd1999c2b7dc7f3908bdd3a9632b976026e79f5"),
-    ("clt", {"profile": {"base": 1.0, "epsilon": DEAD_COLUMNS}, "n": 600, "samples": 40},
+    ("clt_dead_columns", "clt", {"profile": {"base": 1.0, "epsilon": DEAD_COLUMNS}, "n": 600, "samples": 40},
      "565509ddabf5608b36f656aae7bf7adb7181463bec9a6f2d7a8c790e6d98f7e5"),
-    ("decay", {"profile": {"base": 1.0}, "samples": 500, "ns": [10, 50, 100, 1000]},
+    ("decay", "decay", {"profile": {"base": 1.0}, "samples": 500, "ns": [10, 50, 100, 1000]},
      "3c17de900dab26556568b9ad217e103532da4f452889b4df5e6625dee2193931"),
-    ("stopping", {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
+    ("stopping", "stopping",
+     {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
      "357fe8bff366fc39607919b125ccf01b5e2ba743dc01eb97c1dc6f2414d7a887"),
     # wide tables, past the comparison passes: x over three blocks and y at rate 200
-    ("clt", {"profile": {"base": 200.0}, "n": 600, "samples": 40},
+    ("clt_base_200", "clt", {"profile": {"base": 200.0}, "n": 600, "samples": 40},
      "133fab449567d8c5fd912df617c6b065db5dcc9fba98245ee093ce0c137a6a8e"),
     # decay refuses bases above about 5 (no certified tail threshold), so a
     # stopping run draws the 8192-column blocks and the y row at base 200
-    ("stopping", {"profile": {"base": 200.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
+    ("stopping_base_200", "stopping",
+     {"profile": {"base": 200.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
      "61a4a293bb599550c4843f781d4b7fa822a07f2f42fc872b40bf328371ecbe0d"),
     # fewer sample rows (a chunk of 40) than table columns
-    ("hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 40},
+    ("hopf_base_50", "hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 40},
      "8452b7ca924e1611e8cfb4b382becb792039c3d42caff0284c93a018a5a2166a"),
     # the analytic layer: condition verdicts, series units, fits, certificates and the bracket
-    ("bracket", {"profile": {"base": 1.0}},
+    ("bracket", "bracket", {"profile": {"base": 1.0}},
      "96569cd9f28eea9e3527db517bb2f8049de5679344a6cd8f2bf2b8f4d0fdbe4a"),
-    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.3, "sign": -1}}},
+    ("classify_power_0.3", "classify",
+     {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.3, "sign": -1}}},
      "9d99203566f481de5f970767acc0f3eea417c2302c7e878b2bd837351c165483"),
-    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.75, "sign": -1}}},
+    ("classify_power_0.75", "classify",
+     {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.75, "sign": -1}}},
      "caad23ed16f9e1c7de26c255ae744d78527898aac344f7b2fe386bbf083a1080"),
-    ("classify", {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}},
+    ("classify_explicit", "classify", {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}},
      "e97cf3ff259fabcbc54747db3bced0026ed9fe63cf62b8fdcb97c24f490d6617"),
-    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
+    ("classify_step", "classify",
+     {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
      "b53ff87ef00f70cb42098a7ac412cd3cdc45cb2b713c2588804ebc797f860ec7"),
-    ("check", {"profile": {"base": 1.0}},
+    ("check", "check", {"profile": {"base": 1.0}},
      "032bd234c32109a4b23b2ae777118760472499765049860962ba6289ac85e94e"),
-    ("asymptotics", {"profile": {"base": 1.0}},
+    ("asymptotics", "asymptotics", {"profile": {"base": 1.0}},
      "597ca97b787142417aa32e447c488dfb66b29e344bf92d0c1ac7bf4ad2b1f168"),
-    ("tails", {"skellam": {"a": 1.0, "b": 0.6}, "L": 4},
+    ("tails", "tails", {"skellam": {"a": 1.0, "b": 0.6}, "L": 4},
      "b19dca6937a22db2ac804d99d8a3b8b2b6759a55894f40874ef1856146b4107d"),
     # written forms no digest above reaches: disjoint limit sets, a body rng
     # on stream 2 and an explicit table without a tail
-    ("check", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
+    ("check_step", "check",
+     {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
      "ad7b6a36ab1297b27ed4730f9999ec54cbd32c1bad68fef0d510479b4b01e009"),
-    ("clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40, "rng": {"stream": 2}},
+    ("clt_stream_2", "clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40, "rng": {"stream": 2}},
      "d57e1c330623f5d38df339eb42f090e99df1390226a2d6b970e63405a002d0c1"),
-    ("classify", {"profile": {"base": 1.0, "epsilon": {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}}}},
+    ("classify_explicit_no_tail", "classify",
+     {"profile": {"base": 1.0, "epsilon": {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}}}},
      "cccff393ee769f50330b59de4c336e0a36fe8f11d13644faf4ceb5b00970e69e"),
+    # blocks of 300 samples x 8192 columns span several row chunks of a draw block
+    ("stopping_300", "stopping",
+     {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 300},
+     "dc22e96331d4f86a929e8ced8f06d1d2c2cb0aa1e85c9e2d9ddb3c74d2d42016"),
+    ("stopping_300_base_200", "stopping",
+     {"profile": {"base": 200.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 300},
+     "ff726f8b5940ba84c38b029fc48ebccf9148fe10e225a26be18f801873865b38"),
+    # blocks of 600 samples x 256 columns at rate 200 span two row chunks
+    ("clt_600_base_200", "clt", {"profile": {"base": 200.0}, "n": 600, "samples": 600},
+     "baccf24b47042aafcf512de6bbbe136a7f12dc3bc7f9553c2994c757fbe57f99"),
 ]
 
 #: ``continuous_base_bound`` inputs, which no command reaches, and the sha256
@@ -701,12 +721,8 @@ CONTINUOUS_BASE_FORMS = [
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command, doc, digest", GOLDEN_BODIES,
-                             ids=["hopf_power", "hopf_step", "hopf_explicit_window", "scan", "clt_power",
-                                  "clt_dead_columns", "decay", "stopping", "clt_base_200", "stopping_base_200",
-                                  "hopf_base_50", "bracket", "classify_power_0.3", "classify_power_0.75",
-                                  "classify_explicit", "classify_step", "check", "asymptotics", "tails",
-                                  "check_step", "clt_stream_2", "classify_explicit_no_tail"])
+    @pytest.mark.parametrize("command, doc, digest",
+                             [pytest.param(*case, id=name) for name, *case in GOLDEN_BODIES])
     def test_golden_body_hashes(self, tmp_path, command, doc, digest):
         code, out = run_to_file(tmp_path, command, doc, "--seed", "1")
         assert code in (EXIT_OK, EXIT_ANOMALY)

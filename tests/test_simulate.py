@@ -2,6 +2,7 @@
 experiment preconditions, and bit-for-bit reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from suspension_lab.intensity import (
     epsilon_at,
     eval_intensity,
 )
-from suspension_lab.sampling import RNGSpec, invert_uniform_rows, poisson_cdf_tables
+from suspension_lab.sampling import RNGSpec, invert_uniform_rows, poisson_cdf_tables, prepare_rows
 from suspension_lab.simulate import (
     ConfigurationWindow,
     WindowCoverageError,
@@ -203,6 +204,9 @@ class TestInversionExactness:
         assert counts.dtype == np.int64
         assert counts.flags.f_contiguous
         assert np.array_equal(counts, _raw_search(cdf, u))
+        for rows in (1, 2 * len(u) + 1):
+            # a set-up made for other row counts (so another G) gives the same counts
+            assert np.array_equal(invert_uniform_rows(prepare_rows(cdf, rows), u), counts)
         for r in range(cdf.shape[0]):
             # a count depends on its row and uniform, not on the row's column
             row = invert_uniform_rows(cdf[r:r + 1], u[:, r:r + 1])
@@ -485,12 +489,12 @@ class TestCltExperiment:
         want = float(np.sum(eps * (1.0 - np.exp(eps))) / math.sqrt(np.sum(eps**2)))
         assert snap["drift"] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("experiment", ["clt", "decay", "stopping"])
+    @pytest.mark.parametrize("experiment", ["clt", "decay", "stopping", "stopping_chunks"])
     def test_draw_protocol(self, monkeypatch, experiment):
         # every uniform is inverted exactly once, in the order drawn, x block
         # before y block; clt draws 2 * samples per live j (eps_j != 0), decay
         # 2 * samples per row with n <= mc_max
-        drawn, inverted = [], []
+        drawn, inverted, events = [], [], []
 
         class CountingGenerator:
             def __init__(self, gen):
@@ -499,6 +503,7 @@ class TestCltExperiment:
             def random(self, size):
                 u = self.gen.random(size)
                 drawn.append(u.ravel().copy())
+                events.append(u.shape)
                 return u
 
         generator = RNGSpec.generator
@@ -519,10 +524,34 @@ class TestCltExperiment:
         elif experiment == "decay":
             increment_tail_decay(P1, RNGSpec(seed=5), samples=samples, ns=(10, 50, 100, 1_000), mc_max=100)
             assert [len(u) for u in drawn] == [samples] * 6
-        else:
+        elif experiment == "stopping":
             stopping_time_experiment(P1, r=-2.0, eps=0.1, M=100, N=20_000, samples=20, rng=RNGSpec(seed=5))
             sizes = [len(u) for u in drawn]
             assert len(sizes) > 2 and sizes[0::2] == sizes[1::2]  # more than one block, x and y alike
+        else:
+            # blocks of more sample rows than one row chunk holds: a block
+            # builds its table, then draws all its x chunks, (rows, columns)
+            # each, then all its y chunks, one column each, as many as x
+            def table(rates, build=simulate.poisson_cdf_tables):
+                events.append("table")
+                return build(rates)
+            monkeypatch.setattr(simulate, "poisson_cdf_tables", table)
+            rows_per_chunk = simulate._DRAW_CHUNK_CELLS // simulate._STOPPING_BLOCK
+            stopping_time_experiment(P1, r=-2.0, eps=0.1, M=100, N=20_000, samples=2 * rows_per_chunk + 1,
+                                     rng=RNGSpec(seed=5))
+            blocks = [[]]
+            for event in events:
+                if event == "table":
+                    blocks.append([])
+                else:
+                    blocks[-1].append(event)
+            blocks = [shapes for shapes in blocks if shapes]  # the a_0 table draws nothing
+            assert len(blocks) > 1
+            for shapes in blocks:
+                x = [shape for shape in shapes if shape[1] > 1]
+                assert shapes[:len(x)] == x and all(columns == 1 for _, columns in shapes[len(x):])
+                assert sum(map(math.prod, x)) == sum(map(math.prod, shapes[len(x):]))
+            assert sum(shape[1] > 1 for shape in blocks[0]) >= 2  # two row chunks or more
         assert np.array_equal(np.concatenate(drawn), np.concatenate(inverted))
 
     def test_reproducible(self):
@@ -570,6 +599,18 @@ class TestStoppingTime:
         assert st["overshoot_le_last_step"] is True
         if st["conditional_overshoot_below_eps"] is not None:
             assert st["conditional_overshoot_below_eps"] == 1.0
+
+    def test_peak_memory_bounded(self):
+        # blocks of 300 samples x 8192 columns: one whole-block float64 array
+        # is 19.7 MB, so the bound leaves room for the int32 x block and row
+        # chunks, not for several whole-block arrays at once
+        tracemalloc.start()
+        try:
+            stopping_time_experiment(P1, r=-2.0, eps=0.1, M=100, N=20_000, samples=300, rng=RNGSpec(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_reproducible(self):
         a = stopping_time_experiment(P1, r=-1.5, eps=0.5, M=50, N=5_000, samples=100, rng=RNGSpec(seed=33))
