@@ -185,13 +185,13 @@ def prepare_rows(cdf: np.ndarray, samples: int) -> RowTables:
     return RowTables(cdf, top, None, _guide_table(cdf, top, G).ravel(), G)
 
 
-def _invert_by_passes(table: RowTables, u: np.ndarray) -> np.ndarray:
-    """``invert_uniform_rows`` by ``table.passes`` comparison passes per
-    chunk of sample rows; draws still climbing after them step up one column
-    at a time until the row's entry exceeds them or its plateau is reached."""
+def _invert_by_passes(table: RowTables, u: np.ndarray, counts: np.ndarray) -> None:
+    """``invert_uniform_rows`` into ``counts`` by ``table.passes`` comparison
+    passes per chunk of sample rows; draws still climbing after them step up
+    one column at a time until the row's entry exceeds them or its plateau is
+    reached."""
     S, R = u.shape
     cdf, top, passes, columns = table.cdf, table.top, table.passes, table.lookup
-    counts = np.empty((S, R), dtype=np.int64, order="F")
     step = max(1, _CHUNK_CELLS // max(R, 1))
     for s0 in range(0, S, step):
         chunk, block = u[s0:s0 + step], counts[s0:s0 + step]
@@ -200,12 +200,13 @@ def _invert_by_passes(table: RowTables, u: np.ndarray) -> np.ndarray:
             n += chunk >= columns[k]
         block[:] = n
         s_i, r_i = np.nonzero(n == passes)
+        # the climbing counts, never read back from ``counts``, whose dtype is the caller's
+        c = np.full(len(s_i), passes, dtype=np.intp)
         while len(s_i):
-            c = block[s_i, r_i]  # at most top[r_i] <= K - 1, so the gather stays in the row
+            # c is at most top[r_i] <= K - 1, so the gather stays in the row
             up = (c < top[r_i]) & (chunk[s_i, r_i] >= cdf[r_i, c])
-            s_i, r_i = s_i[up], r_i[up]
-            block[s_i, r_i] += 1
-    return counts
+            s_i, r_i, c = s_i[up], r_i[up], c[up] + 1
+            block[s_i, r_i] = c
 
 
 def _guide_table(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
@@ -240,8 +241,8 @@ def _guide_table(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
     return guide
 
 
-def _invert_by_guide(table: RowTables, u: np.ndarray) -> np.ndarray:
-    """``invert_uniform_rows`` by guide table and bisection per chunk of
+def _invert_by_guide(table: RowTables, u: np.ndarray, counts: np.ndarray) -> None:
+    """``invert_uniform_rows`` into ``counts`` by guide table and bisection per chunk of
     sample rows: a uniform in cell j = floor(u G) of row r has its count in
     [guide[r, j], guide[r, j + 1]], and bisection on u >= cdf[r, mid - 1]
     narrows that bracket to the count.  Brackets are flat positions in the
@@ -251,7 +252,6 @@ def _invert_by_guide(table: RowTables, u: np.ndarray) -> np.ndarray:
     K = cdf.shape[1]
     flat = np.ascontiguousarray(cdf).ravel()
     start, first_cell = np.arange(R) * K, np.arange(R) * (G + 1)
-    counts = np.empty((S, R), dtype=np.int64, order="F")
     step = max(1, _GUIDE_CHUNK // max(R, 1))
     for s0 in range(0, S, step):
         chunk = u[s0:s0 + step]
@@ -271,23 +271,28 @@ def _invert_by_guide(table: RowTables, u: np.ndarray) -> np.ndarray:
             flat_lo[at] = a
             go = a < b
             at, a, b, q = at[go], a[go], b[go], q[go]
-        np.subtract(lo, start, out=counts[s0:s0 + step])
-    return counts
+        np.subtract(lo, start, out=counts[s0:s0 + step], casting="unsafe")
 
 
-def invert_uniform_rows(cdf: np.ndarray | RowTables, u: np.ndarray) -> np.ndarray:
+def invert_uniform_rows(cdf: np.ndarray | RowTables, u: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Counts from uniforms u[s, r] against per-column-rate tables cdf[r, k].
 
     Columns of ``u`` correspond to rows of ``cdf``; each count is
     min(#{k : cdf[r, k] <= u[s, r]}, top[r]), top[r] being the first index
     of row r's plateau, for uniforms in [0, 1).  ``cdf`` is a table or its
     ``prepare_rows`` set-up.  Low-count tables take the comparison passes,
-    the rest the guide search.  Either way the result is Fortran-ordered.
+    the rest the guide search.  The counts go into ``out``, of u's shape and
+    any integer or float dtype and layout, which is returned; without it,
+    into a fresh int64 Fortran-ordered array.
     """
     S, R = u.shape
     table = cdf if isinstance(cdf, RowTables) else prepare_rows(cdf, S)
     if table.cdf.shape[0] != R:
         raise ValueError(f"need one cdf row per uniform column: {table.cdf.shape[0]} != {R}")
-    if table.passes is not None:
-        return _invert_by_passes(table, u)
-    return _invert_by_guide(table, u)
+    if out is None:
+        out = np.empty((S, R), dtype=np.int64, order="F")
+    elif out.shape != (S, R):
+        raise ValueError(f"out must have the uniforms' shape {(S, R)}, got {out.shape}")
+    (_invert_by_passes if table.passes is not None else _invert_by_guide)(table, u, out)
+    return out

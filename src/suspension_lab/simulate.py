@@ -19,6 +19,12 @@ most ``_DRAW_CHUNK_CELLS`` cells into one int32 array, x counts and then
 y - x; stopping reduces it chunk by chunk, clt and decay whole.  Neither
 this chunking nor the Hopf chunking ever changes the stream.
 
+Hopf and scan draw, at every scale, samples x window uniforms row-major
+from a fresh generator of the spec.  One ``_hopf_core`` call serves every
+scale: the eps grid, theta and one buffer each of a chunk's uniforms and
+float64 counts are built once per call, and each scale's CDF table once
+per scale; neither the buffers nor the shared theta change the stream.
+
 Windowing: products over the lattice are truncated to a finite index
 window.  The truncated log-density equals the log-density of the
 window-restricted system exactly (the omitted factor has unit mean), and
@@ -227,75 +233,89 @@ def log_rn_derivative(profile: IntensityProfile, omega: ConfigurationWindow, n: 
 # ---------------------------------------------------------------------------
 
 
-def _hopf_core(profile: IntensityProfile, N: int, samples: int,
-               gen: np.random.Generator, window: tuple[int, int],
-               beta: Optional[float]) -> dict:
-    """Shared machinery for hopf_diagnostic and scan_intensity.  Partial sums and
-    moment bounds are linear-space floats: a level that overflows them is refused."""
+def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: RNGSpec,
+               window: tuple[int, int], beta: Optional[float]) -> list[dict]:
+    """The Hopf statistics of each profile in turn over one window, for
+    hopf_diagnostic (one profile) and scan_intensity (one per scale); the
+    profiles differ only in their scale.  Each draws samples x W uniforms
+    from a fresh ``rng.generator()`` in chunks of ``_HOPF_CHUNK_CELLS //
+    (W + N)`` rows, against its CDF table, built and prepared once.  The eps
+    grid, theta and one buffer each of a chunk's uniforms and of its float64
+    counts (Fortran-ordered, the gemm's operand, which the inversion fills)
+    are built once per call and never change the stream.  Partial sums and
+    moment bounds are linear-space floats: a level that overflows them is
+    refused, its moment bounds before its table, the first level's before
+    anything is built."""
     if not (2 <= N <= MAX_WINDOW and window[1] - window[0] <= MAX_WINDOW and samples >= 1):
         raise ParameterDomainError(f"need 2 <= N <= {MAX_WINDOW}, a window of at most {MAX_WINDOW} indices "
                                    f"and samples >= 1, got N={N}, window={list(window)}, samples={samples}")
     checkpoints = np.unique(np.geomspace(1, N, _CHECKPOINTS).astype(int))
     require_cells("a Hopf theta table", window[1] - window[0], N)
     require_cells("the Hopf partial sums", samples, len(checkpoints))
-    zero_gap = condition_verdict(profile.epsilon, "zero_gap")[0] is Trivalent.YES
+    zero_gap = condition_verdict(profiles[0].epsilon, "zero_gap")[0] is Trivalent.YES
     b = 0.75 if beta is None else beta
-    markov_bound = log_bn = None
-    if zero_gap:
-        ns = np.arange(1, N + 1)
-        log_bn = -b * np.log(ns.astype(float))
-        log_bound = 2.0 * log_bn + np.array([criteria.rn_square_integral(profile, int(n)) for n in ns])
-        if not log_bound.max() < _LOG_MAX:
-            raise ParameterDomainError(f"Hopf moment bounds overflow at level {profile.level}")
-        markov_bound = np.exp(log_bound)
-
-    # eps and a over [lo - N, hi): eps_k and each eps_{k-n} are slices of one grid
+    log_bn = -b * np.log(np.arange(1, N + 1, dtype=float)) if zero_gap else None
     lo, hi = window
     W = hi - lo
-    eps = epsilon_at(profile.epsilon, np.arange(lo - N, hi))
-    a = profile.level * np.exp(eps)
-    eps_k, a_k = eps[N:], a[N:]
-    theta = np.empty((W, N))
-    drift = np.empty(N)
-    for n in range(1, N + 1):
-        theta[:, n - 1] = eps[N - n:N - n + W] - eps_k
-        drift[n - 1] = float(np.sum(a_k - a[N - n:N - n + W]))
-    cdf = poisson_cdf_tables(a_k)
-    partials = np.empty((samples, len(checkpoints)))
-    event_counts = np.zeros(N, dtype=np.int64)
-    chunk = max(1, _HOPF_CHUNK_CELLS // (W + N))
-    for done in range(0, samples, chunk):
-        m = min(chunk, samples - done)
-        counts = invert_uniform_rows(cdf, gen.random((m, W))).astype(float)
-        logrn = drift[None, :] + counts @ theta
-        if log_bn is not None:
-            event_counts += np.sum(logrn < log_bn[None, :], axis=0)
-        P = np.cumsum(np.exp(logrn), axis=1)
-        partials[done:done + m] = P[:, checkpoints - 1]
-    if not np.isfinite(partials).all():
-        raise ParameterDomainError(f"Hopf partial sums overflow at level {profile.level}")
-
-    med = np.median(partials, axis=0)
-    growth = fit_log_slope(checkpoints.tolist(), np.log(np.maximum(med, 1e-300)).tolist(),
-                           kind="hopf_growth")
-    out = {
-        "heuristic": True,
-        "note": "finite-window partial sums are diagnostic evidence, not certificates",
-        "checkpoints": checkpoints.tolist(),
-        "partial_sum_median": med.tolist(),
-        "partial_sum_q10": np.quantile(partials, 0.10, axis=0).tolist(),
-        "partial_sum_q90": np.quantile(partials, 0.90, axis=0).tolist(),
-        "growth_exponent": growth.slope,
-        "window": [int(lo), int(hi)],
-    }
-    if markov_bound is not None:
-        out["markov"] = {
-            "beta": b,
-            "ns": list(range(1, N + 1)),
-            "event_freq": (event_counts / samples).tolist(),
-            "bound": markov_bound.tolist(),
+    rows = min(samples, max(1, _HOPF_CHUNK_CELLS // (W + N)))
+    theta = None
+    results = []
+    for profile in profiles:
+        markov_bound = None
+        if zero_gap:
+            log_bound = 2.0 * log_bn + np.array([criteria.rn_square_integral(profile, n) for n in range(1, N + 1)])
+            if not log_bound.max() < _LOG_MAX:
+                raise ParameterDomainError(f"Hopf moment bounds overflow at level {profile.level}")
+            markov_bound = np.exp(log_bound)
+        if theta is None:
+            # eps over [lo - N, hi): eps_k and each eps_{k-n} are slices of one grid
+            eps = epsilon_at(profiles[0].epsilon, np.arange(lo - N, hi))
+            exp_eps = np.exp(eps)
+            theta = np.empty((W, N))
+            for n in range(1, N + 1):
+                theta[:, n - 1] = eps[N - n:N - n + W] - eps[N:]
+            uniforms = np.empty((rows, W))
+            counts = np.empty(rows * W)  # each chunk's counts are its first m W cells, in Fortran order
+            partials = np.empty((samples, len(checkpoints)))
+        a = profile.level * exp_eps
+        a_k = a[N:]
+        drift = np.array([np.sum(a_k - a[N - n:N - n + W]) for n in range(1, N + 1)])
+        table = prepare_rows(poisson_cdf_tables(a_k), rows)
+        gen = rng.generator()
+        event_counts = np.zeros(N, dtype=np.int64)
+        for done in range(0, samples, rows):
+            m = min(rows, samples - done)
+            u = gen.random(out=uniforms[:m])
+            x = invert_uniform_rows(table, u, out=counts[:m * W].reshape((m, W), order="F"))
+            logrn = drift[None, :] + x @ theta
+            if log_bn is not None:
+                event_counts += np.sum(logrn < log_bn[None, :], axis=0)
+            P = np.cumsum(np.exp(logrn), axis=1)
+            partials[done:done + m] = P[:, checkpoints - 1]
+        if not np.isfinite(partials).all():
+            raise ParameterDomainError(f"Hopf partial sums overflow at level {profile.level}")
+        med = np.median(partials, axis=0)
+        growth = fit_log_slope(checkpoints.tolist(), np.log(np.maximum(med, 1e-300)).tolist(),
+                               kind="hopf_growth")
+        out = {
+            "heuristic": True,
+            "note": "finite-window partial sums are diagnostic evidence, not certificates",
+            "checkpoints": checkpoints.tolist(),
+            "partial_sum_median": med.tolist(),
+            "partial_sum_q10": np.quantile(partials, 0.10, axis=0).tolist(),
+            "partial_sum_q90": np.quantile(partials, 0.90, axis=0).tolist(),
+            "growth_exponent": growth.slope,
+            "window": [int(lo), int(hi)],
         }
-    return out
+        if markov_bound is not None:
+            out["markov"] = {
+                "beta": b,
+                "ns": list(range(1, N + 1)),
+                "event_freq": (event_counts / samples).tolist(),
+                "bound": markov_bound.tolist(),
+            }
+        results.append(out)
+    return results
 
 
 def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
@@ -315,7 +335,7 @@ def hopf_diagnostic(profile: IntensityProfile, N: int, samples: int,
     criteria.require_condition(profile, "nonsingularity", "hopf_diagnostic")
     t0 = time.perf_counter()
     window = _covered_window(profile, N, window_tol, window)
-    stats = _hopf_core(profile, N, samples, rng.generator(), window, beta)
+    stats = _hopf_core([profile], N, samples, rng, window, beta)[0]
     return ExperimentSummary(
         name="hopf_diagnostic",
         parameters={"profile": profile, "N": N,
@@ -597,8 +617,8 @@ def scan_intensity(profile: IntensityProfile, t_grid: Sequence[float], N: int,
     t0 = time.perf_counter()
     window = window_for_shift(profile.with_scale(profile.scale * max(ts)), N, window_tol)
 
-    results = [_hopf_core(profile.with_scale(profile.scale * t), N, samples, rng.generator(),
-                          window, beta=None) for t in ts]
+    results = _hopf_core([profile.with_scale(profile.scale * t) for t in ts], N, samples, rng,
+                         window, beta=None)
 
     growth = [res["growth_exponent"] for res in results]
     rises = [b - a for a, b in zip(growth, growth[1:])]

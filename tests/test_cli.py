@@ -321,6 +321,13 @@ class TestValidationAndExitCodes:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_scan_refuses_a_later_scale(self, tmp_path, capsys):
+        # the first scale fits its Hopf moment bounds, the second does not
+        doc = {"profile": {"base": 1.0}, "t_grid": [1, 600], "N": 8, "samples": 20}
+        code, out = run_to_file(tmp_path, "scan", doc)
+        assert code == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err == "config error: Hopf moment bounds overflow at level 600.0\n"
+
     @pytest.mark.parametrize("rtol", [0.0, -0.1, float("nan")])
     def test_bracket_rtol_out_of_domain(self, tmp_path, rtol):
         # rtol <= 0 used to bisect forever, so run it with a timeout
@@ -708,6 +715,16 @@ GOLDEN_BODIES = [
     # blocks of 600 samples x 256 columns at rate 200 span two row chunks
     ("clt_600_base_200", "clt", {"profile": {"base": 200.0}, "n": 600, "samples": 600},
      "baccf24b47042aafcf512de6bbbe136a7f12dc3bc7f9553c2994c757fbe57f99"),
+    # Hopf chunks of 2^20 // (W + N) sample rows: two full chunks and a
+    # partial one per scale (W = 2340, N = 64: 436 rows; 972 = 2 * 436 + 100),
+    # three scales of a zero-gap family, so every scale reports its Markov
+    # event frequencies
+    ("scan_chunks", "scan", {"profile": {"base": 1.0}, "t_grid": [0.25, 0.5, 1.0], "N": 64, "samples": 972},
+     "68dc60965b5cbb8621e3dd029f9cf74c5f495137f0f5f99755eef4593ae1664d"),
+    # the guide search over two full chunks and a partial one (W = 2022,
+    # N = 8: 516 rows; 1132 = 2 * 516 + 100)
+    ("hopf_base_50_chunks", "hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 1132},
+     "10e6b464587a076ee7e0b008e83c730d9fa27f6c955cd81196fec31e65a68307"),
 ]
 
 #: ``continuous_base_bound`` inputs, which no command reaches, and the sha256

@@ -204,6 +204,11 @@ class TestInversionExactness:
         assert counts.dtype == np.int64
         assert counts.flags.f_contiguous
         assert np.array_equal(counts, _raw_search(cdf, u))
+        # into a caller's buffer: the float64 Fortran-ordered operand of the
+        # Hopf gemm and a C-ordered int32 block, every cell overwritten
+        for out in (np.full(u.shape, -1.0, order="F"), np.full(u.shape, -1, dtype=np.int32)):
+            assert invert_uniform_rows(cdf, u, out=out) is out
+            assert np.array_equal(out, counts)
         for rows in (1, 2 * len(u) + 1):
             # a set-up made for other row counts (so another G) gives the same counts
             assert np.array_equal(invert_uniform_rows(prepare_rows(cdf, rows), u), counts)
@@ -237,8 +242,14 @@ class TestInversionExactness:
     def test_largest_uniform_in_a_far_column(self):
         # u = 1 - 2^-53 on rate-1 rows: the count is the plateau index, 18, in every column
         cdf = poisson_cdf_tables(np.full(8_192, 1.0))
+        assert sampling._pass_count(cdf) < 18  # so every draw climbs past the passes
         counts = self._check(cdf, np.full((2, 8_192), np.nextafter(1.0, 0.0)))
         assert np.all(counts == 18)
+
+    def test_out_of_another_shape_refused(self):
+        cdf = poisson_cdf_tables(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="shape"):
+            invert_uniform_rows(cdf, np.zeros((3, 2)), out=np.empty((2, 3)))
 
     @pytest.mark.parametrize("direction", [-1.0, 2.0])
     def test_neighbours_of_a_far_row(self, direction):
@@ -461,6 +472,24 @@ class TestHopfDiagnostic:
         b = hopf_diagnostic(P1, N=32, samples=200, rng=RNGSpec(seed=12))
         assert a.statistics == b.statistics
 
+    def test_refused_level_builds_nothing(self, monkeypatch):
+        # the first level's moment bounds are checked before the eps grid,
+        # theta and the chunk buffers, 165 x 6346 doubles each, are built
+        def grid(*args):
+            raise AssertionError("eps grid built before the moment bounds")
+        monkeypatch.setattr(simulate, "epsilon_at", grid)
+        profile = IntensityProfile(500.0, HALF)
+        lo, hi = window_for_shift(profile, 8)
+        buffer_bytes = 8 * (hi - lo) * (simulate._HOPF_CHUNK_CELLS // (hi - lo + 8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterDomainError, match=r"^Hopf moment bounds overflow at level 500\.0$"):
+                hopf_diagnostic(profile, N=8, samples=1_000, rng=RNGSpec(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer_bytes / 2
+
 
 class TestCltExperiment:
     def test_refuses_wrong_regime(self):
@@ -489,31 +518,62 @@ class TestCltExperiment:
         want = float(np.sum(eps * (1.0 - np.exp(eps))) / math.sqrt(np.sum(eps**2)))
         assert snap["drift"] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("experiment", ["clt", "decay", "stopping", "stopping_chunks"])
+    @pytest.mark.parametrize("experiment", ["clt", "decay", "stopping", "stopping_chunks", "hopf", "scan"])
     def test_draw_protocol(self, monkeypatch, experiment):
         # every uniform is inverted exactly once, in the order drawn, x block
         # before y block; clt draws 2 * samples per live j (eps_j != 0), decay
         # 2 * samples per row with n <= mc_max
-        drawn, inverted, events = [], [], []
+        drawn, inverted, events, generators = [], [], [], []
 
         class CountingGenerator:
             def __init__(self, gen):
                 self.gen = gen
+                self.shapes = []
+                generators.append(self.shapes)
 
-            def random(self, size):
-                u = self.gen.random(size)
+            def random(self, size=None, out=None):
+                u = self.gen.random(size, out=out)
                 drawn.append(u.ravel().copy())
                 events.append(u.shape)
+                self.shapes.append(u.shape)
                 return u
 
         generator = RNGSpec.generator
         monkeypatch.setattr(RNGSpec, "generator", lambda spec: CountingGenerator(generator(spec)))
-        def inverting(cdf, u, invert=simulate.invert_uniform_rows):
+        def inverting(cdf, u, out=None, invert=simulate.invert_uniform_rows):
             inverted.append(u.ravel().copy())
-            return invert(cdf, u)
+            return invert(cdf, u, out=out)
         monkeypatch.setattr(simulate, "invert_uniform_rows", inverting)
         samples = 3
-        if experiment == "clt":
+        if experiment in ("hopf", "scan"):
+            # per scale, a fresh generator of the spec draws samples x W
+            # uniforms in chunks of _HOPF_CHUNK_CELLS // (W + N) rows, here
+            # shrunk to 7: two full chunks and a partial one; the eps grid is
+            # built once per call and each scale's table prepared once
+            calls = {"epsilon_at": 0, "prepare_rows": 0}
+            def counting(name, fn):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+            monkeypatch.setattr(simulate, "epsilon_at", counting("epsilon_at", simulate.epsilon_at))
+            prepare = counting("prepare_rows", sampling.prepare_rows)
+            monkeypatch.setattr(simulate, "prepare_rows", prepare)
+            monkeypatch.setattr(sampling, "prepare_rows", prepare)
+            N, samples, rows = 8, 17, 7
+            lo, hi = window_for_shift(P1, N)
+            W = hi - lo
+            monkeypatch.setattr(simulate, "_HOPF_CHUNK_CELLS", rows * (W + N) + W)
+            ts = [1.0] if experiment == "hopf" else [0.25, 0.5, 1.0]
+            if experiment == "hopf":
+                hopf_diagnostic(P1, N=N, samples=samples, rng=RNGSpec(seed=5))
+            else:
+                scan_intensity(P1, ts, N=N, samples=samples, rng=RNGSpec(seed=5))
+            assert generators == [[(rows, W), (rows, W), (samples - 2 * rows, W)]] * len(ts)
+            stream = generator(RNGSpec(seed=5)).random((samples, W)).ravel()
+            assert np.array_equal(np.concatenate(drawn), np.tile(stream, len(ts)))
+            assert calls == {"epsilon_at": 1, "prepare_rows": len(ts)}
+        elif experiment == "clt":
             # dead columns in the blocks j <= 100 (up to the first snapshot) and 101..356
             fam = ExplicitFamily(((3, 0.0), (4, -0.3), (6, 0.0), (300, 0.0), (301, 0.0)), HALF)
             n = 600
@@ -619,6 +679,17 @@ class TestStoppingTime:
 
 
 class TestScanIntensity:
+    def test_later_level_refused_before_its_table(self, monkeypatch):
+        # each scale runs whole before the next one's moment bounds are checked
+        tables = []
+        def table(rates, build=simulate.poisson_cdf_tables):
+            tables.append(len(rates))
+            return build(rates)
+        monkeypatch.setattr(simulate, "poisson_cdf_tables", table)
+        with pytest.raises(ParameterDomainError, match=r"^Hopf moment bounds overflow at level 600\.0$"):
+            scan_intensity(IntensityProfile(1.0, HALF), [1.0, 600.0], N=8, samples=20, rng=RNGSpec(seed=0))
+        assert len(tables) == 1
+
     def test_requires_monotone_grid(self):
         with pytest.raises(ValueError):
             scan_intensity(P1, [1.0, 0.5], N=8, samples=10, rng=RNGSpec(0))
