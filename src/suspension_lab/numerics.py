@@ -7,6 +7,11 @@ tail goes through ``semi_infinite_sum``: an exact partial sum handled by the
 caller, plus an Euler-Maclaurin closure of the remainder whose error is
 dominated by the third-derivative term and is far below 1e-12 for the
 starting indices used in this package.
+
+No BLAS or LAPACK call enters here: the quadrature rule comes from
+Newton's method and the sums of the integral and the slope fit are exact
+(``math.fsum``), so their results do not depend on the BLAS kernel or
+thread count.
 """
 
 from __future__ import annotations
@@ -22,29 +27,59 @@ from .dist import ParameterDomainError
 
 #: Step of the central difference stencils in ``semi_infinite_sum``.
 _STENCIL_H = 8.0
+#: Nodes of the Gauss-Legendre rule in ``improper_integral``.
+_GAUSS_NODES = 128
 
 
 @functools.cache
 def _unit_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """128-node Gauss-Legendre nodes and weights mapped from [-1, 1] onto
-    (0, 1], computed on first use rather than at import."""
-    from numpy.polynomial.legendre import leggauss
+    """``_GAUSS_NODES``-node Gauss-Legendre nodes and weights mapped from
+    [-1, 1] onto (0, 1], ascending, computed on first use.
 
-    nodes, weights = leggauss(128)
+    The nodes are the roots of P_n, found by Newton's method from the
+    starts cos(pi (i - 1/4) / (n + 1/2)) (the classic ``gauleg`` routine of
+    Press et al., *Numerical Recipes*, 2nd ed., section 4.5), one half of
+    them since the rule is symmetric; P_n and P_n' come from the three-term
+    recurrence, and the weights are 2 / ((1 - z^2) P_n'(z)^2).  Only
+    elementwise float arithmetic and ``math.cos`` enter, not the eigenvalue
+    solve through LAPACK of numpy's ``leggauss``, whose end weights are
+    also 40 times further off.
+    """
+    n = _GAUSS_NODES
+    z = np.array([math.cos(math.pi * (i - 0.25) / (n + 0.5)) for i in range(1, n // 2 + 1)])
+    for _ in range(100):
+        p, dp = _legendre(n, z)
+        step = p / dp
+        z = z - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    dp = _legendre(n, z)[1]
+    w = 2.0 / ((1.0 - z * z) * dp * dp)
+    nodes = np.concatenate([-z, z[::-1]])
+    weights = np.concatenate([w, w[::-1]])
     return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _legendre(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(z) and P_n'(z) for |z| < 1, by the three-term recurrence."""
+    p1, p0 = np.ones_like(z), np.zeros_like(z)
+    for j in range(1, n + 1):
+        p1, p0 = ((2 * j - 1) * z * p1 - (j - 1) * p0) / j, p1
+    return p1, n * (z * p1 - p0) / (z * z - 1.0)
 
 
 def improper_integral(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
     """Integral of ``f`` over [a, inf) for smooth f with |f(t)| = O(t^-3/2).
 
     Substituting t = a / w^2 maps the domain onto (0, 1] and turns a
-    t^-3/2 decay into a bounded analytic integrand, which 128-node
-    Gauss-Legendre integrates to near machine precision.
+    t^-3/2 decay into a bounded analytic integrand, which the
+    ``_GAUSS_NODES``-node Gauss-Legendre rule integrates to near machine
+    precision.  The weighted values are added exactly.
     """
     w_nodes, w_weights = _unit_gauss_legendre()
     t = a / w_nodes**2
     vals = f(t) * (2.0 * a / w_nodes**3)
-    return float(np.dot(vals, w_weights))
+    return math.fsum((vals * w_weights).tolist())
 
 
 def semi_infinite_sum(f: Callable[[np.ndarray], np.ndarray], start: int) -> float:
@@ -91,26 +126,31 @@ class SlopeFit:
 def fit_log_slope(ns: Sequence[int], ys: Sequence[float], kind: str) -> SlopeFit:
     """Fit y = slope * log(n) + intercept by ordinary least squares.
 
+    In the closed form over x = log n and y centred at their means,
+    slope = sum dx dy / sum dx^2 and intercept = y_bar - slope x_bar, each
+    sum added exactly; ``ns`` must hold at least two distinct values.
     ``slope_se`` is the usual residual-based standard error; for the
     deterministic series fitted here it measures drift of the O(1) term,
     not sampling noise.
     """
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.size < 2:
+    x = [math.log(n) for n in ns]
+    y = [float(v) for v in ys]
+    if len(x) != len(y) or len(x) < 2:
         raise ValueError("need at least two (n, y) points with matching shapes")
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = max(x.size - 2, 1)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    slope_se = math.sqrt(float(np.sum(resid**2)) / dof / sxx) if sxx > 0 else math.inf
+    x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = [v - x_bar for v in x], [v - y_bar for v in y]
+    sxx = math.fsum(v * v for v in dx)
+    if sxx == 0.0:
+        raise ValueError("need at least two distinct n")
+    slope = math.fsum(u * v for u, v in zip(dx, dy)) / sxx
+    intercept = y_bar - slope * x_bar
+    rss = math.fsum((v - slope * u) ** 2 for u, v in zip(dx, dy))
     return SlopeFit(
         kind=kind,
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        slope_se=slope_se,
+        slope=slope,
+        intercept=intercept,
+        residual_rms=math.sqrt(rss / len(x)),
+        slope_se=math.sqrt(rss / max(len(x) - 2, 1) / sxx),
         n_min=int(min(ns)),
         n_max=int(max(ns)),
     )

@@ -5,9 +5,11 @@ takes an ``RNGSpec`` and derives a fresh generator from it, all Poisson
 draws go through CDF-table inversion (one uniform per variate), and the
 order in which uniforms are consumed is a fixed, documented function of
 the experiment parameters.  Identical (seed, stream) pairs therefore
-reproduce every statistic bit-for-bit on one CPU SIMD target, BLAS kernel
-and BLAS thread count; numpy's SIMD loops and the BLAS products may move
-the last bits of a float elsewhere.
+reproduce every statistic bit-for-bit on one CPU SIMD target.  Only the
+Hopf product ``counts @ theta`` goes through BLAS, so the clt, decay and
+stopping statistics are also the same under every BLAS kernel and thread
+count; hopf and scan, and numpy's SIMD loops on another CPU, may move the
+last bits of a float.
 
 Skellam increments y_j - x_j are drawn by one rule (``_increments``): per
 block, the x uniforms, then the y uniforms, each row-major; the y block is
@@ -17,7 +19,8 @@ skipped, stopping blocks ``_STOPPING_BLOCK`` indices over the samples
 still alive, decay one index.  Every block is drawn in row chunks of at
 most ``_DRAW_CHUNK_CELLS`` cells into one int32 array, x counts and then
 y - x; stopping reduces it chunk by chunk, clt and decay whole.  Neither
-this chunking nor the Hopf chunking ever changes the stream.
+this chunking nor the Hopf chunking ever changes the stream, and clt's
+``np.einsum`` block sums have the same bits for any row split.
 
 Hopf and scan draw, at every scale, samples x window uniforms row-major
 from a fresh generator of the spec.  One ``_hopf_core`` call serves every
@@ -186,7 +189,7 @@ def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
     chunks = _row_chunks(d)
     cdf = prepare_rows(poisson_cdf_tables(a_j), len(chunks[0]))
     for x in chunks:
-        x[:] = invert_uniform_rows(cdf, gen.random(x.shape))
+        invert_uniform_rows(cdf, gen.random(x.shape), out=x)
     for x in chunks:
         y = invert_uniform_rows(cdf0, gen.random((x.size, 1))).reshape(x.shape)
         np.subtract(y, x, out=x)
@@ -398,10 +401,11 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
             hi = min(cursor + _CLT_BLOCK, snap_end + 1)
             idx = np.flatnonzero(live[cursor:hi]) + cursor
             if len(idx):
-                # one gemv over the whole block: per-chunk products change the bits.
+                # einsum's own loop, not a BLAS gemv: each row is summed alike, whatever
+                # the block's row count, BLAS kernel or thread count.
                 # d lives on through the next draw, which then reuses heap pages, not fresh ones
                 d = _increments(gen, a_j[idx], cdf0, samples)
-                total += d @ eps_j[idx]
+                total += np.einsum("sk,k->s", d, eps_j[idx])
             cursor = hi
         e2 = float(np.sum(eps_j[: m - 1] ** 2))
         beta_m = 1.0 / math.sqrt(e2)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -646,19 +647,19 @@ DEAD_COLUMNS = {"kind": "explicit", "table": {"3": 0.0, "4": -0.3, "6": 0.0, "30
 TWO_ENTRIES = {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}, "tail": {"kind": "power", "gamma": 0.4, "sign": -1}}
 GOLDEN_BODIES = [
     ("hopf_power", "hopf", {"profile": {"base": 1.0}, "N": 8, "samples": 40},
-     "6cf5340c49b9dafa37cb6e370b4c908baceb1cb7ba98960c8b1eb249672e03fa"),
+     "02ad4eb9e3b81ac101369d8c8f22595d726759c9daf3e06e836a8e7f6c41418d"),
     ("hopf_step", "hopf",
      {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}, "N": 8, "samples": 40},
      "2bea45dd04590b150eb2eee592f0cb71d9d60e6fe43ef520b6fc4c69de083ede"),
     ("hopf_explicit_window", "hopf",
      {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}, "N": 8, "samples": 40, "window": [-50, 3000]},
-     "6c36c9bfc4cf0f21b41858787c43ab03ee6e5a5c19719572e229de9c92d94337"),
+     "033b60bc9de1c7b540f685ab51c5cbed23f87a3d981652459e1a723a50a114a4"),
     ("scan", "scan", {"profile": {"base": 1.0}, "t_grid": [0.5, 1.0, 2.0], "N": 8, "samples": 40},
-     "359806e7bd15b51fef11171ad53409f18f6ea4c5d3a8a9eee27a080f65bbda79"),
+     "c8be4ee339b573a7afd39de57d3fef7b09e8fe8624468752a5296bb91a07fe5c"),
     ("clt_power", "clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40},
-     "c33d0cd1290544ef4f1af919bfd1999c2b7dc7f3908bdd3a9632b976026e79f5"),
+     "01a624e2b273f92b006647068da0058ed610c2b1183769fd9c29cca65947abf3"),
     ("clt_dead_columns", "clt", {"profile": {"base": 1.0, "epsilon": DEAD_COLUMNS}, "n": 600, "samples": 40},
-     "565509ddabf5608b36f656aae7bf7adb7181463bec9a6f2d7a8c790e6d98f7e5"),
+     "64d343bfe843bf102af7a773ca56c2c8b80acce6d2dcf6f7275bf9ac5ebacad6"),
     ("decay", "decay", {"profile": {"base": 1.0}, "samples": 500, "ns": [10, 50, 100, 1000]},
      "3c17de900dab26556568b9ad217e103532da4f452889b4df5e6625dee2193931"),
     ("stopping", "stopping",
@@ -666,7 +667,7 @@ GOLDEN_BODIES = [
      "357fe8bff366fc39607919b125ccf01b5e2ba743dc01eb97c1dc6f2414d7a887"),
     # wide tables, past the comparison passes: x over three blocks and y at rate 200
     ("clt_base_200", "clt", {"profile": {"base": 200.0}, "n": 600, "samples": 40},
-     "133fab449567d8c5fd912df617c6b065db5dcc9fba98245ee093ce0c137a6a8e"),
+     "bb669a1bed9eb011295090437c93d6b5d6e14b7a3796fb0b822bf27d74f32b49"),
     # decay refuses bases above about 5 (no certified tail threshold), so a
     # stopping run draws the 8192-column blocks and the y row at base 200
     ("stopping_base_200", "stopping",
@@ -674,25 +675,25 @@ GOLDEN_BODIES = [
      "61a4a293bb599550c4843f781d4b7fa822a07f2f42fc872b40bf328371ecbe0d"),
     # fewer sample rows (a chunk of 40) than table columns
     ("hopf_base_50", "hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 40},
-     "8452b7ca924e1611e8cfb4b382becb792039c3d42caff0284c93a018a5a2166a"),
+     "45f973324212c972cdae14ab2c817bbc8059c7db4cb183eb31ad2fb1d46a8663"),
     # the analytic layer: condition verdicts, series units, fits, certificates and the bracket
     ("bracket", "bracket", {"profile": {"base": 1.0}},
-     "96569cd9f28eea9e3527db517bb2f8049de5679344a6cd8f2bf2b8f4d0fdbe4a"),
+     "de3b7fa96c927a34db7ae223b7d6461c265e95328d641a5d61b9548edb522658"),
     ("classify_power_0.3", "classify",
      {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.3, "sign": -1}}},
-     "9d99203566f481de5f970767acc0f3eea417c2302c7e878b2bd837351c165483"),
+     "36fe6de9f873332d808b052cd792933587e81d9a2841ef8c5529e5480a834e74"),
     ("classify_power_0.75", "classify",
      {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.75, "sign": -1}}},
-     "caad23ed16f9e1c7de26c255ae744d78527898aac344f7b2fe386bbf083a1080"),
+     "62530fd87495d2d336f205932d78feb3c4b3b59123a3897042328b07a9d0f9fd"),
     ("classify_explicit", "classify", {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}},
-     "e97cf3ff259fabcbc54747db3bced0026ed9fe63cf62b8fdcb97c24f490d6617"),
+     "2757ecb8f4c0594b6b82be633398268a321947c93c270797decfbb7527ddbeba"),
     ("classify_step", "classify",
      {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
      "b53ff87ef00f70cb42098a7ac412cd3cdc45cb2b713c2588804ebc797f860ec7"),
     ("check", "check", {"profile": {"base": 1.0}},
      "032bd234c32109a4b23b2ae777118760472499765049860962ba6289ac85e94e"),
     ("asymptotics", "asymptotics", {"profile": {"base": 1.0}},
-     "597ca97b787142417aa32e447c488dfb66b29e344bf92d0c1ac7bf4ad2b1f168"),
+     "db1a905af6df4287be0c93ad0488a174ec8bf6b75ff13be979315956481ff5bb"),
     ("tails", "tails", {"skellam": {"a": 1.0, "b": 0.6}, "L": 4},
      "b19dca6937a22db2ac804d99d8a3b8b2b6759a55894f40874ef1856146b4107d"),
     # written forms no digest above reaches: disjoint limit sets, a body rng
@@ -701,7 +702,7 @@ GOLDEN_BODIES = [
      {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
      "ad7b6a36ab1297b27ed4730f9999ec54cbd32c1bad68fef0d510479b4b01e009"),
     ("clt_stream_2", "clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40, "rng": {"stream": 2}},
-     "d57e1c330623f5d38df339eb42f090e99df1390226a2d6b970e63405a002d0c1"),
+     "39cf4d04967c97673fd9eeb6e3fcd2a43229427e2565217e5d3b7e7e750ade98"),
     ("classify_explicit_no_tail", "classify",
      {"profile": {"base": 1.0, "epsilon": {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}}}},
      "cccff393ee769f50330b59de4c336e0a36fe8f11d13644faf4ceb5b00970e69e"),
@@ -714,18 +715,34 @@ GOLDEN_BODIES = [
      "ff726f8b5940ba84c38b029fc48ebccf9148fe10e225a26be18f801873865b38"),
     # blocks of 600 samples x 256 columns at rate 200 span two row chunks
     ("clt_600_base_200", "clt", {"profile": {"base": 200.0}, "n": 600, "samples": 600},
-     "baccf24b47042aafcf512de6bbbe136a7f12dc3bc7f9553c2994c757fbe57f99"),
+     "7f65c20ca67c6e8fded6b14e2d40e8a868a6cc8897c624f087a6995db7801a1a"),
     # Hopf chunks of 2^20 // (W + N) sample rows: two full chunks and a
     # partial one per scale (W = 2340, N = 64: 436 rows; 972 = 2 * 436 + 100),
     # three scales of a zero-gap family, so every scale reports its Markov
     # event frequencies
     ("scan_chunks", "scan", {"profile": {"base": 1.0}, "t_grid": [0.25, 0.5, 1.0], "N": 64, "samples": 972},
-     "68dc60965b5cbb8621e3dd029f9cf74c5f495137f0f5f99755eef4593ae1664d"),
+     "7d8e9f22373faacb0ecc812b9dd19bc18489fd49b79645c78e279198840bd72b"),
     # the guide search over two full chunks and a partial one (W = 2022,
     # N = 8: 516 rows; 1132 = 2 * 516 + 100)
     ("hopf_base_50_chunks", "hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 1132},
-     "10e6b464587a076ee7e0b008e83c730d9fa27f6c955cd81196fec31e65a68307"),
+     "25f12ffbc79f255867070a8e83d21c13dc31f5cea82872220d595ed017531445"),
 ]
+
+#: Runs (name, command, config) documents from stdin at seed 1 in one
+#: interpreter and prints the sha256 of each body by name.
+GOLDEN_CHILD = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from suspension_lab import cli
+digests = {}
+with tempfile.TemporaryDirectory() as work:
+    cfg, out = Path(work) / "cfg.json", Path(work) / "out.json"
+    for name, command, doc in json.load(sys.stdin):
+        cfg.write_text(json.dumps(doc))
+        cli.main([command, "--config", str(cfg), "--out", str(out), "--seed", "1"])
+        digests[name] = hashlib.sha256(cli.body_bytes(json.loads(out.read_text()))).hexdigest()
+print(json.dumps(digests))
+"""
 
 #: ``continuous_base_bound`` inputs, which no command reaches, and the sha256
 #: of their written form.
@@ -744,6 +761,21 @@ class TestDeterminism:
         code, out = run_to_file(tmp_path, command, doc, "--seed", "1")
         assert code in (EXIT_OK, EXIT_ANOMALY)
         assert hashlib.sha256(body_bytes(json.loads(out.read_text()))).hexdigest() == digest
+
+    @pytest.mark.parametrize("setting", [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Sandybridge"}],
+                             ids=["one_blas_thread", "sandybridge_kernel"])
+    def test_golden_bodies_across_blas_settings(self, setting):
+        # Only the bodies of the Hopf ``counts @ theta`` gemm may hang on the
+        # BLAS kernel and thread count; hopf_step's theta entries are 0 and
+        # -0.5, so its products are exact in any order.
+        exempt = {"hopf_power", "hopf_explicit_window", "hopf_base_50", "hopf_base_50_chunks", "scan", "scan_chunks"}
+        cases = [(name, command, doc) for name, command, doc, _ in GOLDEN_BODIES]
+        assert exempt <= {name for name, *_ in cases}
+        proc = subprocess.run([sys.executable, "-c", GOLDEN_CHILD], input=json.dumps(cases),
+                              env={**os.environ, **setting}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert [name for name, *_, digest in GOLDEN_BODIES if name not in exempt and got[name] != digest] == []
 
     def test_header_rng_stream(self, tmp_path):
         doc = {"profile": {"base": 1.0}, "n": 300, "samples": 40, "rng": {"stream": 2}}

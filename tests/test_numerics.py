@@ -1,6 +1,7 @@
 """Direct tests of the shared numerical machinery."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +10,9 @@ from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from suspension_lab.numerics import (
+    _GAUSS_NODES,
     SlopeFit,
+    _unit_gauss_legendre,
     fit_log_slope,
     geometric_grid,
     improper_integral,
@@ -37,6 +40,44 @@ class TestImproperIntegral:
         a = 1000.0
         got = improper_integral(lambda t: t**-1.5 * (1.0 + 1.0 / t), a)
         assert got == pytest.approx(2.0 * a**-0.5 + (2.0 / 3.0) * a**-1.5, rel=1e-14)
+
+
+class TestGaussLegendre:
+    @staticmethod
+    def oracle(n: int) -> tuple[list, list]:
+        """The n-node rule on (0, 1], ascending, at 40 digits: Newton's
+        method on mpmath's P_n from the cosine starts, to a step below 1e-38."""
+        with mpmath.workdps(40):
+            nodes, weights = [], []
+            for i in range(1, n + 1):
+                z = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (n + mpmath.mpf(0.5)))
+                for _ in range(50):
+                    dp = n * (z * mpmath.legendre(n, z) - mpmath.legendre(n - 1, z)) / (z * z - 1)
+                    step = mpmath.legendre(n, z) / dp
+                    z -= step
+                    if abs(step) < mpmath.mpf(10) ** -38:
+                        break
+                dp = n * (z * mpmath.legendre(n, z) - mpmath.legendre(n - 1, z)) / (z * z - 1)
+                nodes.append((1 - z) / 2)
+                weights.append(1 / ((1 - z * z) * dp * dp))
+        return nodes, weights
+
+    def test_against_mpmath(self):
+        nodes, weights = _unit_gauss_legendre()
+        want_nodes, want_weights = self.oracle(_GAUSS_NODES)
+        assert len(nodes) == len(weights) == _GAUSS_NODES
+        for got, want in zip(nodes, want_nodes):
+            assert abs(got - float(want)) <= 1e-15
+        # an eigenvalue-solve rule (numpy's leggauss) is off by 1.4e-11 at the end nodes
+        for got, want in zip(weights, want_weights):
+            assert float(abs((got - want) / want)) <= 1e-12
+
+    def test_integrates_polynomials_exactly(self):
+        # an n-node rule is exact up to degree 2n - 1
+        nodes, weights = _unit_gauss_legendre()
+        for k in range(2 * _GAUSS_NODES):
+            got = math.fsum((weights * nodes**k).tolist())
+            assert abs(got - 1.0 / (k + 1)) <= 1e-14, k
 
 
 class TestSemiInfiniteSum:
@@ -76,6 +117,33 @@ class TestFitLogSlope:
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
             fit_log_slope([16], [1.0], kind="demo")
+
+    def test_refuses_zero_spread(self):
+        with pytest.raises(ValueError):
+            fit_log_slope([16, 16, 16], [1.0, 2.0, 3.0], kind="demo")
+
+    def test_against_exact_least_squares(self):
+        # the normal equations solved in exact rationals over the same float
+        # log n; noisy data put some slopes and intercepts near 0, where
+        # lstsq was off by 1e-12 relative
+        for seed in range(100):
+            gen = np.random.Generator(np.random.PCG64(seed))
+            ns = sorted(set(gen.integers(1, 200_000, size=12).tolist()))
+            ys = (gen.normal(0.0, 1.0, len(ns)) + 0.7 * np.log(ns)).tolist()
+            fit = fit_log_slope(ns, ys, kind="demo")
+            x = [Fraction(math.log(n)) for n in ns]
+            y = [Fraction(v) for v in ys]
+            k = len(x)
+            x_bar, y_bar = sum(x) / k, sum(y) / k
+            sxx = sum((v - x_bar) ** 2 for v in x)
+            slope = sum((u - x_bar) * v for u, v in zip(x, y)) / sxx
+            intercept = y_bar - slope * x_bar
+            rss = sum((v - slope * u - intercept) ** 2 for u, v in zip(x, y))
+            assert fit.slope == pytest.approx(float(slope), rel=1e-13, abs=0.0), seed
+            assert fit.intercept == pytest.approx(float(intercept), rel=1e-13, abs=0.0), seed
+            assert fit.residual_rms == pytest.approx(math.sqrt(rss / k), rel=1e-13, abs=0.0), seed
+            assert fit.slope_se == pytest.approx(math.sqrt(rss / (k - 2) / sxx), rel=1e-13, abs=0.0), seed
+            assert (fit.n_min, fit.n_max) == (ns[0], ns[-1])
 
 
 class TestGeometricGrid:

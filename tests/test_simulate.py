@@ -614,6 +614,19 @@ class TestCltExperiment:
             assert sum(shape[1] > 1 for shape in blocks[0]) >= 2  # two row chunks or more
         assert np.array_equal(np.concatenate(drawn), np.concatenate(inverted))
 
+    @pytest.mark.parametrize("base, columns", [(1.0, 256), (200.0, 256), (1.0, 253)])
+    def test_block_sums_ignore_the_row_split(self, base, columns):
+        # clt's reduction of a draw block: each row's sum has the same bits
+        # whatever rows are summed with it
+        eps = epsilon_at(HALF, np.arange(2, columns + 2))
+        a0 = np.array([base])
+        d = simulate._increments(RNGSpec(seed=3).generator(), base * np.exp(eps), poisson_cdf_tables(a0), 1_000)
+        whole = np.einsum("sk,k->s", d, eps)
+        assert np.array_equal(whole, np.einsum("sk,k->s", d.astype(float), eps))
+        for step in (1, 7, 500, 999):
+            parts = [np.einsum("sk,k->s", d[r0:r0 + step], eps) for r0 in range(0, len(d), step)]
+            assert np.array_equal(np.concatenate(parts), whole), step
+
     def test_reproducible(self):
         a = clt_experiment(P1, n=300, samples=500, rng=RNGSpec(seed=21))
         b = clt_experiment(P1, n=300, samples=500, rng=RNGSpec(seed=21))
