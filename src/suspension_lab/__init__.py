@@ -11,6 +11,11 @@ Five layers:
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# Idle OpenBLAS workers sleep, not spin (read only if numpy loads after this); bodies unchanged, a preset value wins.
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .dist import (
     LOG_ZERO,
     ParameterDomainError,

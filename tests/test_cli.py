@@ -762,13 +762,18 @@ class TestDeterminism:
         assert code in (EXIT_OK, EXIT_ANOMALY)
         assert hashlib.sha256(body_bytes(json.loads(out.read_text()))).hexdigest() == digest
 
-    @pytest.mark.parametrize("setting", [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Sandybridge"}],
-                             ids=["one_blas_thread", "sandybridge_kernel"])
-    def test_golden_bodies_across_blas_settings(self, setting):
-        # Only the bodies of the Hopf ``counts @ theta`` gemm may hang on the
-        # BLAS kernel and thread count; hopf_step's theta entries are 0 and
-        # -0.5, so its products are exact in any order.
-        exempt = {"hopf_power", "hopf_explicit_window", "hopf_base_50", "hopf_base_50_chunks", "scan", "scan_chunks"}
+    # Only the bodies of the Hopf ``counts @ theta`` gemm may hang on the BLAS
+    # kernel and thread count; hopf_step's theta entries are 0 and -0.5, so
+    # its products are exact in any order.  How long idle workers spin
+    # (OpenBLAS's default is 2^28 cycles) keeps the threads and moves nothing.
+    HOPF_GEMM = {"hopf_power", "hopf_explicit_window", "hopf_base_50", "hopf_base_50_chunks", "scan", "scan_chunks"}
+
+    @pytest.mark.parametrize("setting, exempt", [
+        pytest.param({"OPENBLAS_NUM_THREADS": "1"}, HOPF_GEMM, id="one_blas_thread"),
+        pytest.param({"OPENBLAS_CORETYPE": "Sandybridge"}, HOPF_GEMM, id="sandybridge_kernel"),
+        pytest.param({"OPENBLAS_THREAD_TIMEOUT": "28"}, set(), id="spinning_blas_workers"),
+    ])
+    def test_golden_bodies_across_blas_settings(self, setting, exempt):
         cases = [(name, command, doc) for name, command, doc, _ in GOLDEN_BODIES]
         assert exempt <= {name for name, *_ in cases}
         proc = subprocess.run([sys.executable, "-c", GOLDEN_CHILD], input=json.dumps(cases),
@@ -815,6 +820,47 @@ class TestDeterminism:
         _, out2 = run_to_file(tmp_path, "asymptotics", doc, "--format", "csv", name="b.csv")
         strip = lambda text: "\n".join(l for l in text.splitlines() if not l.startswith("#"))
         assert strip(out1.read_text()) == strip(out2.read_text())
+
+
+#: Imports the package before numpy, runs one 512 x 512 gemm, and prints the
+#: CPU seconds the process burns across a 0.25 s sleep and the OpenBLAS
+#: worker timeout it runs with.
+IDLE_CHILD = """
+import json, os, time
+import suspension_lab
+import numpy as np
+a = np.random.default_rng(0).random((512, 512))
+a @ a
+start = time.process_time()
+time.sleep(0.25)
+print(json.dumps([time.process_time() - start, os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+"""
+
+
+def _numpy_blas() -> str:
+    import numpy as np
+    return np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or "openblas" not in _numpy_blas().lower(),
+                    reason="idle workers spin only in a multi-threaded OpenBLAS")
+class TestIdleBlasWorkers:
+    def _child(self, **preset):
+        # this process imported the package, which set the timeout for its children too
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        proc = subprocess.run([sys.executable, "-c", IDLE_CHILD], env={**env, **preset},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_workers_sleep_after_a_gemm(self):
+        burnt, timeout = self._child()
+        assert burnt < 0.025
+        assert timeout == "4"
+
+    def test_preset_timeout_is_kept(self):
+        _, timeout = self._child(OPENBLAS_THREAD_TIMEOUT="28")
+        assert timeout == "28"
 
 
 class TestEntryPoint:
