@@ -199,7 +199,8 @@ def _invert_by_passes(table: RowTables, u: np.ndarray, counts: np.ndarray) -> No
         for k in range(1, passes):
             n += chunk >= columns[k]
         block[:] = n
-        s_i, r_i = np.nonzero(n == passes)
+        # the row-major positions of np.nonzero, for a tenth of its 2-D cost per cell
+        s_i, r_i = np.divmod(np.flatnonzero(n == passes), R)
         # the climbing counts, never read back from ``counts``, whose dtype is the caller's
         c = np.full(len(s_i), passes, dtype=np.intp)
         while len(s_i):

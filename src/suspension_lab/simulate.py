@@ -17,10 +17,14 @@ inverted as one column against the one-row a_0 table.  clt blocks are
 ``_CLT_BLOCK`` consecutive indices, whose dead ones (eps_j = 0) are
 skipped, stopping blocks ``_STOPPING_BLOCK`` indices over the samples
 still alive, decay one index.  Every block is drawn in row chunks of at
-most ``_DRAW_CHUNK_CELLS`` cells into one int32 array, x counts and then
-y - x; stopping reduces it chunk by chunk, clt and decay whole.  Neither
-this chunking nor the Hopf chunking ever changes the stream, and clt's
-``np.einsum`` block sums have the same bits for any row split.
+most ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer) into one
+int32 array, x counts and then y - x; each chunk's uniforms go into one
+float64 buffer, and its y counts into one int32 buffer, allocated once per
+block.  Stopping reduces the block chunk by chunk, in float buffers
+allocated once per run; clt and decay reduce it whole.  Neither this
+chunking, nor these buffers, nor the Hopf chunking ever changes the stream
+(``gen.random(out=...)`` returns the doubles ``gen.random(shape)`` would),
+and clt's ``np.einsum`` block sums have the same bits for any row split.
 
 Hopf and scan draw, at every scale, samples x window uniforms row-major
 from a fresh generator of the spec.  One ``_hopf_core`` call serves every
@@ -166,8 +170,10 @@ def _covered_window(profile: IntensityProfile, n: int, window_tol: float,
 def _row_chunks(block: np.ndarray) -> list[np.ndarray]:
     """Views of a 2-D block in the fewest consecutive row chunks of at most
     ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer), of equal
-    rows but the last."""
-    parts = max(1, -(-block.size // _DRAW_CHUNK_CELLS))
+    rows but the last: a buffer of that cap, or of one row where a row is
+    longer, holds every chunk."""
+    fit = max(1, _DRAW_CHUNK_CELLS // max(block.shape[1], 1))  # most rows a chunk holds
+    parts = max(1, -(-len(block) // fit))
     step = max(1, -(-len(block) // parts))
     return [block[r0:r0 + step] for r0 in range(0, len(block), step)]
 
@@ -180,19 +186,24 @@ def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
     The x uniforms are drawn first, then the y uniforms, each a row-major
     (rows, columns) matrix; the y matrix is inverted as one column of
     rows * columns.  Both are drawn and inverted in the row chunks of
-    ``_row_chunks`` against the a_j table, built and prepared once: the x
-    counts go into the int32 block, and each y chunk then turns its rows
-    into y - x.  Consecutive ``gen.random`` row chunks return the doubles
-    of one matrix, so chunking never changes the stream."""
+    ``_row_chunks`` against the a_j table, built and prepared once: each
+    chunk's uniforms are drawn by ``gen.random(out=...)`` into one float64
+    buffer of the block, the x counts go into the int32 block, and each y
+    chunk is inverted into one int32 buffer of the block, then turns its
+    rows into y - x.  Consecutive ``gen.random`` row chunks return the
+    doubles of one matrix, into a buffer or not, so neither the chunking
+    nor the buffers ever change the stream."""
     require_cells("a draw block", rows, len(a_j))
     d = np.empty((rows, len(a_j)), dtype=np.int32)
     chunks = _row_chunks(d)
     cdf = prepare_rows(poisson_cdf_tables(a_j), len(chunks[0]))
+    u, y = np.empty(chunks[0].size), np.empty(chunks[0].size, dtype=np.int32)
     for x in chunks:
-        invert_uniform_rows(cdf, gen.random(x.shape), out=x)
+        invert_uniform_rows(cdf, gen.random(out=u[:x.size].reshape(x.shape)), out=x)
     for x in chunks:
-        y = invert_uniform_rows(cdf0, gen.random((x.size, 1))).reshape(x.shape)
-        np.subtract(y, x, out=x)
+        y_x = y[:x.size].reshape(x.shape)
+        invert_uniform_rows(cdf0, gen.random(out=u[:x.size].reshape(-1, 1)), out=y_x.reshape(-1, 1))
+        np.subtract(y_x, x, out=x)
     return d
 
 
@@ -547,6 +558,9 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
     x_at_crossing = np.full(samples, np.nan)
     max_abs_x = np.zeros(samples)
     alive = np.arange(samples)
+    # the float reductions stay one row chunk in size, in buffers of the largest
+    cells = max(_DRAW_CHUNK_CELLS, _STOPPING_BLOCK)
+    X_buf, sums_buf, below_buf = np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool)
 
     j = M
     while j < N and len(alive):
@@ -555,11 +569,13 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         eps_j = epsilon_at(profile.epsilon, js)
         d = _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive))
         crossed, r0 = [], 0
-        for chunk in _row_chunks(d):  # the float reductions stay one chunk in size
+        for chunk in _row_chunks(d):
             rows = alive[r0:r0 + len(chunk)]
-            X = chunk * eps_j[None, :]
-            sums = partial[rows, None] + np.cumsum(X, axis=1)
-            below = sums < r
+            X = np.multiply(chunk, eps_j, out=X_buf[:chunk.size].reshape(chunk.shape))
+            # c + p is p + c in IEEE arithmetic, so these are the bits of partial + cumsum(X)
+            sums = np.cumsum(X, axis=1, out=sums_buf[:chunk.size].reshape(chunk.shape))
+            sums += partial[rows, None]
+            below = np.less(sums, r, out=below_buf[:chunk.size].reshape(chunk.shape))
             first = below.argmax(axis=1)
             h = np.flatnonzero(below[np.arange(len(rows)), first])  # chunk rows that cross in this block
             absX = np.abs(X, out=X)

@@ -239,6 +239,29 @@ class TestInversionExactness:
         y = _adversarial_uniforms(cdf[:1], 300_000, seed=2)
         assert np.array_equal(invert_uniform_rows(cdf[:1], y), _raw_search(cdf[:1], y))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "column"])
+    def test_passes_across_sample_chunks(self, monkeypatch, layout):
+        # chunks of 5 sample rows of 7 columns (38 // 7), the last one partial,
+        # each with draws climbing past the passes
+        monkeypatch.setattr(sampling, "_CHUNK_CELLS", 38)
+        cdf = poisson_cdf_tables(np.linspace(0.0, 6.0, 7))
+        S = 23
+        if layout == "column":
+            cdf, S = cdf[5:6], 100  # chunks of 38 rows
+        u = _adversarial_uniforms(cdf, S, seed=3)
+        if layout == "F":
+            u = np.asfortranarray(u)
+        elif layout == "strided":
+            wide = np.zeros((2 * S, 3 * cdf.shape[0]))
+            wide[::2, 1::3] = u
+            u = wide[::2, 1::3]
+        want = _raw_search(cdf, u)
+        passes = prepare_rows(cdf, S).passes
+        assert passes is not None and np.any(want > passes)
+        assert np.array_equal(invert_uniform_rows(cdf, u), want)
+        for out in (np.empty(u.shape, dtype=np.int32), np.empty(u.shape, order="F")):
+            assert np.array_equal(invert_uniform_rows(cdf, u, out=out), want)
+
     def test_largest_uniform_in_a_far_column(self):
         # u = 1 - 2^-53 on rate-1 rows: the count is the plateau index, 18, in every column
         cdf = poisson_cdf_tables(np.full(8_192, 1.0))
@@ -656,6 +679,27 @@ class TestIncrementTailDecay:
         assert 1e-9 < row["exact_tail"] < 1e-8
 
 
+class TestRowChunks:
+    CAP = simulate._DRAW_CHUNK_CELLS
+
+    @pytest.mark.parametrize("rows", [1, 2, 15, 16, 17, 977, 1_000, 2_000])
+    @pytest.mark.parametrize("columns", [1, 3, 256, 6_960, 8_080, 8_192, 1 << 17, (1 << 17) + 1, 3 << 17])
+    def test_fewest_chunks_within_the_cap(self, rows, columns):
+        # a view of row numbers, so no cell is allocated
+        block = np.broadcast_to(np.arange(rows)[:, None], (rows, columns))
+        chunks = simulate._row_chunks(block)
+        assert all(c.size <= self.CAP or len(c) == 1 for c in chunks)
+        assert len(chunks) == -(-rows // max(1, self.CAP // columns))
+        assert {len(c) for c in chunks[:-1]} <= {len(chunks[0])} and len(chunks[-1]) <= len(chunks[0])
+        assert all(np.shares_memory(c, block) for c in chunks)
+        assert np.array_equal(np.concatenate([c[:, 0] for c in chunks]), np.arange(rows))
+
+    def test_bench_chunkings(self):
+        # clt blocks of 2000 x 256 and stopping blocks of 1000 x 8192
+        assert [len(c) for c in simulate._row_chunks(np.empty((2_000, 256)))] == [500] * 4
+        assert {len(c) for c in simulate._row_chunks(np.empty((1_000, 8_192)))[:-1]} == {16}
+
+
 class TestStoppingTime:
     def test_domain_errors(self):
         with pytest.raises(ParameterDomainError):
@@ -684,6 +728,17 @@ class TestStoppingTime:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_statistics_ignore_the_chunk_size(self, monkeypatch):
+        # blocks of 8192, 8192 and 3000 columns over 50, 22 and 15 samples
+        # alive (13 never cross), drawn and reduced in chunks of up to 7 rows
+        # (7 x 7 + 1 in the first block), in one-row chunks, and by default
+        run = lambda: stopping_time_experiment(P1, r=-5.0, eps=0.5, M=100, N=100 + 2 * 8_192 + 3_000,
+                                               samples=50, rng=RNGSpec(seed=1)).statistics
+        default = run()
+        for cells in (7 * 8_192 + 1_000, 3_000):
+            monkeypatch.setattr(simulate, "_DRAW_CHUNK_CELLS", cells)
+            assert run() == default, cells
 
     def test_reproducible(self):
         a = stopping_time_experiment(P1, r=-1.5, eps=0.5, M=50, N=5_000, samples=100, rng=RNGSpec(seed=33))
