@@ -6,7 +6,8 @@ outcome (log of zero mass) is the explicit sentinel ``LOG_ZERO`` rather than
 a silent under- or overflow.  The Skellam pmf uses the prefactor
 exp(-(a+b)), which is what the characteristic function
 exp(-(a+b) + a e^{it} + b e^{-it}) and normalisation over the integers
-force; the analytic tail bound below carries the same prefactor.
+force; the analytic tail bound carries the same prefactor.  The exact tail
+takes its pmf row from a recurrence in k, not from the Bessel series.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ BESSEL_RTOL = 1e-18
 BESSEL_MAX_TERMS = 10_000
 _BESSEL_RESCALE = 1e280
 
-# Tail summation policy: extend the outer sum until this many consecutive
-# terms past the mean fall below TAIL_TERM_FLOOR; the walk passes the mean,
-# so refuse rates above TAIL_MAX_RATE.
-TAIL_RUN = 50
-TAIL_TERM_FLOOR = 1e-18
+# The exact tail takes a Python step per pmf term, about |a - b| + 12 sd + L.
 TAIL_MAX_RATE = 10_000.0
 
 # Tail threshold search: L up to THRESHOLD_L_MAX, parameter grid step THRESHOLD_GRID_STEP.
@@ -154,39 +151,52 @@ def skellam_support_cutoff(law: SkellamLaw) -> int:
     return int(abs(mean) + 12.0 * math.sqrt(var + 1.0) + 30.0)
 
 
-def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
-    """Two-sided tail mass sum_{|k| >= L} pmf(k) and its analytic bound.
+def _log_side(a: float, b: float, T: int) -> list[tuple[float, float]]:
+    """log p(k) / p(0), k = 0..T (k = 0 alone if a = 0), of the law (a, b) as
+    sums s + c: Miller's backward recurrence a p(k - 1) = k p(k) + b p(k + 1)
+    from p(T + 1) = 0 (Gautschi, *SIAM Review* 9, 1967) gives r = p(k) /
+    p(k - 1), and Neumaier's compensated steps sum the logs, so rounding does
+    not grow with T.  log r is taken whole; log a - log d repeats log a's rounding."""
+    logs, r = [0.0] * (T if a > 0.0 else 0), 0.0
+    for k in range(len(logs), 0, -1):
+        d = k + b * r
+        r = a / d
+        logs[k - 1] = math.log(r) if r > 0.0 else math.log(a) - math.log(d)
+    side = [(0.0, 0.0)]
+    for x in logs:
+        s, c = side[-1]
+        t = s + x
+        side.append((t, c + ((s - t) + x if abs(s) >= abs(x) else (x - t) + s)))
+    return side
 
-    The exact tail extends outward on each side until TAIL_RUN consecutive
-    terms past the mean (k > sign * (a - b)) fall below TAIL_TERM_FLOOR;
-    Poisson-type tails decay super-exponentially.  Rates above TAIL_MAX_RATE
-    are refused; the sum is capped at 1, which pmf rounding can pass.
-    The bound is exp(-(a+b)+ab) * (a^L e^a + b^L e^b) / L!, capped at 1,
-    which dominates the exact tail for every L >= 1: each pmf value is
-    bounded by the leading Bessel prefactor times e^{ab}, and the two
-    one-sided sums then telescope into the displayed form.
+
+def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
+    """Two-sided tail mass sum_{|k| >= L} pmf(k) and ``skellam_tail_bound``.
+
+    The exact tail is the share of |k| >= L in the pmf row over [-T, T],
+    T = L + ``skellam_support_cutoff``, whose sides are ``_log_side`` of the
+    law and of its reflection (b, a); it is 0, with no row, where both Chernoff
+    bounds P(X - Y >= L) <= P(X >= L) <= e^-a (e a / L)^L (L > a) underflow.
     """
-    if L < 1:
-        raise ParameterDomainError(f"L must be a positive integer, got {L}")
+    bound = skellam_tail_bound(law, L)  # refuses L < 1
     if not max(law.a, law.b) <= TAIL_MAX_RATE:
         raise ParameterDomainError(f"rates ({law.a}, {law.b}) exceed the tail cap {TAIL_MAX_RATE}")
-    terms: list[float] = []
-    for sign in (1, -1):
-        below = 0
-        k = L
-        while below < TAIL_RUN:
-            p = skellam_pmf(law, sign * k)
-            terms.append(p)
-            below = below + 1 if p < TAIL_TERM_FLOOR and k > sign * (law.a - law.b) else 0
-            k += 1
-    exact = min(1.0, math.fsum(terms))
-    return TailEstimate(exact=exact, bound=skellam_tail_bound(law, L))
+    if L > max(law.a, law.b) and not any(math.exp(L + L * math.log(r / L) - r) for r in (law.a, law.b) if r):
+        return TailEstimate(exact=0.0, bound=bound)
+    T = L + skellam_support_cutoff(law)
+    sides = _log_side(law.a, law.b, T), _log_side(law.b, law.a, T)
+    s_m, c_m = max(max(side) for side in sides)
+    pos, neg = ([math.exp((s - s_m) + (c - c_m)) for s, c in side] for side in sides)
+    return TailEstimate(exact=math.fsum(pos[L:] + neg[L:]) / math.fsum(pos + neg[1:]), bound=bound)
 
 
 def skellam_tail_bound(law: SkellamLaw, L: int) -> float:
     """Analytic tail bound exp(-(a+b)+ab) * (a^L e^a + b^L e^b) / L!, capped
-    at 1 (it bounds a probability).  Both terms are compared in log space,
-    so a bound above 1 is returned as 1 before exp can overflow."""
+    at 1 (it bounds a probability), which dominates the exact tail for every
+    L >= 1: each pmf value is bounded by the leading Bessel prefactor times
+    e^{ab}, and the two one-sided sums then telescope into the displayed
+    form.  Both terms are compared in log space, so a bound above 1 is
+    returned as 1 before exp can overflow."""
     if L < 1:
         raise ParameterDomainError(f"L must be a positive integer, got {L}")
     base = -(law.a + law.b) + law.a * law.b - math.lgamma(L + 1)

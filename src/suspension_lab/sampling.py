@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ParameterDomainError
+from .dist import ParameterDomainError, SkellamLaw, skellam_support_cutoff
 
 _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
@@ -115,8 +115,7 @@ def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     rmax = float(rates.max(initial=0.0))
     if rmax > _MAX_RATE:
         raise ParameterDomainError(f"rate {rmax} exceeds the supported cap {_MAX_RATE}")
-    # Poisson(r) mass above r + m*sqrt(r) + c decays like a Gaussian tail in m
-    K = int(rmax + 12.0 * math.sqrt(rmax + 1.0) + 30.0)
+    K = skellam_support_cutoff(SkellamLaw(rmax, 0.0))
     require_cells("a CDF table", len(rates), K + 1)
     pmf = np.empty((len(rates), K + 1))
     pmf[:, 0] = np.exp(-rates)

@@ -185,24 +185,25 @@ def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
 
     The x uniforms are drawn first, then the y uniforms, each a row-major
     (rows, columns) matrix; the y matrix is inverted as one column of
-    rows * columns.  Both are drawn and inverted in the row chunks of
-    ``_row_chunks`` against the a_j table, built and prepared once: each
-    chunk's uniforms are drawn by ``gen.random(out=...)`` into one float64
-    buffer of the block, the x counts go into the int32 block, and each y
-    chunk is inverted into one int32 buffer of the block, then turns its
-    rows into y - x.  Consecutive ``gen.random`` row chunks return the
-    doubles of one matrix, into a buffer or not, so neither the chunking
-    nor the buffers ever change the stream."""
+    rows * columns.  Both are drawn in the row chunks of ``_row_chunks``,
+    against the a_j and a_0 tables prepared once per block (no count depends
+    on the guide size): each chunk's uniforms go by ``gen.random(out=...)``
+    into one float64 buffer, its x counts into the int32 block and its y
+    counts into one int32 buffer, and then the chunk's rows become y - x.
+    Consecutive ``gen.random`` row chunks return the doubles of one matrix,
+    into a buffer or not, so neither the chunking nor the buffers ever
+    change the stream."""
     require_cells("a draw block", rows, len(a_j))
     d = np.empty((rows, len(a_j)), dtype=np.int32)
     chunks = _row_chunks(d)
     cdf = prepare_rows(poisson_cdf_tables(a_j), len(chunks[0]))
+    y_table = prepare_rows(cdf0, chunks[0].size)
     u, y = np.empty(chunks[0].size), np.empty(chunks[0].size, dtype=np.int32)
     for x in chunks:
         invert_uniform_rows(cdf, gen.random(out=u[:x.size].reshape(x.shape)), out=x)
     for x in chunks:
         y_x = y[:x.size].reshape(x.shape)
-        invert_uniform_rows(cdf0, gen.random(out=u[:x.size].reshape(-1, 1)), out=y_x.reshape(-1, 1))
+        invert_uniform_rows(y_table, gen.random(out=u[:x.size].reshape(-1, 1)), out=y_x.reshape(-1, 1))
         np.subtract(y_x, x, out=x)
     return d
 

@@ -661,7 +661,7 @@ GOLDEN_BODIES = [
     ("clt_dead_columns", "clt", {"profile": {"base": 1.0, "epsilon": DEAD_COLUMNS}, "n": 600, "samples": 40},
      "64d343bfe843bf102af7a773ca56c2c8b80acce6d2dcf6f7275bf9ac5ebacad6"),
     ("decay", "decay", {"profile": {"base": 1.0}, "samples": 500, "ns": [10, 50, 100, 1000]},
-     "3c17de900dab26556568b9ad217e103532da4f452889b4df5e6625dee2193931"),
+     "1c78c2e27ce1f6ba571cb48c4cd6368f6e05201e9a23d287461fabbe9704f1a6"),
     ("stopping", "stopping",
      {"profile": {"base": 1.0}, "r": -2.0, "eps": 0.1, "M": 100, "N": 20_000, "samples": 40},
      "357fe8bff366fc39607919b125ccf01b5e2ba743dc01eb97c1dc6f2414d7a887"),
@@ -695,7 +695,7 @@ GOLDEN_BODIES = [
     ("asymptotics", "asymptotics", {"profile": {"base": 1.0}},
      "db1a905af6df4287be0c93ad0488a174ec8bf6b75ff13be979315956481ff5bb"),
     ("tails", "tails", {"skellam": {"a": 1.0, "b": 0.6}, "L": 4},
-     "b19dca6937a22db2ac804d99d8a3b8b2b6759a55894f40874ef1856146b4107d"),
+     "23afa1f524f30a8bda0e37cbb98eb9d02c545166da1e771d1c95fff31c02056a"),
     # written forms no digest above reaches: disjoint limit sets, a body rng
     # on stream 2 and an explicit table without a tail
     ("check_step", "check",
@@ -873,3 +873,25 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_OK
         report = json.loads(proc.stdout)
         assert report["body"]["L"] == 3
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        # tails and decay, whose oracles are mpmath and scipy here, run
+        # without importing any test-only package
+        child = """
+import json, sys, tempfile
+from pathlib import Path
+from suspension_lab import cli
+runs = [("tails", {"skellam": {"a": 1e3, "b": 900.0}, "L": 180}),
+        ("decay", {"profile": {"base": 1.0}, "samples": 50, "ns": [10, 100, 1000]})]
+with tempfile.TemporaryDirectory() as work:
+    cfg = Path(work) / "cfg.json"
+    codes = []
+    for command, doc in runs:
+        cfg.write_text(json.dumps(doc))
+        codes.append(cli.main([command, "--config", str(cfg), "--out", str(Path(work) / "out.json")]))
+test_only = {"scipy", "mpmath", "jsonschema", "hypothesis"}
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] in test_only)]))
+"""
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[EXIT_OK, EXIT_OK], []]

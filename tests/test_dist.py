@@ -1,12 +1,15 @@
 """Distribution-kernel tests against independent oracles.
 
 Oracles used here deliberately avoid the code paths they check:
-arbitrary-precision evaluation (mpmath) for the pmf and Bessel series,
-direct Poisson-convolution sums for the Skellam pmf, Fourier sums for the
+arbitrary-precision evaluation (mpmath) for the pmf and Bessel series and
+for the Skellam tail as a sum of incomplete gamma functions, direct
+Poisson-convolution sums for the Skellam pmf, Fourier sums for the
 characteristic function, and definitional sums for the Hellinger distance.
 """
 
+import functools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -325,6 +328,97 @@ class TestSkellamTail:
             assert sup_exact <= l**-8
         # and one step earlier the corner tail does not satisfy the bound route
         assert skellam_tail(SkellamLaw(1.0, 1.0), L - 1).bound > (L - 1) ** -8
+
+
+@functools.lru_cache(maxsize=None)
+def _one_sided_tail(a: float, b: float, L: int) -> mpmath.mpf:
+    """P(X - Y >= L) = sum_j P(Y = j) gammainc(L + j, 0, a, regularized=True)
+    for X ~ Poisson(a), Y ~ Poisson(b), at 40 digits.
+
+    j runs over Y's whole significant range, 0 to b + 20 sd + 50: the
+    dominant j of a deep tail lie well below Y's mean.  P(X >= m) is the
+    regularized incomplete gamma at the top m = L + J only and is carried
+    down by P(X >= m) = P(X >= m + 1) + P(X = m), a sum of positive terms.
+    """
+    if a == 0.0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(40):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        J = int(b + 20.0 * math.sqrt(b) + 50.0) if b else 0
+        x_tail = mpmath.gammainc(L + J, 0, a_, regularized=True)  # P(X >= L + J)
+        px = mpmath.exp(-a_ + (L + J - 1) * mpmath.log(a_) - mpmath.loggamma(L + J))  # P(X = L + J - 1)
+        py = mpmath.exp(-b_ + J * mpmath.log(b_) - mpmath.loggamma(J + 1)) if b else mpmath.mpf(1)
+        total = py * x_tail
+        for j in range(J, 0, -1):
+            x_tail += px  # P(X >= L + j - 1)
+            px *= (L + j - 1) / a_
+            py *= j / b_
+            total += py * x_tail
+        return +total
+
+
+def _tail_oracle(a: float, b: float, L: int) -> float:
+    """sum_{|k| >= L} P(X - Y = k): the one-sided tail plus its mirror."""
+    return float(_one_sided_tail(a, b, L) + _one_sided_tail(b, a, L))
+
+
+ORACLE_RATES = (0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+def _oracle_cases():
+    """Two of the seven L kinds {1, 2, 4, C/2, C, C + 10, C + 40} per (a, b),
+    chosen symmetrically in (a, b), so the mirrored law reuses both cached
+    one-sided tails, and every kind is met across the grid."""
+    for i, a in enumerate(ORACLE_RATES):
+        for j, b in enumerate(ORACLE_RATES):
+            C = skellam_support_cutoff(SkellamLaw(a, b))
+            kinds = (1, 2, 4, C // 2, C, C + 10, C + 40)
+            for kind in sorted({(i + j + 6) % 7, (i + j + 2) % 7}):
+                yield pytest.param(a, b, kinds[kind], id=f"{a}-{b}-L{kinds[kind]}")
+
+
+class TestSkellamTailOracle:
+    @pytest.mark.parametrize("a, b, L", list(_oracle_cases()))
+    def test_against_incomplete_gamma_oracle(self, a, b, L):
+        exact = skellam_tail(SkellamLaw(a, b), L).exact
+        oracle = _tail_oracle(a, b, L)
+        assert abs(exact - oracle) <= 1e-13 * oracle or abs(exact - oracle) <= 1e-300
+
+    def test_oracle_matches_gammainc_term_by_term(self):
+        # the carried-down P(X >= L + j) against one gammainc call per j
+        def one_sided(x, y, L):
+            J = int(y + 20.0 * math.sqrt(y) + 50.0)
+            return mpmath.fsum(mpmath.exp(-y) * mpmath.mpf(y) ** j / mpmath.factorial(j)
+                               * mpmath.gammainc(L + j, 0, x, regularized=True) for j in range(J + 1))
+
+        for a, b, L in ((1.0, 0.6, 4), (10.0, 2.0, 15), (0.1, 3.0, 2)):
+            with mpmath.workdps(40):
+                direct = float(one_sided(a, b, L) + one_sided(b, a, L))
+            assert _tail_oracle(a, b, L) == pytest.approx(direct, rel=1e-15)
+
+    def test_deep_tail_at_the_rate_cap(self):
+        # 2 * fsum(exp(-b + j log b - loggamma(j + 1)) * gammainc(1727 + j, 0, a,
+        # regularized=True) for j in range(12051)) at mpmath.workdps(30), with
+        # a = b = mpf(10000): the two one-sided tails are equal
+        exact = skellam_tail(SkellamLaw(1e4, 1e4), 1727).exact
+        assert exact == pytest.approx(2.9404764584215205e-34, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(1e4, 3000.0), (9000.0, 9000.0)])
+    def test_wide_rows_are_fast(self, a, b):
+        t0 = time.perf_counter()
+        skellam_tail(SkellamLaw(a, b), 1)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_past_the_float_range_no_row(self):
+        # the Chernoff bounds underflow long before a row of 1e9 terms could be built
+        assert skellam_tail(SkellamLaw(1e4, 1e4), 10**9).exact == 0.0
+        assert skellam_tail(SkellamLaw(0.0, 0.0), 10**9).exact == 0.0
+        assert skellam_tail(SkellamLaw(1e-3, 1e-3), 82).exact == 0.0  # the oracle: 4.2e-369
+
+    def test_subnormal_rate(self):
+        # a / (k + b r) underflows to 0 past k = 1: its log comes from the difference of logs
+        est = skellam_tail(SkellamLaw(1e-322, 1.0), 3)
+        assert est.exact == pytest.approx(_tail_oracle(0.0, 1.0, 3), rel=1e-13)
 
 
 class TestHellinger:

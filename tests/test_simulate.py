@@ -699,6 +699,21 @@ class TestRowChunks:
         assert [len(c) for c in simulate._row_chunks(np.empty((2_000, 256)))] == [500] * 4
         assert {len(c) for c in simulate._row_chunks(np.empty((1_000, 8_192)))[:-1]} == {16}
 
+    def test_one_set_up_per_table_and_block(self, monkeypatch):
+        # a block of 49 x 8192 spans four row chunks (13, 13, 13 and 10 rows):
+        # the a_j table and the one-row a_0 table are each prepared once
+        calls = []
+        def prepare(cdf, samples, prepare_rows=sampling.prepare_rows):
+            calls.append(cdf.shape)
+            return prepare_rows(cdf, samples)
+        monkeypatch.setattr(simulate, "prepare_rows", prepare)
+        monkeypatch.setattr(sampling, "prepare_rows", prepare)
+        a_j = np.full(8_192, 1.5)
+        cdf0 = poisson_cdf_tables(np.array([1.0]))
+        d = simulate._increments(RNGSpec(seed=3).generator(), a_j, cdf0, 49)
+        assert len(simulate._row_chunks(d)) == 4
+        assert sorted(calls) == sorted([poisson_cdf_tables(a_j).shape, cdf0.shape])
+
 
 class TestStoppingTime:
     def test_domain_errors(self):
