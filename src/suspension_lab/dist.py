@@ -28,6 +28,9 @@ _BESSEL_RESCALE = 1e280
 
 # The exact tail takes a Python step per pmf term, about |a - b| + 12 sd + L.
 TAIL_MAX_RATE = 10_000.0
+# Past the rates, the tail and its bound fall with L and are 0 in floats at
+# this L for rates up to TAIL_MAX_RATE, so a larger L is evaluated here.
+_L_FAR = 2**1000
 
 # Tail threshold search: L up to THRESHOLD_L_MAX, parameter grid step THRESHOLD_GRID_STEP.
 THRESHOLD_L_MAX = 50
@@ -181,7 +184,9 @@ def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
     bound = skellam_tail_bound(law, L)  # refuses L < 1
     if not max(law.a, law.b) <= TAIL_MAX_RATE:
         raise ParameterDomainError(f"rates ({law.a}, {law.b}) exceed the tail cap {TAIL_MAX_RATE}")
-    if L > max(law.a, law.b) and not any(math.exp(L + L * math.log(r / L) - r) for r in (law.a, law.b) if r):
+    L = min(L, _L_FAR)
+    if L > max(law.a, law.b) and not any(math.exp(L + L * (math.log(r) - math.log(L)) - r)
+                                         for r in (law.a, law.b) if r):
         return TailEstimate(exact=0.0, bound=bound)
     T = L + skellam_support_cutoff(law)
     sides = _log_side(law.a, law.b, T), _log_side(law.b, law.a, T)
@@ -199,6 +204,7 @@ def skellam_tail_bound(law: SkellamLaw, L: int) -> float:
     returned as 1 before exp can overflow."""
     if L < 1:
         raise ParameterDomainError(f"L must be a positive integer, got {L}")
+    L = min(L, _L_FAR)
     base = -(law.a + law.b) + law.a * law.b - math.lgamma(L + 1)
     logs = [base + r + L * math.log(r) for r in (law.a, law.b) if r > 0.0]
     if max(logs, default=-math.inf) >= 0.0:

@@ -16,15 +16,13 @@ block, the x uniforms, then the y uniforms, each row-major; the y block is
 inverted as one column against the one-row a_0 table.  clt blocks are
 ``_CLT_BLOCK`` consecutive indices, whose dead ones (eps_j = 0) are
 skipped, stopping blocks ``_STOPPING_BLOCK`` indices over the samples
-still alive, decay one index.  Every block is drawn in row chunks of at
-most ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer) into one
-int32 array, x counts and then y - x; each chunk's uniforms go into one
-float64 buffer, and its y counts into one int32 buffer, allocated once per
-block.  Stopping reduces the block chunk by chunk, in float buffers
-allocated once per run; clt and decay reduce it whole.  Neither this
-chunking, nor these buffers, nor the Hopf chunking ever changes the stream
-(``gen.random(out=...)`` returns the doubles ``gen.random(shape)`` would),
-and clt's ``np.einsum`` block sums have the same bits for any row split.
+still alive, decay one index.  A block is drawn and reduced in row chunks
+of at most ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer),
+each y chunk at its own stream offset, in buffers of one chunk.  Neither
+this chunking, nor these buffers, nor the Hopf chunking ever changes the
+stream (``gen.random(out=...)`` returns the doubles ``gen.random(shape)``
+would), and clt's ``np.einsum`` row sums have the same bits for any row
+split.
 
 Hopf and scan draw, at every scale, samples x window uniforms row-major
 from a fresh generator of the spec.  One ``_hopf_core`` call serves every
@@ -48,7 +46,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,10 +80,9 @@ DEFAULT_WINDOW_TOL = 1e-4
 _CLT_BLOCK = 256  # consecutive indices per clt draw block, dead ones skipped
 _STOPPING_BLOCK = 8_192  # indices per stopping draw block
 #: Most cells per row chunk of a draw block (1 MiB of float64).  Bench ops
-#: on a 2-core VM, median of 3 to 6 runs: stopping ran 1.96 s at 105 MB
-#: peak RSS, against 2.30/2.18/2.13/2.14 s at 2^15/2^16/2^18/2^19 (121 MB
-#: at 2^19, 335 MB in whole blocks); clt_hirate ran 1.50 s, against
-#: 2.20/1.66/1.56/1.83 s.  Below it the per-chunk calls cost more.
+#: on a 2-core VM, median of 3 to 6 runs: stopping ran 1.96 s, against
+#: 2.30/2.18/2.13/2.14 s at 2^15/2^16/2^18/2^19; clt_hirate ran 1.50 s,
+#: against 2.20/1.66/1.56/1.83 s.  Below it the per-chunk calls cost more.
 _DRAW_CHUNK_CELLS = 1 << 17
 _HOPF_CHUNK_CELLS = 1 << 20  # per Hopf chunk, whose rows hold window + N cells each
 _CHECKPOINTS = 9
@@ -167,45 +164,45 @@ def _covered_window(profile: IntensityProfile, n: int, window_tol: float,
     return window
 
 
-def _row_chunks(block: np.ndarray) -> list[np.ndarray]:
-    """Views of a 2-D block in the fewest consecutive row chunks of at most
-    ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer), of equal
-    rows but the last: a buffer of that cap, or of one row where a row is
-    longer, holds every chunk."""
-    fit = max(1, _DRAW_CHUNK_CELLS // max(block.shape[1], 1))  # most rows a chunk holds
-    parts = max(1, -(-len(block) // fit))
-    step = max(1, -(-len(block) // parts))
-    return [block[r0:r0 + step] for r0 in range(0, len(block), step)]
+def _row_step(rows: int, columns: int) -> int:
+    """Rows per chunk of a (rows, columns) draw block: the fewest consecutive
+    row chunks of at most ``_DRAW_CHUNK_CELLS`` cells (one row where a row
+    is longer), of equal rows but the last."""
+    fit = max(1, _DRAW_CHUNK_CELLS // max(columns, 1))  # most rows a chunk holds
+    parts = max(1, -(-rows // fit))
+    return max(1, -(-rows // parts))
 
 
 def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
-                rows: int) -> np.ndarray:
-    """y - x for a (rows, len(a_j)) block, as int32: x[:, c] ~ Poisson(a_j[c])
-    and y ~ Poisson(a_0), ``cdf0`` being the one-row a_0 table.
+                rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """y - x for a (rows, len(a_j)) block, x[:, c] ~ Poisson(a_j[c]) and
+    y ~ Poisson(a_0) (``cdf0``, the one-row a_0 table), as (r0, chunk) pairs:
+    int32 views of ``_row_step`` rows from r0, which the next chunk overwrites.
 
-    The x uniforms are drawn first, then the y uniforms, each a row-major
-    (rows, columns) matrix; the y matrix is inverted as one column of
-    rows * columns.  Both are drawn in the row chunks of ``_row_chunks``,
-    against the a_j and a_0 tables prepared once per block (no count depends
-    on the guide size): each chunk's uniforms go by ``gen.random(out=...)``
-    into one float64 buffer, its x counts into the int32 block and its y
-    counts into one int32 buffer, and then the chunk's rows become y - x.
-    Consecutive ``gen.random`` row chunks return the doubles of one matrix,
-    into a buffer or not, so neither the chunking nor the buffers ever
-    change the stream."""
-    require_cells("a draw block", rows, len(a_j))
-    d = np.empty((rows, len(a_j)), dtype=np.int32)
-    chunks = _row_chunks(d)
-    cdf = prepare_rows(poisson_cdf_tables(a_j), len(chunks[0]))
-    y_table = prepare_rows(cdf0, chunks[0].size)
-    u, y = np.empty(chunks[0].size), np.empty(chunks[0].size, dtype=np.int32)
-    for x in chunks:
-        invert_uniform_rows(cdf, gen.random(out=u[:x.size].reshape(x.shape)), out=x)
-    for x in chunks:
-        y_x = y[:x.size].reshape(x.shape)
-        invert_uniform_rows(y_table, gen.random(out=u[:x.size].reshape(-1, 1)), out=y_x.reshape(-1, 1))
-        np.subtract(y_x, x, out=x)
-    return d
+    The block's x uniforms come first in the stream, then its y uniforms,
+    each a row-major (rows, columns) matrix; the y matrix is inverted as one
+    column.  The bit generator's state is saved at the x start and, after one
+    ``advance``, at the y start, and each chunk resumes x and then y there.
+    ``gen.random(out=...)`` fills one float64 buffer, and the counts, against
+    tables prepared once per block (no count depends on the guide size), two
+    int32 buffers; row chunks return the doubles of one matrix, so the stream
+    never changes and the generator ends 2 * rows * columns on."""
+    C = len(a_j)
+    require_cells("a draw block", rows, C)
+    step = _row_step(rows, C)
+    cdf = prepare_rows(poisson_cdf_tables(a_j), step)
+    y_table = prepare_rows(cdf0, step * C)
+    u, x, y = np.empty(step * C), np.empty(step * C, dtype=np.int32), np.empty(step * C, dtype=np.int32)
+    bits = gen.bit_generator
+    at_x, at_y = bits.state, bits.advance(rows * C).state
+    for r0 in range(0, rows, step):
+        n = min(step, rows - r0) * C
+        bits.state = at_x
+        d = invert_uniform_rows(cdf, gen.random(out=u[:n].reshape(-1, C)), out=x[:n].reshape(-1, C))
+        at_x, bits.state = bits.state, at_y
+        invert_uniform_rows(y_table, gen.random(out=u[:n].reshape(-1, 1)), out=y[:n].reshape(-1, 1))
+        at_y = bits.state
+        yield r0, np.subtract(y[:n].reshape(d.shape), d, out=d)
 
 
 def sample_configuration(profile: IntensityProfile, window: tuple[int, int],
@@ -414,10 +411,9 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
             idx = np.flatnonzero(live[cursor:hi]) + cursor
             if len(idx):
                 # einsum's own loop, not a BLAS gemv: each row is summed alike, whatever
-                # the block's row count, BLAS kernel or thread count.
-                # d lives on through the next draw, which then reuses heap pages, not fresh ones
-                d = _increments(gen, a_j[idx], cdf0, samples)
-                total += np.einsum("sk,k->s", d, eps_j[idx])
+                # the chunk's row count, BLAS kernel or thread count.
+                for r0, d in _increments(gen, a_j[idx], cdf0, samples):
+                    total[r0:r0 + len(d)] += np.einsum("sk,k->s", d, eps_j[idx])
             cursor = hi
         e2 = float(np.sum(eps_j[: m - 1] ** 2))
         beta_m = 1.0 / math.sqrt(e2)
@@ -502,7 +498,8 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
             "guaranteed": bool(threshold > L_cert),
         }
         if n <= mc_max:
-            freq = float(np.mean(np.abs(_increments(gen, np.array([a_n]), cdf0, samples)) > threshold))
+            freq = sum(np.count_nonzero(np.abs(d) > threshold)
+                       for _, d in _increments(gen, np.array([a_n]), cdf0, samples)) / samples
             se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / samples)
             row["mc_freq"] = freq
             row["mc_se"] = se
@@ -568,9 +565,7 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         j_hi = min(j + _STOPPING_BLOCK, N)
         js = np.arange(j + 1, j_hi + 1)
         eps_j = epsilon_at(profile.epsilon, js)
-        d = _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive))
-        crossed, r0 = [], 0
-        for chunk in _row_chunks(d):
+        for r0, chunk in _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive)):
             rows = alive[r0:r0 + len(chunk)]
             X = np.multiply(chunk, eps_j, out=X_buf[:chunk.size].reshape(chunk.shape))
             # c + p is p + c in IEEE arithmetic, so these are the bits of partial + cumsum(X)
@@ -587,9 +582,7 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
             overshoot[rows[h]] = np.abs(sums[h, first[h]] - r)
             x_at_crossing[rows[h]] = absX[h, first[h]]
             partial[rows] = sums[:, -1]
-            crossed.append(h + r0)
-            r0 += len(chunk)
-        alive = np.delete(alive, np.concatenate(crossed))
+        alive = alive[crossing[alive] < 0]
         j = j_hi
 
     ok = crossing > 0

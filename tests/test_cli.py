@@ -97,6 +97,18 @@ class TestCommands:
         assert body["exact"] < 1e-8
         assert body["exact"] <= body["bound"]
 
+    @pytest.mark.parametrize("a, b, L", [pytest.param(1.0, 0.6, 10**400, id="L_1e400"),
+                                         pytest.param(1e-300, 0.0, 10**30, id="a_1e-300_L_1e30")])
+    def test_tails_far_L(self, tmp_path, a, b, L):
+        # an L past what a float holds, or one that a tiny rate divided by
+        # would round to 0, answers a tail and a bound of 0
+        code, out = run_to_file(tmp_path, "tails", {"skellam": {"a": a, "b": b}, "L": L})
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, SCHEMA)
+        body = report["body"]
+        assert (body["L"], body["exact"], body["bound"], body["exact_le_bound"]) == (L, 0.0, 0.0, True)
+
     def test_tails_bound_above_one(self, tmp_path):
         doc = {"skellam": {"a": 27, "b": 27}, "L": 20}
         code, out = run_to_file(tmp_path, "tails", doc)

@@ -543,14 +543,17 @@ class TestCltExperiment:
 
     @pytest.mark.parametrize("experiment", ["clt", "decay", "stopping", "stopping_chunks", "hopf", "scan"])
     def test_draw_protocol(self, monkeypatch, experiment):
-        # every uniform is inverted exactly once, in the order drawn, x block
-        # before y block; clt draws 2 * samples per live j (eps_j != 0), decay
-        # 2 * samples per row with n <= mc_max
+        # every uniform is inverted exactly once, in the order drawn; an
+        # increment draw puts each block's x uniforms, row-major, before its
+        # y uniforms in the stream, and draws row chunks in pairs, x then y;
+        # clt draws 2 * samples per live j (eps_j != 0), decay 2 * samples
+        # per row with n <= mc_max
         drawn, inverted, events, generators = [], [], [], []
 
         class CountingGenerator:
             def __init__(self, gen):
                 self.gen = gen
+                self.bit_generator = gen.bit_generator
                 self.shapes = []
                 generators.append(self.shapes)
 
@@ -567,6 +570,31 @@ class TestCltExperiment:
             inverted.append(u.ravel().copy())
             return invert(cdf, u, out=out)
         monkeypatch.setattr(simulate, "invert_uniform_rows", inverting)
+
+        def increment_layout():
+            # each drawn chunk's offset in the stream of RNGSpec(seed=5): a
+            # block of X = rows * columns cells has its x chunks at b + r0 *
+            # columns and the matching y chunks X further, and the next block
+            # starts at b + 2X; the chunks tile the stream once
+            sizes = [len(u) for u in drawn]
+            stream = generator(RNGSpec(seed=5)).random(sum(sizes))
+            order = np.argsort(stream)
+            starts = [int(order[np.searchsorted(stream, u[0], sorter=order)]) for u in drawn]
+            assert all(np.array_equal(stream[o:o + len(u)], u) for o, u in zip(starts, drawn))
+            assert len(drawn) % 2 == 0 and sizes[0::2] == sizes[1::2]
+            pairs = list(zip(starts[0::2], starts[1::2], sizes[0::2]))
+            b = i = 0
+            while i < len(pairs):
+                X = pairs[i][1] - pairs[i][0]
+                assert X > 0, pairs[i]
+                at = b
+                while at < b + X:
+                    assert pairs[i][:2] == (at, at + X), (b, X, pairs[i])
+                    at += pairs[i][2]
+                    i += 1
+                assert at == b + X
+                b += 2 * X
+            assert b == len(stream)
         samples = 3
         if experiment in ("hopf", "scan"):
             # per scale, a fresh generator of the spec draws samples x W
@@ -604,17 +632,20 @@ class TestCltExperiment:
             live = np.count_nonzero(epsilon_at(fam, np.arange(2, n + 1)))
             assert live == n - 5 > simulate._CLT_BLOCK
             assert sum(map(len, drawn)) == 2 * samples * live
+            increment_layout()
         elif experiment == "decay":
             increment_tail_decay(P1, RNGSpec(seed=5), samples=samples, ns=(10, 50, 100, 1_000), mc_max=100)
             assert [len(u) for u in drawn] == [samples] * 6
+            increment_layout()
         elif experiment == "stopping":
             stopping_time_experiment(P1, r=-2.0, eps=0.1, M=100, N=20_000, samples=20, rng=RNGSpec(seed=5))
-            sizes = [len(u) for u in drawn]
-            assert len(sizes) > 2 and sizes[0::2] == sizes[1::2]  # more than one block, x and y alike
+            assert len(drawn) > 2  # more than one block
+            increment_layout()
         else:
             # blocks of more sample rows than one row chunk holds: a block
-            # builds its table, then draws all its x chunks, (rows, columns)
-            # each, then all its y chunks, one column each, as many as x
+            # builds its table, then draws its row chunks in pairs, the x
+            # chunk (rows, columns), then the y chunk, one column of as many
+            # cells; the first block's 33 rows are 3 chunks of 11
             def table(rates, build=simulate.poisson_cdf_tables):
                 events.append("table")
                 return build(rates)
@@ -631,10 +662,11 @@ class TestCltExperiment:
             blocks = [shapes for shapes in blocks if shapes]  # the a_0 table draws nothing
             assert len(blocks) > 1
             for shapes in blocks:
-                x = [shape for shape in shapes if shape[1] > 1]
-                assert shapes[:len(x)] == x and all(columns == 1 for _, columns in shapes[len(x):])
-                assert sum(map(math.prod, x)) == sum(map(math.prod, shapes[len(x):]))
-            assert sum(shape[1] > 1 for shape in blocks[0]) >= 2  # two row chunks or more
+                x, y = shapes[0::2], shapes[1::2]
+                assert all(columns > 1 for _, columns in x) and all(columns == 1 for _, columns in y)
+                assert list(map(math.prod, x)) == list(map(math.prod, y))
+            assert blocks[0][0::2] == [(11, simulate._STOPPING_BLOCK)] * 3
+            increment_layout()
         assert np.array_equal(np.concatenate(drawn), np.concatenate(inverted))
 
     @pytest.mark.parametrize("base, columns", [(1.0, 256), (200.0, 256), (1.0, 253)])
@@ -643,9 +675,15 @@ class TestCltExperiment:
         # whatever rows are summed with it
         eps = epsilon_at(HALF, np.arange(2, columns + 2))
         a0 = np.array([base])
-        d = simulate._increments(RNGSpec(seed=3).generator(), base * np.exp(eps), poisson_cdf_tables(a0), 1_000)
+        chunks = simulate._increments(RNGSpec(seed=3).generator(), base * np.exp(eps), poisson_cdf_tables(a0), 1_000)
+        streamed = np.empty(1_000)
+        d = np.empty((1_000, columns), dtype=np.int32)
+        for r0, chunk in chunks:
+            streamed[r0:r0 + len(chunk)] = np.einsum("sk,k->s", chunk, eps)
+            d[r0:r0 + len(chunk)] = chunk
         whole = np.einsum("sk,k->s", d, eps)
         assert np.array_equal(whole, np.einsum("sk,k->s", d.astype(float), eps))
+        assert np.array_equal(streamed, whole)
         for step in (1, 7, 500, 999):
             parts = [np.einsum("sk,k->s", d[r0:r0 + step], eps) for r0 in range(0, len(d), step)]
             assert np.array_equal(np.concatenate(parts), whole), step
@@ -679,25 +717,28 @@ class TestIncrementTailDecay:
         assert 1e-9 < row["exact_tail"] < 1e-8
 
 
+def row_chunks(rows: int, columns: int) -> list[range]:
+    """The rows of each chunk of a (rows, columns) draw block."""
+    step = simulate._row_step(rows, columns)
+    return [range(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
 class TestRowChunks:
     CAP = simulate._DRAW_CHUNK_CELLS
 
     @pytest.mark.parametrize("rows", [1, 2, 15, 16, 17, 977, 1_000, 2_000])
     @pytest.mark.parametrize("columns", [1, 3, 256, 6_960, 8_080, 8_192, 1 << 17, (1 << 17) + 1, 3 << 17])
     def test_fewest_chunks_within_the_cap(self, rows, columns):
-        # a view of row numbers, so no cell is allocated
-        block = np.broadcast_to(np.arange(rows)[:, None], (rows, columns))
-        chunks = simulate._row_chunks(block)
-        assert all(c.size <= self.CAP or len(c) == 1 for c in chunks)
+        chunks = row_chunks(rows, columns)
+        assert all(len(c) * columns <= self.CAP or len(c) == 1 for c in chunks)
         assert len(chunks) == -(-rows // max(1, self.CAP // columns))
         assert {len(c) for c in chunks[:-1]} <= {len(chunks[0])} and len(chunks[-1]) <= len(chunks[0])
-        assert all(np.shares_memory(c, block) for c in chunks)
-        assert np.array_equal(np.concatenate([c[:, 0] for c in chunks]), np.arange(rows))
+        assert [r for c in chunks for r in c] == list(range(rows))
 
     def test_bench_chunkings(self):
         # clt blocks of 2000 x 256 and stopping blocks of 1000 x 8192
-        assert [len(c) for c in simulate._row_chunks(np.empty((2_000, 256)))] == [500] * 4
-        assert {len(c) for c in simulate._row_chunks(np.empty((1_000, 8_192)))[:-1]} == {16}
+        assert [len(c) for c in row_chunks(2_000, 256)] == [500] * 4
+        assert {len(c) for c in row_chunks(1_000, 8_192)[:-1]} == {16}
 
     def test_one_set_up_per_table_and_block(self, monkeypatch):
         # a block of 49 x 8192 spans four row chunks (13, 13, 13 and 10 rows):
@@ -710,9 +751,27 @@ class TestRowChunks:
         monkeypatch.setattr(sampling, "prepare_rows", prepare)
         a_j = np.full(8_192, 1.5)
         cdf0 = poisson_cdf_tables(np.array([1.0]))
-        d = simulate._increments(RNGSpec(seed=3).generator(), a_j, cdf0, 49)
-        assert len(simulate._row_chunks(d)) == 4
+        chunks = simulate._increments(RNGSpec(seed=3).generator(), a_j, cdf0, 49)
+        assert [(r0, len(d)) for r0, d in chunks] == [(0, 13), (13, 13), (26, 13), (39, 10)]
         assert sorted(calls) == sorted([poisson_cdf_tables(a_j).shape, cdf0.shape])
+
+    def test_stream_position(self, monkeypatch):
+        # 50 rows of 300 columns in chunks of 7 (the last of 1): the chunks
+        # are y - x of one x matrix and then one y matrix, and the generator
+        # ends 2 * rows * columns past its start
+        rows, columns = 50, 300
+        spec = RNGSpec(seed=3, stream=2)
+        a_j = np.linspace(0.5, 40.0, columns)
+        cdf0 = poisson_cdf_tables(np.array([2.0]))
+        gen = spec.generator()
+        monkeypatch.setattr(simulate, "_DRAW_CHUNK_CELLS", 7 * columns)
+        chunks = [(r0, d.copy()) for r0, d in simulate._increments(gen, a_j, cdf0, rows)]
+        assert [r0 for r0, _ in chunks] == list(range(0, rows, 7))
+        fresh = spec.generator()
+        x = invert_uniform_rows(poisson_cdf_tables(a_j), fresh.random((rows, columns)))
+        y = invert_uniform_rows(cdf0, fresh.random((rows * columns, 1))).reshape(rows, columns)
+        assert np.array_equal(np.concatenate([d for _, d in chunks]), y - x)
+        assert gen.bit_generator.state == spec.generator().bit_generator.advance(2 * rows * columns).state
 
 
 class TestStoppingTime:
@@ -734,8 +793,8 @@ class TestStoppingTime:
 
     def test_peak_memory_bounded(self):
         # blocks of 300 samples x 8192 columns: one whole-block float64 array
-        # is 19.7 MB, so the bound leaves room for the int32 x block and row
-        # chunks, not for several whole-block arrays at once
+        # is 19.7 MB, so the bound leaves room for tables and row chunks, not
+        # for several whole-block arrays at once
         tracemalloc.start()
         try:
             stopping_time_experiment(P1, r=-2.0, eps=0.1, M=100, N=20_000, samples=300, rng=RNGSpec(seed=1))
@@ -743,6 +802,20 @@ class TestStoppingTime:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_peak_memory_ignores_the_samples(self):
+        # one block of 8192 columns: a whole-block int32 array would add
+        # 28 MB from 300 to 1200 samples; the row chunks add nothing
+        peaks = []
+        for samples in (300, 1_200):
+            tracemalloc.start()
+            try:
+                stopping_time_experiment(P1, r=-2.0, eps=0.1, M=100, N=100 + simulate._STOPPING_BLOCK,
+                                         samples=samples, rng=RNGSpec(seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4 * 2**20
 
     def test_statistics_ignore_the_chunk_size(self, monkeypatch):
         # blocks of 8192, 8192 and 3000 columns over 50, 22 and 15 samples
