@@ -10,13 +10,15 @@ Two deterministic series drive everything:
   unshifted square-root densities.  Its growth feeds the dissipativity
   certificate (summable overlap series).
 
-Both are sums over the same difference d_x = eps_{x+n} - eps_x, and one
-evaluator per series covers every family with a table, a power tail or
-both (a power family is the empty table): an exact prefix whose d_x are
-``epsilon_at`` differences up to the end of the table and stable power
-differences past it, plus, for a power tail, an Euler-Maclaurin closure of
-the remainder (see ``numerics``).  Truncating instead would cancel
-catastrophically.  Zero and step families have closed forms.  Slope fits
+Both are sums sum_x terms(eps_v, d_x) over the same difference
+d_x = eps_{x+n} - eps_x, with v the shift's upper end x + n (square
+integral) or its lower end x (Hellinger).  One evaluator serves both and
+every family with a table, a power tail or both (a power family is the
+empty table): an exact prefix whose d_x are ``epsilon_at`` differences up
+to the end of the table and stable power differences past it, plus, for a
+power tail, an Euler-Maclaurin closure of the remainder (see
+``numerics``).  Truncating instead would cancel catastrophically.  Zero
+and step families have one closed form.  Slope fits
 against log n replace the exact asymptotics; a verdict is only issued when
 the decisive inequality clears three residual standard errors.
 """
@@ -27,7 +29,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -133,8 +135,8 @@ def _span(fam: PowerFamily | ExplicitFamily, series: str) -> tuple[int, int, Opt
 
 
 def _shift_diff(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, last: int,
-                tail: Optional[PowerFamily]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """eps_x, eps_{x+n} and d_x = eps_{x+n} - eps_x for x = first - n ... hi,
+                tail: Optional[PowerFamily], lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """eps_{x+lag} and d_x = eps_{x+n} - eps_x for x = first - n ... hi,
     given the family's ``_span``.
 
     Up to the end of the table d_x is a difference of ``epsilon_at`` values;
@@ -151,61 +153,53 @@ def _shift_diff(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, 
     if tail is not None:
         eps[b:] = tail.sign * np.power(t[b:], -tail.gamma)
     m = hi - lo + 1
-    ex, exn = eps[:m], eps[n:n + m]
-    d = exn - ex
+    d = eps[n:n + m] - eps[:m]
     if tail is not None:
         d[b:] = _power_eps_diff(tail.gamma, tail.sign, t[n + b:n + m], float(n))
-    return ex, exn, d
+    return eps[lag:lag + m], d
 
 
-def _rn_terms(exn: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.exp(exn) * np.expm1(2.0 * d)
+def _rn_terms(eps_v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    return np.exp(eps_v) * np.expm1(2.0 * d)
 
 
-def _hellinger_terms(ex: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _hellinger_terms(eps_v: np.ndarray, d: np.ndarray) -> np.ndarray:
     # (e^{eps_{x+n}/2} - e^{eps_x/2})^2 without its cancellation
-    return np.exp(ex) * np.expm1(0.5 * d) ** 2
+    return np.exp(eps_v) * np.expm1(0.5 * d) ** 2
 
 
-@lru_cache(maxsize=65536)
-def _rn_unit(fam: EpsilonFamily, n: int) -> float:
-    """sum_x e^{eps_{x+n}} expm1(2 d_x): exact over x + n <= K and, for a
-    power tail, the Euler-Maclaurin closure over k = x + n > K."""
-    if isinstance(fam, (ZeroFamily, StepFamily)):
-        # a step is reachable only for left == right (zero gap), where eps is constant
-        return 0.0
-    first, last, tail = _span(fam, "square-integral series")
-    if tail is None:
-        _, exn, d = _shift_diff(fam, n, last + 1, first, last, tail)
-        return float(np.sum(_rn_terms(exn, d)))
-    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + n + _PREFIX_MARGIN)
-    _, exn, d = _shift_diff(fam, n, K - n, first, last, tail)
-    g, s = tail.gamma, tail.sign
-    closure = semi_infinite_sum(
-        lambda k: _rn_terms(s * np.power(k, -g), _power_eps_diff(g, s, k, float(n))), K + 1)
-    return float(np.sum(_rn_terms(exn, d))) + closure
+class _Series(NamedTuple):
+    """sum_x terms(eps_v, d_x), v being the shift's upper end k = x + n
+    (``upper``) or its lower end x."""
+
+    what: str
+    terms: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    upper: bool
 
 
-@lru_cache(maxsize=65536)
-def _hellinger_unit(fam: EpsilonFamily, n: int) -> float:
-    """sum_x e^{eps_x} expm1(d_x / 2)^2: exact over x <= K and, for a power
-    tail, the Euler-Maclaurin closure over x > K."""
+_RN = _Series("square-integral series", _rn_terms, True)
+_HELLINGER = _Series("hellinger series", _hellinger_terms, False)
+
+
+@lru_cache(maxsize=131_072)
+def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
+    """The series at shift n: exact over v <= K and, for a power tail, an
+    Euler-Maclaurin closure over v > K."""
     if isinstance(fam, ZeroFamily):
         return 0.0
     if isinstance(fam, StepFamily):
-        # eps(x+n) != eps(x) exactly for x in [1-n, 0]
-        d = math.exp(0.5 * fam.right) - math.exp(0.5 * fam.left)
-        return n * d * d
-    first, last, tail = _span(fam, "hellinger series")
+        # d_x = right - left for the n indices x in [1 - n, 0], and 0 elsewhere
+        return n * float(series.terms(fam.right if series.upper else fam.left, fam.right - fam.left))
+    first, last, tail = _span(fam, series.what)
+    lag = n if series.upper else 0
+    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + lag + _PREFIX_MARGIN)
+    eps_v, d = _shift_diff(fam, n, last + 1 if tail is None else K - lag, first, last, tail, lag)
+    total = float(np.sum(series.terms(eps_v, d)))
     if tail is None:
-        ex, _, d = _shift_diff(fam, n, last + 1, first, last, tail)
-        return float(np.sum(_hellinger_terms(ex, d)))
-    K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + _PREFIX_MARGIN)
-    ex, _, d = _shift_diff(fam, n, K, first, last, tail)
+        return total
     g, s = tail.gamma, tail.sign
-    closure = semi_infinite_sum(
-        lambda x: _hellinger_terms(s * np.power(x, -g), _power_eps_diff(g, s, x + n, float(n))), K + 1)
-    return float(np.sum(_hellinger_terms(ex, d))) + closure
+    return total + semi_infinite_sum(
+        lambda v: series.terms(s * np.power(v, -g), _power_eps_diff(g, s, v + (n - lag), float(n))), K + 1)
 
 
 def require_condition(profile: IntensityProfile, condition: str, who: str) -> None:
@@ -243,14 +237,14 @@ def rn_square_integral(profile: IntensityProfile, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     require_condition(profile, "zero_gap", "rn_square_integral")
-    return _at_level(profile, _rn_unit(profile.epsilon, n), "rn_square_integral")
+    return _at_level(profile, _unit(profile.epsilon, n, _RN), "rn_square_integral")
 
 
 def hellinger_growth(profile: IntensityProfile, n: int) -> float:
     """Level * sum_x (e^{eps_{x+n}/2} - e^{eps_x/2})^2 over the lattice."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _at_level(profile, _hellinger_unit(profile.epsilon, n), "hellinger_growth")
+    return _at_level(profile, _unit(profile.epsilon, n, _HELLINGER), "hellinger_growth")
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +254,13 @@ def hellinger_growth(profile: IntensityProfile, n: int) -> float:
 
 def rn_slope_fit(profile: IntensityProfile) -> SlopeFit:
     ns = geometric_grid(*RN_FIT_RANGE)
-    unit = fit_log_slope(ns, [_rn_unit(profile.epsilon, n) for n in ns], kind="rn_square_integral")
+    unit = fit_log_slope(ns, [_unit(profile.epsilon, n, _RN) for n in ns], kind="rn_square_integral")
     return unit.scaled(profile.level)
 
 
 def hellinger_slope_fit(profile: IntensityProfile) -> SlopeFit:
     ns = geometric_grid(*HELLINGER_FIT_RANGE)
-    unit = fit_log_slope(ns, [_hellinger_unit(profile.epsilon, n) for n in ns], kind="hellinger_growth")
+    unit = fit_log_slope(ns, [_unit(profile.epsilon, n, _HELLINGER) for n in ns], kind="hellinger_growth")
     return unit.scaled(profile.level)
 
 
