@@ -170,15 +170,17 @@ def _hellinger_terms(eps_v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 class _Series(NamedTuple):
     """sum_x terms(eps_v, d_x), v being the shift's upper end k = x + n
-    (``upper``) or its lower end x."""
+    (``upper``) or its lower end x.  The terms grow like d_x^order, so over
+    a power tail they decay like v^-(order (1 + gamma))."""
 
     what: str
     terms: Callable[[np.ndarray, np.ndarray], np.ndarray]
     upper: bool
+    order: int
 
 
-_RN = _Series("square-integral series", _rn_terms, True)
-_HELLINGER = _Series("hellinger series", _hellinger_terms, False)
+_RN = _Series("square-integral series", _rn_terms, True, 1)
+_HELLINGER = _Series("hellinger series", _hellinger_terms, False, 2)
 
 
 @lru_cache(maxsize=131_072)
@@ -199,7 +201,8 @@ def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
         return total
     g, s = tail.gamma, tail.sign
     return total + semi_infinite_sum(
-        lambda v: series.terms(s * np.power(v, -g), _power_eps_diff(g, s, v + (n - lag), float(n))), K + 1)
+        lambda v: series.terms(s * np.power(v, -g), _power_eps_diff(g, s, v + (n - lag), float(n))),
+        K + 1, series.order * (1.0 + g))
 
 
 def require_condition(profile: IntensityProfile, condition: str, who: str) -> None:

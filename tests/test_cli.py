@@ -109,6 +109,31 @@ class TestCommands:
         body = report["body"]
         assert (body["L"], body["exact"], body["bound"], body["exact_le_bound"]) == (L, 0.0, 0.0, True)
 
+    @pytest.mark.parametrize("gamma", [0.01, 0.05])
+    @pytest.mark.parametrize("command, fields", [pytest.param("asymptotics", {}, id="asymptotics"),
+                                                 pytest.param("hopf", {"N": 8, "samples": 40}, id="hopf")])
+    def test_slowest_power_tails_are_finite(self, tmp_path, command, fields, gamma):
+        # the square-integral closure maps its tail by t = a / w^m, m = 1 / gamma
+        # here before its cap; past the cap the weights would overflow to NaN
+        doc = {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": gamma, "sign": -1}}, **fields}
+        code, out = run_to_file(tmp_path, command, doc)
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, SCHEMA)
+        floats = []
+
+        def collect(x):
+            if isinstance(x, dict):
+                x = list(x.values())
+            if isinstance(x, list):
+                for y in x:
+                    collect(y)
+            elif isinstance(x, float):
+                floats.append(x)
+
+        collect(report["body"])
+        assert floats and all(math.isfinite(v) for v in floats)
+
     def test_tails_bound_above_one(self, tmp_path):
         doc = {"skellam": {"a": 27, "b": 27}, "L": 20}
         code, out = run_to_file(tmp_path, "tails", doc)
@@ -665,7 +690,7 @@ GOLDEN_BODIES = [
      "2bea45dd04590b150eb2eee592f0cb71d9d60e6fe43ef520b6fc4c69de083ede"),
     ("hopf_explicit_window", "hopf",
      {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}, "N": 8, "samples": 40, "window": [-50, 3000]},
-     "033b60bc9de1c7b540f685ab51c5cbed23f87a3d981652459e1a723a50a114a4"),
+     "e14eac50bf9c3d3011a84ab7a00c40208ce9a353639933716a6ab9df110e7f15"),
     ("scan", "scan", {"profile": {"base": 1.0}, "t_grid": [0.5, 1.0, 2.0], "N": 8, "samples": 40},
      "c8be4ee339b573a7afd39de57d3fef7b09e8fe8624468752a5296bb91a07fe5c"),
     ("clt_power", "clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40},

@@ -1,10 +1,11 @@
 """Certificate-layer tests.
 
-The two series evaluators are checked against wide-window brute-force
-oracles: literal term-by-term summation over |k| <= 1e7 (no expm1
-restructuring, a genuinely different arithmetic route) plus an independent
-quadrature estimate of the remaining tail (scipy.integrate.quad from the
-midpoint, which differs from the production Euler-Maclaurin closure).
+The series evaluator is checked against wide-window brute-force oracles
+for both series: literal term-by-term summation over |k| <= 1e7 or 1e6 (no
+expm1 restructuring, a genuinely different arithmetic route) plus an
+independent quadrature estimate of the remaining tail (scipy.integrate.quad
+from the midpoint in 50-digit arithmetic, which differs from the production
+Euler-Maclaurin closure).
 """
 
 import math
@@ -51,57 +52,77 @@ from suspension_lab.simulate import clt_experiment, hopf_diagnostic
 HALF = PowerFamily(gamma=0.5, sign=-1)
 
 
-def eps_half(t):
+def eps_power(t, gamma: float = 0.5, sign: int = -1):
     t = np.asarray(t, dtype=float)
-    return np.where(t > 1, -1.0 / np.sqrt(np.maximum(t, 2.0)), 0.0)
+    return np.where(t > 1, sign * np.power(np.maximum(t, 2.0), -gamma), 0.0)
 
 
-def rn_brute_force(n: int, width: int = 10**7) -> float:
-    """Literal sum of e^{3 eps_k - 2 eps_{k-n}} - e^{eps_k} over 2..width,
-    plus an independent quadrature tail from the midpoint.
+def quadrature_tail(value, width: int, gamma: float, at_zero: float) -> float:
+    """Integral of a term f(t) over [width + 1/2, inf), the midpoint of the
+    first term left out of the literal sum.
 
-    The tail integrand cancels catastrophically in doubles, so it is
-    evaluated in 50-digit arithmetic; the substitution u = t^(-1/2) maps
-    the slow t^(-3/2) decay onto a bounded integrand on a finite interval
-    that adaptive quadrature handles directly.
+    f cancels catastrophically in doubles, so ``value(u, t)`` evaluates it
+    in 50-digit arithmetic; the substitution u = t^(-gamma), under which
+    eps(t) = sign * u, maps the slow t^(-1 - gamma) decay onto a bounded
+    integrand on a finite interval, whose value at u = 0 is ``at_zero``,
+    and adaptive quadrature handles it directly.
     """
+    import mpmath
+
+    def g(u):
+        if u <= 0.0:
+            return at_zero
+        with mpmath.workdps(50):
+            u = mpmath.mpf(u)
+            t = u ** (-1 / mpmath.mpf(gamma))
+            return float(value(u, t) * t / (gamma * u))  # dt = t / (gamma u) du
+
+    tail, err = integrate.quad(g, 0.0, (width + 0.5) ** -gamma, epsabs=1e-13, epsrel=1e-13, limit=400)
+    assert err < 1e-10
+    return tail
+
+
+def rn_brute_force(n: int, width: int = 10**7, gamma: float = 0.5, sign: int = -1) -> float:
+    """Literal sum of e^{3 eps_k - 2 eps_{k-n}} - e^{eps_k} over 2..width,
+    plus an independent quadrature tail."""
     import mpmath
 
     total = 0.0
     for lo in range(2, width + 1, 1_000_000):
         hi = min(lo + 1_000_000, width + 1)
         k = np.arange(lo, hi, dtype=float)
-        total += float(np.sum(np.exp(3.0 * eps_half(k) - 2.0 * eps_half(k - n)) - np.exp(eps_half(k))))
+        eps_k, eps_kn = eps_power(k, gamma, sign), eps_power(k - n, gamma, sign)
+        total += float(np.sum(np.exp(3.0 * eps_k - 2.0 * eps_kn) - np.exp(eps_k)))
 
-    def g(u):
-        if u <= 0.0:
-            return 2.0 * n  # limit as t -> inf
-        with mpmath.workdps(50):
-            t = 1.0 / (mpmath.mpf(u) * u)
-            val = mpmath.exp(-3.0 * u + 2.0 / mpmath.sqrt(t - n)) - mpmath.exp(-mpmath.mpf(u))
-            return float(val * 2 / (mpmath.mpf(u) ** 3))
+    def value(u, t):
+        return mpmath.exp(3 * sign * u - 2 * sign * (t - n) ** -mpmath.mpf(gamma)) - mpmath.exp(sign * u)
 
-    tail, err = integrate.quad(g, 0.0, (width + 0.5) ** -0.5, epsabs=1e-11, limit=400)
-    assert err < 1e-9
-    return total + tail
+    return total + quadrature_tail(value, width, gamma, -2.0 * n * sign)
 
 
-def hellinger_brute_force(n: int, width: int = 10**7) -> float:
-    """Literal evaluation of the boundary block plus the shifted block."""
+def hellinger_brute_force(n: int, width: int = 10**7, gamma: float = 0.5, sign: int = -1) -> float:
+    """Literal evaluation of the boundary block plus the shifted block, plus
+    an independent quadrature tail."""
+    import mpmath
+
     j = np.arange(1, n + 2, dtype=float)
-    block1 = float(np.sum((np.exp(eps_half(j) / 2.0) - 1.0) ** 2))
+    block1 = float(np.sum((np.exp(eps_power(j, gamma, sign) / 2.0) - 1.0) ** 2))
     block2 = 0.0
     for lo in range(2, width + 1, 1_000_000):
         hi = min(lo + 1_000_000, width + 1)
         k = np.arange(lo, hi, dtype=float)
-        block2 += float(np.sum((np.exp(eps_half(k + n) / 2.0) - np.exp(eps_half(k) / 2.0)) ** 2))
+        block2 += float(np.sum((np.exp(eps_power(k + n, gamma, sign) / 2.0)
+                                - np.exp(eps_power(k, gamma, sign) / 2.0)) ** 2))
 
-    def f(t):
-        return (math.exp(-0.5 / math.sqrt(t + n)) - math.exp(-0.5 / math.sqrt(t))) ** 2
+    def value(u, t):
+        return (mpmath.exp(sign * (t + n) ** -mpmath.mpf(gamma) / 2) - mpmath.exp(sign * u / 2)) ** 2
 
-    tail, err = integrate.quad(f, width + 0.5, np.inf, epsabs=1e-14, limit=400)
-    assert err < 1e-12
-    return block1 + block2 + tail
+    return block1 + block2 + quadrature_tail(value, width, gamma, 0.0)
+
+
+#: Power tails decaying slower than k^-3/2 in the square-integral series, and
+#: shifts on both sides of the exact prefix's 4096 cells.
+SLOW_DECAY = [*((gamma, -1, n) for gamma in (0.26, 0.3, 0.4) for n in (16, 1024)), (0.3, 1, 16)]
 
 
 class TestNonsingularityDeficit:
@@ -146,6 +167,14 @@ class TestRnSquareIntegral:
         p = IntensityProfile(1.0, HALF)
         want = rn_brute_force(37)
         assert rn_square_integral(p, 37) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma, sign, n", SLOW_DECAY)
+    def test_slow_decay_against_brute_force(self, gamma, sign, n):
+        # the closure maps its tail by the decay k^-(1 + gamma); a fixed
+        # t = a / w^2 map was 3e-4 to 4e-3 off at gamma 0.26 and 0.3
+        p = IntensityProfile(1.0, PowerFamily(gamma, sign))
+        want = rn_brute_force(n, 10**6, gamma, sign)
+        assert rn_square_integral(p, n) == pytest.approx(want, rel=1e-9)
 
     def test_nonnegative_nondecreasing(self):
         p = IntensityProfile(1.0, HALF)
@@ -193,6 +222,12 @@ class TestHellingerGrowth:
         p = IntensityProfile(1.0, HALF)
         want = hellinger_brute_force(10)
         assert hellinger_growth(p, 10) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("gamma, sign, n", SLOW_DECAY)
+    def test_slow_decay_against_brute_force(self, gamma, sign, n):
+        p = IntensityProfile(1.0, PowerFamily(gamma, sign))
+        want = hellinger_brute_force(n, 10**6, gamma, sign)
+        assert hellinger_growth(p, n) == pytest.approx(want, rel=1e-9)
 
     def test_nonnegative_nondecreasing(self):
         p = IntensityProfile(1.0, HALF)
