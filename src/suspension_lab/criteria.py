@@ -159,15 +159,6 @@ def _shift_diff(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, 
     return eps[lag:lag + m], d
 
 
-def _rn_terms(eps_v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.exp(eps_v) * np.expm1(2.0 * d)
-
-
-def _hellinger_terms(eps_v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # (e^{eps_{x+n}/2} - e^{eps_x/2})^2 without its cancellation
-    return np.exp(eps_v) * np.expm1(0.5 * d) ** 2
-
-
 class _Series(NamedTuple):
     """sum_x terms(eps_v, d_x), v being the shift's upper end k = x + n
     (``upper``) or its lower end x.  The terms grow like d_x^order, so over
@@ -179,8 +170,10 @@ class _Series(NamedTuple):
     order: int
 
 
-_RN = _Series("square-integral series", _rn_terms, True, 1)
-_HELLINGER = _Series("hellinger series", _hellinger_terms, False, 2)
+#: sum_x e^{eps_{x+n}} expm1(2 d_x)
+_RN = _Series("square-integral series", lambda eps_v, d: np.exp(eps_v) * np.expm1(2.0 * d), True, 1)
+#: sum_x e^{eps_x} expm1(d_x / 2)^2, that is (e^{eps_{x+n}/2} - e^{eps_x/2})^2 without its cancellation
+_HELLINGER = _Series("hellinger series", lambda eps_v, d: np.exp(eps_v) * np.expm1(0.5 * d) ** 2, False, 2)
 
 
 @lru_cache(maxsize=131_072)

@@ -1,14 +1,13 @@
-"""Shared numerical machinery: improper integrals, series tails, slope fits,
-and the asymptotic Kolmogorov distribution.
+"""Shared numerical machinery: improper integrals, series tails, slope fits
+and the Kolmogorov-Smirnov distance.
 
-The series summed here decay polynomially, like k^-p with p > 1 (the
-square-integral series like k^-(1 + gamma)), so plain truncation is
-hopeless at the accuracies we need.  Instead every infinite tail goes
-through ``semi_infinite_sum``, given its p: an exact partial sum handled by
-the caller, plus an Euler-Maclaurin closure of the remainder whose integral
-maps [a, inf) by t = a / w^m, m = max(2, 1 / (p - 1)), onto an integrand
-bounded on (0, 1].  Zeta tails from 4096 come out within 1e-14 relative for
-p from 1.05 to 1.3 and within 8e-14 up to p = 2.
+The series summed here decay like k^-p, p > 1 (the square-integral series
+like k^-(1 + gamma)), so plain truncation is hopeless at the accuracies we
+need.  Instead every infinite tail goes through ``semi_infinite_sum``, given
+its p: an exact partial sum handled by the caller, plus an Euler-Maclaurin
+closure of the remainder whose integral maps [a, inf) by t = a / w^m,
+m = max(2, 1 / (p - 1)), onto an integrand bounded on (0, 1].  Zeta tails
+from 4096 come out within 1e-14 relative for p from 1.05 to 1.3.
 
 No BLAS or LAPACK call enters here: the quadrature rule comes from
 Newton's method and the sums of the integral and the slope fit are exact
@@ -31,8 +30,6 @@ from .dist import ParameterDomainError
 _STENCIL_H = 8.0
 #: Nodes of the Gauss-Legendre rule in ``improper_integral``.
 _GAUSS_NODES = 128
-#: Largest weight of that rule's substitution, kept well below the float range.
-_WEIGHT_MAX = 1e300
 
 
 @functools.cache
@@ -80,14 +77,13 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray], a: float, decay: fl
     onto (0, 1] and turns the decay into an integrand bounded at w = 0,
     which the ``_GAUSS_NODES``-node Gauss-Legendre rule integrates to near
     machine precision.  m is capped where the weight m a / w^(m+1) would
-    pass ``_WEIGHT_MAX`` at the smallest node.  The weighted values are
-    added exactly.
+    pass 1e300 at the smallest node.  The weighted values are added exactly.
     """
     if not decay > 1.0:
         raise ValueError(f"decay exponent must exceed 1, got {decay}")
     w_nodes, w_weights = _unit_gauss_legendre()
     m = max(2.0, 1.0 / (decay - 1.0))
-    m = min(m, (math.log(_WEIGHT_MAX) - math.log(m * a)) / -math.log(w_nodes[0]) - 1.0)
+    m = min(m, (math.log(1e300) - math.log(m * a)) / -math.log(w_nodes[0]) - 1.0)
     t = a / w_nodes**m
     vals = f(t) * (m * a / w_nodes**(m + 1.0))
     return math.fsum((vals * w_weights).tolist())
@@ -178,33 +174,6 @@ def geometric_grid(n_min: int, n_max: int) -> list[int]:
             out.append(n)
         n *= 2
     return out
-
-
-def kolmogorov_sf(x: float) -> float:
-    """Survival function of the asymptotic Kolmogorov statistic sup|B(t)|."""
-    if x < 1e-8:
-        return 1.0
-    total = 0.0
-    for r in range(1, 200):
-        term = math.exp(-2.0 * r * r * x * x)
-        total += term if r % 2 else -term
-        if term < 1e-18:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
-
-
-def kolmogorov_critical(alpha: float) -> float:
-    """Value K with P(sup|B| > K) = alpha, by bisection."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    lo, hi = 0.01, 5.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def normal_cdf(x: np.ndarray | float, mean: float = 0.0, var: float = 1.0) -> np.ndarray | float:

@@ -284,14 +284,14 @@ def invert_uniform_rows(cdf: np.ndarray | RowTables, u: np.ndarray,
     ``prepare_rows`` set-up.  Low-count tables take the comparison passes,
     the rest the guide search.  The counts go into ``out``, of u's shape and
     any integer or float dtype and layout, which is returned; without it,
-    into a fresh int64 Fortran-ordered array.
+    into a fresh C-ordered int64 array.
     """
     S, R = u.shape
     table = cdf if isinstance(cdf, RowTables) else prepare_rows(cdf, S)
     if table.cdf.shape[0] != R:
         raise ValueError(f"need one cdf row per uniform column: {table.cdf.shape[0]} != {R}")
     if out is None:
-        out = np.empty((S, R), dtype=np.int64, order="F")
+        out = np.empty((S, R), dtype=np.int64)
     elif out.shape != (S, R):
         raise ValueError(f"out must have the uniforms' shape {(S, R)}, got {out.shape}")
     (_invert_by_passes if table.passes is not None else _invert_by_guide)(table, u, out)

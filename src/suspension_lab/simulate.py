@@ -66,7 +66,7 @@ from .intensity import (
     shift_difference_support,
     sup_epsilon,
 )
-from .numerics import fit_log_slope, kolmogorov_critical, ks_statistic, normal_cdf
+from .numerics import fit_log_slope, ks_statistic, normal_cdf
 from .sampling import (
     MAX_CELLS,
     RNGSpec,
@@ -86,6 +86,9 @@ _STOPPING_BLOCK = 8_192  # indices per stopping draw block
 _DRAW_CHUNK_CELLS = 1 << 17
 _HOPF_CHUNK_CELLS = 1 << 20  # per Hopf chunk, whose rows hold window + N cells each
 _CHECKPOINTS = 9
+#: K with P(sup|B| > K) = 0.01 for a Brownian bridge B, the asymptotic
+#: Kolmogorov 1% point (scipy's ``kstwobign.isf(0.01)``, the same double).
+_KS_CRITICAL_1PCT = 1.6276236115189504
 
 
 class WindowCoverageError(RuntimeError):
@@ -401,7 +404,7 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     cdf0 = poisson_cdf_tables(np.array([a0]))
 
     total = np.zeros(samples)
-    crit = kolmogorov_critical(0.01) / math.sqrt(samples)
+    crit = _KS_CRITICAL_1PCT / math.sqrt(samples)
     per_snapshot = []
     cursor = 0
     for m in snapshots:

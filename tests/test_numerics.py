@@ -6,7 +6,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from suspension_lab.numerics import (
@@ -16,12 +15,11 @@ from suspension_lab.numerics import (
     fit_log_slope,
     geometric_grid,
     improper_integral,
-    kolmogorov_critical,
-    kolmogorov_sf,
     ks_statistic,
     normal_cdf,
     semi_infinite_sum,
 )
+from suspension_lab.simulate import _KS_CRITICAL_1PCT
 
 
 class TestImproperIntegral:
@@ -172,19 +170,9 @@ class TestGeometricGrid:
             geometric_grid(10, 5)
 
 
-class TestKolmogorov:
-    def test_sf_against_scipy(self):
-        for x in (0.3, 0.6276, 1.0, 1.6276, 2.5):
-            assert kolmogorov_sf(x) == pytest.approx(float(scipy_special.kolmogorov(x)), abs=1e-12)
-
-    def test_critical_one_percent(self):
-        k = kolmogorov_critical(0.01)
-        assert k == pytest.approx(1.6276, abs=1e-3)
-        assert kolmogorov_sf(k) == pytest.approx(0.01, abs=1e-6)
-
-    def test_critical_validation(self):
-        with pytest.raises(ValueError):
-            kolmogorov_critical(0.0)
+def test_kolmogorov_critical_constant():
+    # the clt report's 1% critical value of the asymptotic Kolmogorov law
+    assert _KS_CRITICAL_1PCT == pytest.approx(float(scipy_stats.kstwobign.isf(0.01)), rel=1e-15, abs=0.0)
 
 
 class TestNormalCdfAndKs:

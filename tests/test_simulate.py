@@ -202,7 +202,7 @@ class TestInversionExactness:
     def _check(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
         counts = invert_uniform_rows(cdf, u)
         assert counts.dtype == np.int64
-        assert counts.flags.f_contiguous
+        assert counts.flags.c_contiguous
         assert np.array_equal(counts, _raw_search(cdf, u))
         # into a caller's buffer: the float64 Fortran-ordered operand of the
         # Hopf gemm and a C-ordered int32 block, every cell overwritten
