@@ -10,7 +10,7 @@ Two deterministic series drive everything:
   unshifted square-root densities.  Its growth feeds the dissipativity
   certificate (summable overlap series).
 
-Both are sums sum_x terms(eps_v, d_x) over the same difference
+Both have the form sum_x terms(eps_v, d_x) over the same difference
 d_x = eps_{x+n} - eps_x, with v the shift's upper end x + n (square
 integral) or its lower end x (Hellinger).  One evaluator serves both and
 every family with a table, a power tail or both (a power family is the
@@ -18,9 +18,9 @@ empty table): an exact prefix whose d_x are ``epsilon_at`` differences up
 to the end of the table and stable power differences past it, plus, for a
 power tail, an Euler-Maclaurin closure of the remainder (see
 ``numerics``).  Truncating instead would cancel catastrophically.  Zero
-and step families have one closed form.  Slope fits
-against log n replace the exact asymptotics; a verdict is only issued when
-the decisive inequality clears three residual standard errors.
+and step families have one closed form.  Slope fits against log n replace
+the exact asymptotics; a verdict is only issued when the decisive
+inequality clears three residual standard errors.
 """
 
 from __future__ import annotations

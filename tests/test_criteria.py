@@ -77,8 +77,8 @@ def quadrature_tail(value, width: int, gamma: float, at_zero: float) -> float:
             t = u ** (-1 / mpmath.mpf(gamma))
             return float(value(u, t) * t / (gamma * u))  # dt = t / (gamma u) du
 
-    tail, err = integrate.quad(g, 0.0, (width + 0.5) ** -gamma, epsabs=1e-13, epsrel=1e-13, limit=400)
-    assert err < 1e-10
+    tail, err = integrate.quad(g, 0.0, (width + 0.5) ** -gamma, epsabs=1e-14, epsrel=1e-13, limit=400)
+    assert err < 1e-12 * max(1.0, abs(tail))
     return tail
 
 
