@@ -10,6 +10,7 @@ Euler-Maclaurin closure).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -67,8 +68,6 @@ def quadrature_tail(value, width: int, gamma: float, at_zero: float) -> float:
     integrand on a finite interval, whose value at u = 0 is ``at_zero``,
     and adaptive quadrature handles it directly.
     """
-    import mpmath
-
     def g(u):
         if u <= 0.0:
             return at_zero
@@ -85,8 +84,6 @@ def quadrature_tail(value, width: int, gamma: float, at_zero: float) -> float:
 def rn_brute_force(n: int, width: int = 10**7, gamma: float = 0.5, sign: int = -1) -> float:
     """Literal sum of e^{3 eps_k - 2 eps_{k-n}} - e^{eps_k} over 2..width,
     plus an independent quadrature tail."""
-    import mpmath
-
     total = 0.0
     for lo in range(2, width + 1, 1_000_000):
         hi = min(lo + 1_000_000, width + 1)
@@ -103,8 +100,6 @@ def rn_brute_force(n: int, width: int = 10**7, gamma: float = 0.5, sign: int = -
 def hellinger_brute_force(n: int, width: int = 10**7, gamma: float = 0.5, sign: int = -1) -> float:
     """Literal evaluation of the boundary block plus the shifted block, plus
     an independent quadrature tail."""
-    import mpmath
-
     j = np.arange(1, n + 2, dtype=float)
     block1 = float(np.sum((np.exp(eps_power(j, gamma, sign) / 2.0) - 1.0) ** 2))
     block2 = 0.0
