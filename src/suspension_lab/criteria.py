@@ -249,6 +249,7 @@ def hellinger_growth(profile: IntensityProfile, n: int) -> float:
 
 
 def rn_slope_fit(profile: IntensityProfile) -> SlopeFit:
+    require_condition(profile, "zero_gap", "rn_slope_fit")
     ns = geometric_grid(*RN_FIT_RANGE)
     unit = fit_log_slope(ns, [_unit(profile.epsilon, n, _RN) for n in ns], kind="rn_square_integral")
     return unit.scaled(profile.level)

@@ -107,7 +107,8 @@ def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     """CDF tables for an array of rates, one row per rate.
 
     Row r holds P(X <= k) for k = 0..K, K = rmax + 12 sqrt(rmax + 1) + 30
-    at the largest rate rmax; the mass left out is below 1e-16.
+    at the largest rate rmax; the mass left out is below 1e-16.  Each row's
+    pmf is built, and summed, in place in the returned array.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     if np.any(rates < 0.0):
@@ -119,12 +120,11 @@ def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     require_cells("a CDF table", len(rates), K + 1)
     pmf = np.empty((len(rates), K + 1))
     pmf[:, 0] = np.exp(-rates)
-    pmf[:, 1:] = rates[:, None] / np.arange(1, K + 1)
+    np.divide(rates[:, None], np.arange(1, K + 1), out=pmf[:, 1:])
     np.cumprod(pmf, axis=1, out=pmf)
     for r in np.flatnonzero(pmf[:, 0] < _TINY):
         pmf[r] = _pmf_from_mode(float(rates[r]), K)
-    cdf = np.cumsum(pmf, axis=1)
-    return cdf
+    return np.cumsum(pmf, axis=1, out=pmf)
 
 
 def _pmf_from_mode(rate: float, K: int) -> np.ndarray:

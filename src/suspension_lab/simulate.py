@@ -26,9 +26,10 @@ split.
 
 Hopf and scan draw, at every scale, samples x window uniforms row-major
 from a fresh generator of the spec.  One ``_hopf_core`` call serves every
-scale: the eps grid, theta and one buffer each of a chunk's uniforms and
-float64 counts are built once per call, and each scale's CDF table once
-per scale; neither the buffers nor the shared theta change the stream.
+scale: the eps grid, theta, the uniforms of one draw chunk and the float64
+counts of one gemm chunk are built once per call, and each scale's CDF
+table once per scale, after the previous scale's is dropped; neither the
+buffers, the chunks nor the shared theta change the stream.
 
 Windowing: products over the lattice are truncated to a finite index
 window.  The truncated log-density equals the log-density of the
@@ -79,12 +80,18 @@ from .sampling import (
 DEFAULT_WINDOW_TOL = 1e-4
 _CLT_BLOCK = 256  # consecutive indices per clt draw block, dead ones skipped
 _STOPPING_BLOCK = 8_192  # indices per stopping draw block
-#: Most cells per row chunk of a draw block (1 MiB of float64).  Bench ops
-#: on a 2-core VM, median of 3 to 6 runs: stopping ran 1.96 s, against
-#: 2.30/2.18/2.13/2.14 s at 2^15/2^16/2^18/2^19; clt_hirate ran 1.50 s,
-#: against 2.20/1.66/1.56/1.83 s.  Below it the per-chunk calls cost more.
+#: Most cells per row chunk of a draw block or of a Hopf gemm chunk (1 MiB
+#: of float64).  Bench ops on a 2-core VM, median of 3 to 6 runs: stopping
+#: ran 1.96 s, against 2.30/2.18/2.13/2.14 s at 2^15/2^16/2^18/2^19;
+#: clt_hirate ran 1.50 s, against 2.20/1.66/1.56/1.83 s.  Below it the
+#: per-chunk calls cost more.
 _DRAW_CHUNK_CELLS = 1 << 17
-_HOPF_CHUNK_CELLS = 1 << 20  # per Hopf chunk, whose rows hold window + N cells each
+#: Most cells per Hopf gemm chunk, whose rows hold window + N cells each.  It
+#: sizes the gemm only; the chunk's uniforms come in draw chunks.  It must not
+#: shrink, since OpenBLAS's bits depend on the rows per call: at window 6478
+#: and N = 64, a 64-row product differed bitwise from the same rows in 1- to
+#: 31-row calls, while C- and F-ordered operands gave the same bits.
+_HOPF_CHUNK_CELLS = 1 << 20
 _CHECKPOINTS = 9
 #: K with P(sup|B| > K) = 0.01 for a Brownian bridge B, the asymptotic
 #: Kolmogorov 1% point (scipy's ``kstwobign.isf(0.01)``, the same double).
@@ -253,11 +260,14 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
     """The Hopf statistics of each profile in turn over one window, for
     hopf_diagnostic (one profile) and scan_intensity (one per scale); the
     profiles differ only in their scale.  Each draws samples x W uniforms
-    from a fresh ``rng.generator()`` in chunks of ``_HOPF_CHUNK_CELLS //
-    (W + N)`` rows, against its CDF table, built and prepared once.  The eps
-    grid, theta and one buffer each of a chunk's uniforms and of its float64
-    counts (Fortran-ordered, the gemm's operand, which the inversion fills)
-    are built once per call and never change the stream.  Partial sums and
+    from a fresh ``rng.generator()`` in gemm chunks of ``_HOPF_CHUNK_CELLS
+    // (W + N)`` rows, each drawn in ``_row_step`` draw chunks of at most
+    ``_DRAW_CHUNK_CELLS`` cells and inverted against its CDF table, built
+    once and prepared for a gemm chunk (a draw chunk's coarser guide would
+    search slower).  The eps grid, theta, a uniform buffer of one draw chunk
+    and a C-ordered float64 count buffer of one gemm chunk (the gemm's
+    operand, which the inversions fill) are built once per call and never
+    change the stream.  Partial sums and
     moment bounds are linear-space floats: a level that overflows them is
     refused, its moment bounds before its table, the first level's before
     anything is built."""
@@ -273,6 +283,7 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
     lo, hi = window
     W = hi - lo
     rows = min(samples, max(1, _HOPF_CHUNK_CELLS // (W + N)))
+    step = _row_step(rows, W)  # rows per draw chunk of a gemm chunk
     theta = None
     results = []
     for profile in profiles:
@@ -289,8 +300,8 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
             theta = np.empty((W, N))
             for n in range(1, N + 1):
                 theta[:, n - 1] = eps[N - n:N - n + W] - eps[N:]
-            uniforms = np.empty((rows, W))
-            counts = np.empty(rows * W)  # each chunk's counts are its first m W cells, in Fortran order
+            uniforms = np.empty((step, W))
+            counts = np.empty((rows, W))  # the gemm operand, C-ordered
             partials = np.empty((samples, len(checkpoints)))
         a = profile.level * exp_eps
         a_k = a[N:]
@@ -300,13 +311,15 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
         event_counts = np.zeros(N, dtype=np.int64)
         for done in range(0, samples, rows):
             m = min(rows, samples - done)
-            u = gen.random(out=uniforms[:m])
-            x = invert_uniform_rows(table, u, out=counts[:m * W].reshape((m, W), order="F"))
-            logrn = drift[None, :] + x @ theta
+            for r0 in range(0, m, step):
+                u = gen.random(out=uniforms[:min(step, m - r0)])
+                invert_uniform_rows(table, u, out=counts[r0:r0 + len(u)])
+            logrn = drift[None, :] + counts[:m] @ theta
             if log_bn is not None:
                 event_counts += np.sum(logrn < log_bn[None, :], axis=0)
             P = np.cumsum(np.exp(logrn), axis=1)
             partials[done:done + m] = P[:, checkpoints - 1]
+        del table  # before the next scale builds its own
         if not np.isfinite(partials).all():
             raise ParameterDomainError(f"Hopf partial sums overflow at level {profile.level}")
         med = np.median(partials, axis=0)

@@ -743,14 +743,16 @@ GOLDEN_BODIES = [
     # blocks of 600 samples x 256 columns at rate 200 span two row chunks
     ("clt_600_base_200", "clt", {"profile": {"base": 200.0}, "n": 600, "samples": 600},
      "7f65c20ca67c6e8fded6b14e2d40e8a868a6cc8897c624f087a6995db7801a1a"),
-    # Hopf chunks of 2^20 // (W + N) sample rows: two full chunks and a
-    # partial one per scale (W = 2340, N = 64: 436 rows; 972 = 2 * 436 + 100),
-    # three scales of a zero-gap family, so every scale reports its Markov
-    # event frequencies
+    # Hopf gemm chunks of 2^20 // (W + N) sample rows: two full chunks and
+    # a partial one per scale (W = 2340, N = 64: 436 rows; 972 = 2 * 436 +
+    # 100), each drawn in draw chunks of at most 2^17 cells (7 of 55 rows and
+    # one of 51; 55 and 45 in the partial chunk), three scales of a zero-gap
+    # family, so every scale reports its Markov event frequencies
     ("scan_chunks", "scan", {"profile": {"base": 1.0}, "t_grid": [0.25, 0.5, 1.0], "N": 64, "samples": 972},
      "7d8e9f22373faacb0ecc812b9dd19bc18489fd49b79645c78e279198840bd72b"),
-    # the guide search over two full chunks and a partial one (W = 2022,
-    # N = 8: 516 rows; 1132 = 2 * 516 + 100)
+    # the guide search over two full gemm chunks and a partial one (W = 2022,
+    # N = 8: 516 rows; 1132 = 2 * 516 + 100), in draw chunks of 58 rows (the
+    # last of a full chunk 52, those of the partial one 58 and 42)
     ("hopf_base_50_chunks", "hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 1132},
      "25f12ffbc79f255867070a8e83d21c13dc31f5cea82872220d595ed017531445"),
 ]

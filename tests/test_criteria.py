@@ -153,6 +153,12 @@ class TestRnSquareIntegral:
         with pytest.raises(GapNotZeroError):
             rn_square_integral(p, 3)
 
+    def test_slope_fit_refuses_nonzero_gap(self):
+        # the fit is of the same series, whose derivation needs the gap to vanish
+        p = IntensityProfile(1.0, StepFamily(0.0, 0.5))
+        with pytest.raises(GapNotZeroError, match="^rn_slope_fit requires a vanishing asymptotic gap"):
+            rn_slope_fit(p)
+
     def test_brute_force_oracle_n10(self):
         p = IntensityProfile(0.1, HALF)
         want = 0.1 * rn_brute_force(10)

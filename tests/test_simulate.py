@@ -105,6 +105,19 @@ class TestPoissonSampler:
         cdf = poisson_cdf_tables(np.array([0.1, 5.0, 30.0]))
         assert np.all(cdf[:, -1] >= 1.0 - 1e-15)
 
+    def test_table_built_in_place(self):
+        # the pmf and its running sums share the returned array: a second
+        # array of the table's size would double the build's peak
+        rates = np.full(8_192, 1.0)
+        tracemalloc.start()
+        try:
+            cdf = poisson_cdf_tables(rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * cdf.nbytes
+        assert np.array_equal(cdf, _recurrence_tables(rates))
+
     def test_rng_spec_validation(self):
         with pytest.raises(ParameterDomainError):
             RNGSpec(seed=-1)
@@ -204,9 +217,11 @@ class TestInversionExactness:
         assert counts.dtype == np.int64
         assert counts.flags.c_contiguous
         assert np.array_equal(counts, _raw_search(cdf, u))
-        # into a caller's buffer: the float64 Fortran-ordered operand of the
-        # Hopf gemm and a C-ordered int32 block, every cell overwritten
-        for out in (np.full(u.shape, -1.0, order="F"), np.full(u.shape, -1, dtype=np.int32)):
+        # into a caller's buffer: a C-ordered float64 block (the Hopf gemm
+        # operand), a Fortran-ordered one and a C-ordered int32 block, every
+        # cell overwritten
+        for out in (np.full(u.shape, -1.0), np.full(u.shape, -1.0, order="F"),
+                    np.full(u.shape, -1, dtype=np.int32)):
             assert invert_uniform_rows(cdf, u, out=out) is out
             assert np.array_equal(out, counts)
         for rows in (1, 2 * len(u) + 1):
@@ -497,7 +512,8 @@ class TestHopfDiagnostic:
 
     def test_refused_level_builds_nothing(self, monkeypatch):
         # the first level's moment bounds are checked before the eps grid,
-        # theta and the chunk buffers, 165 x 6346 doubles each, are built
+        # theta, the counts of a gemm chunk (165 x 6346 doubles) and the
+        # uniforms of a draw chunk (19 x 6346) are built
         def grid(*args):
             raise AssertionError("eps grid built before the moment bounds")
         monkeypatch.setattr(simulate, "epsilon_at", grid)
@@ -512,6 +528,57 @@ class TestHopfDiagnostic:
         finally:
             tracemalloc.stop()
         assert peak < buffer_bytes / 2
+
+    def test_uniforms_in_one_draw_chunk(self):
+        # W = 2340, N = 64: gemm chunks of 436 x 2340 float64 counts, 7.8 MB,
+        # whose uniforms come in draw chunks of 55 rows, 1 MB; a uniform
+        # buffer of the gemm chunk's size would take the peak past twice it
+        lo, hi = window_for_shift(P1, 64)
+        operand_bytes = 8 * (hi - lo) * (simulate._HOPF_CHUNK_CELLS // (hi - lo + 64))
+        tracemalloc.start()
+        try:
+            hopf_diagnostic(P1, N=64, samples=500, rng=RNGSpec(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * operand_bytes
+
+    @pytest.mark.parametrize("experiment", ["hopf", "scan"])
+    def test_statistics_ignore_the_draw_chunks(self, monkeypatch, experiment):
+        # gemm chunks of 17 rows (17, 17 and 6 of 40 samples), drawn in one
+        # draw chunk each by default and, with draw chunks of at most 7 rows,
+        # in chunks of 6, 6 and 5 rows, then 6: the same statistics from
+        # the same stream, which every scale replays from its start
+        N, samples, rows = 8, 40, 17
+        lo, hi = window_for_shift(P1, N)
+        W = hi - lo
+        monkeypatch.setattr(simulate, "_HOPF_CHUNK_CELLS", rows * (W + N))
+        ts = [1.0] if experiment == "hopf" else [0.25, 0.5, 1.0]
+        drawn, shapes = [], []
+
+        class RecordingGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size=None, out=None):
+                u = self.gen.random(size, out=out)
+                drawn.append(u.ravel().copy())
+                shapes.append(u.shape)
+                return u
+
+        def run():
+            if experiment == "hopf":
+                return hopf_diagnostic(P1, N=N, samples=samples, rng=RNGSpec(seed=5)).statistics
+            return scan_intensity(P1, ts, N=N, samples=samples, rng=RNGSpec(seed=5)).statistics
+
+        default = run()
+        generator = RNGSpec.generator
+        monkeypatch.setattr(RNGSpec, "generator", lambda spec: RecordingGenerator(generator(spec)))
+        monkeypatch.setattr(simulate, "_DRAW_CHUNK_CELLS", 7 * W)
+        assert run() == default
+        assert shapes == [(6, W), (6, W), (5, W), (6, W), (6, W), (5, W), (6, W)] * len(ts)
+        stream = generator(RNGSpec(seed=5)).random((samples, W)).ravel()
+        assert np.array_equal(np.concatenate(drawn), np.tile(stream, len(ts)))
 
 
 class TestCltExperiment:
