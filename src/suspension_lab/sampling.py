@@ -33,16 +33,20 @@ table: the fewest passes after which, by the table's own CDF, at most
 ``_CLIMB_SHARE`` of draws are still climbing, up to ``_MAX_PASSES``; those
 climb on by gathered steps.  Tables that need more passes (mean rates above
 about 20) take indexed search (Chen and Asau, *AIIE Trans.* 6(2), 1974):
-a guide table splits [0, 1) into G cells and holds, per row and cell
-boundary j / G, the count of that boundary, so a uniform in cell
-j = floor(u G) has its count between the guide entries j and j + 1;
-bisection on the raw test u >= cdf[r, mid - 1] finds it there.  G is the
-smallest power of two at least min(K + 1, S), S being the number of sample
-rows inverted, so u G, j / G and G cdf are exact and the guide costs no
-more than the table or the queries; one sample row (G = 1) bisects over
-[0, top[r]].  ``prepare_rows`` does this set-up (plateaus, pass count,
-pass columns or guide) once for the row chunks of one block, S being
-their largest.
+a guide splits [0, 1) into G cells and holds, per row and cell j, one
+int32 count code: the count of every uniform in [j / G, (j + 1) / G) where
+no table entry before the plateau lies in the cell, and that count at the
+cell's lower edge complemented (~n, negative) where one does.  A uniform
+takes the code of its cell j = floor(u G) in one gather; only a negative
+code goes on to bisection on the raw test u >= cdf[r, mid - 1] over
+[~code, the next cell's count].  G is the smallest power of two at least
+min(``_GUIDE_PER_COLUMN`` (K + 1), S), S being the number of sample rows
+the table serves over its whole draw block, so u G, j / G and G cdf are
+exact, about one cell in 20 holds an entry for tables some 400 wide, and
+the codes take at most about the bytes of the block's uniforms; one
+sample row (G = 1) bisects over the whole row.  ``prepare_rows`` does
+this set-up (plateaus, pass count, pass columns or guide codes) once for
+the row chunks of one block.
 """
 
 from __future__ import annotations
@@ -58,22 +62,27 @@ _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
 
 #: Most comparison passes run; below 256, since the passes count in uint8.
-#: At rate 20 over 8192 rows and 250 sample rows on a 2-core VM, 32 passes
-#: took 29 ns per draw and the guide search 58 ns; at rates 74 to 188 over
-#: 256 rows and 2000 sample rows the guide search took 32 ns.
+#: At rate 20 over 8192 rows and 250 sample rows on a 2-core VM (Xeon with
+#: AVX-512), 32 passes took 13 ns per draw and the guide search (G = 256)
+#: 11 ns; at rates 74 to 188 over 256 rows and 2000 sample rows (G = 2048)
+#: the guide search took 6.5 to 8.3 ns.
 _MAX_PASSES = 32
 #: Largest expected share of draws still climbing after the passes.
 _CLIMB_SHARE = 0.01
+#: Guide cells per table column, at most: the finer the guide, the fewer
+#: cells hold a CDF entry and send their uniforms on to bisection.
+_GUIDE_PER_COLUMN = 8
 #: Queries per chunk of sample rows: 1 MiB of float64, which stays in cache
 #: across the passes.
 _CHUNK_CELLS = 1 << 17
-#: Queries per chunk of the guide search; bounds its index arrays (cells,
-#: bracket ends, bisection state) and so its share of peak RSS.  On the
-#: clt_hirate op, 2^16 ran about 5% faster than 2^15 and 2^17 for 2 MB more.
+#: Queries per chunk of the guide search; bounds its buffers (cells, codes,
+#: bisection state) and so its share of peak RSS.  On the clt_hirate op, in
+#: process on the same VM, 2^15, 2^16 and 2^17 ran 0.55, 0.55 and 0.53 s in
+#: the median of 8 runs, within their spread, at 44.3, 44.8 and 45.4 MB.
 _GUIDE_CHUNK = 1 << 16
 #: Most cells of one CDF table, draw block, Hopf theta table or set of Hopf
-#: partial sums (256 MiB of float64); it also keeps every flat position of
-#: the guide search within int32.
+#: partial sums (256 MiB of float64); it also keeps every count code of the
+#: guide search within int32.
 MAX_CELLS = 1 << 25
 
 
@@ -162,7 +171,8 @@ class RowTables:
     """A (rows, K) CDF table with its inversion set-up: each row's plateau
     start ``top``, the comparison ``passes`` (None for the guide search) and
     ``lookup``, the (passes, rows) pass columns, +inf from each plateau on,
-    or the flat guide entries over ``G`` cells.  Row chunks of one block
+    or the flat (rows, G + 1) int32 count codes of a guide of ``G`` cells,
+    G sized for the sample rows of the whole block.  Row chunks of one block
     inverted against it share that set-up."""
 
     cdf: np.ndarray
@@ -173,15 +183,17 @@ class RowTables:
 
 
 def prepare_rows(cdf: np.ndarray, samples: int) -> RowTables:
-    """The inversion set-up of ``cdf`` for uniforms of up to ``samples``
-    sample rows, which sets G."""
+    """The inversion set-up of ``cdf`` for the ``samples`` sample rows S
+    that it serves, over every row chunk of its block: G is the smallest
+    power of two at least min(``_GUIDE_PER_COLUMN`` (K + 1), S), K + 1
+    being the table's width."""
     top = np.argmax(cdf == cdf[:, -1:], axis=1)
     passes = _pass_count(cdf)
     if passes is not None:
         columns = np.where(np.arange(passes)[:, None] < top, cdf[:, :passes].T, np.inf)
         return RowTables(cdf, top, passes, columns, 0)
-    G = 1 << (max(min(cdf.shape[1], samples), 1) - 1).bit_length()
-    return RowTables(cdf, top, None, _guide_table(cdf, top, G).ravel(), G)
+    G = 1 << (max(min(_GUIDE_PER_COLUMN * cdf.shape[1], samples), 1) - 1).bit_length()
+    return RowTables(cdf, top, None, _guide_codes(cdf, top, G).ravel(), G)
 
 
 def _invert_by_passes(table: RowTables, u: np.ndarray, counts: np.ndarray) -> None:
@@ -209,69 +221,79 @@ def _invert_by_passes(table: RowTables, u: np.ndarray, counts: np.ndarray) -> No
             block[s_i, r_i] = c
 
 
-def _guide_table(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
-    """Guide entries as flat positions r K + guide[r, j] in a (rows, K)
-    table, guide[r, j] being min(#{k : cdf[r, k] <= j / G}, top[r]) for
-    0 < j < G, 0 for j = 0 and top[r] for j = G: guide[r, j] and
-    guide[r, j + 1] bracket the count of every uniform in [j / G, (j + 1) / G).
+def _guide_codes(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
+    """The (rows, G + 1) int32 count codes of a table's guide.  With
+    n[r, j] = min(#{k : cdf[r, k] <= j / G}, top[r]), cell j < G of row r
+    holds n[r, j] if no entry cdf[r, k], k < top[r], lies in
+    (j / G, (j + 1) / G], so every uniform in [j / G, (j + 1) / G) has that
+    count, and ~n[r, j] (negative) if one does; column G holds top[r].
 
-    With G a power of two, cdf <= j / G exactly when ceil(G cdf) <= j.  Only
-    a band of W columns is counted, from the first one nonzero in some row
-    to the last plateau start: the columns before it hold 0 in every row,
-    and those after it only raise counts that the cap at top takes back.
-    Row r's cells are keyed r (G + 1) + cell, below every later row's, so
-    the running count of keys up to r (G + 1) + j is r W plus the row's
-    count in the band.
+    With G a power of two, cdf <= j / G exactly when ceil(G cdf) <= j, so
+    row r holds m over the cells e[m - 1] <= j < e[m], where e[-1] = 0,
+    e[k] = min(ceil(G cdf[r, k]), G + 1) for k < top[r] and e[k] = G + 1
+    from top[r] on: one ``np.repeat`` of 0..T over those run lengths builds
+    every row, and one scatter flips the cells e[k] - 1 with 1 <= e[k] <= G.
     """
-    R, K = cdf.shape
-    start = np.arange(R) * K
-    guide = np.empty((R, G + 1), dtype=np.int32)
-    if G > 1:
-        first = int(np.argmax(cdf.max(axis=0, initial=0.0) > 0.0))
-        band = cdf[:, first:int(top.max(initial=0)) + 1]
-        cells = np.ceil(band * G)
-        np.minimum(cells, G, out=cells)  # cells from G on count toward no inner entry
-        cells += (np.arange(R) * (G + 1.0))[:, None]
-        per_key = np.bincount(cells.astype(np.intp).ravel(), minlength=R * (G + 1))
-        np.cumsum(per_key, dtype=np.int32, out=guide.reshape(-1))
-        guide += (start + first - np.arange(R) * band.shape[1])[:, None]
-        np.minimum(guide, (start + top)[:, None], out=guide)
-    guide[:, 0] = start
-    guide[:, G] = start + top
-    return guide
+    R = cdf.shape[0]
+    T = int(top.max(initial=0))
+    ends = np.empty((R, T + 2))  # e[k - 1] in column k, from e[-1] = 0 to G + 1
+    ends[:, 0] = 0.0
+    inner = ends[:, 1:T + 1]
+    np.multiply(cdf[:, :T], G, out=inner)
+    np.ceil(inner, out=inner)
+    np.minimum(inner, G + 1, out=inner)
+    inner[np.arange(T) >= top[:, None]] = G + 1  # runs past the row's top are empty
+    ends[:, T + 1] = G + 1
+    codes = np.repeat(np.tile(np.arange(T + 1, dtype=np.int32), R),
+                      np.diff(ends).astype(np.intp).ravel())
+    codes[G::G + 1] = top  # the run of top starts past G where an entry before top passes 1
+    in_cells = (inner >= 1.0) & (inner <= G)
+    inner += (np.arange(R) * (G + 1.0) - 1.0)[:, None]  # cell e[k] - 1 as a flat position
+    mixed = inner[in_cells].astype(np.intp)
+    codes[mixed] = ~codes[mixed]
+    return codes.reshape(R, G + 1)
 
 
 def _invert_by_guide(table: RowTables, u: np.ndarray, counts: np.ndarray) -> None:
-    """``invert_uniform_rows`` into ``counts`` by guide table and bisection per chunk of
-    sample rows: a uniform in cell j = floor(u G) of row r has its count in
-    [guide[r, j], guide[r, j + 1]], and bisection on u >= cdf[r, mid - 1]
-    narrows that bracket to the count.  Brackets are flat positions in the
-    table, within int32 since tables are capped at ``MAX_CELLS``."""
+    """``invert_uniform_rows`` into ``counts`` by the guide's count codes per
+    chunk of sample rows: a uniform in cell j = floor(u G) of row r takes
+    code[r, j], its count unless negative.  From a negative code the count
+    lies in [a, b] = [~code[r, j], n[r, j + 1]], n being a code or its
+    complement; it is a + (u >= cdf[r, a]) where b = a + 1, the common case,
+    and wider brackets are bisected by halving steps s, each taking
+    m = min(a + s, b) for a where u >= cdf[r, m - 1]."""
     S, R = u.shape
-    cdf, guide, G = table.cdf, table.lookup, table.G
+    cdf, codes, G = table.cdf, table.lookup, table.G
     K = cdf.shape[1]
     flat = np.ascontiguousarray(cdf).ravel()
-    start, first_cell = np.arange(R) * K, np.arange(R) * (G + 1)
+    first_cell = np.arange(R) * (G + 1)
     step = max(1, _GUIDE_CHUNK // max(R, 1))
+    cells = np.empty((min(step, S), R), dtype=np.intp)
+    found = np.empty(cells.shape, dtype=np.int32)
     for s0 in range(0, S, step):
         chunk = u[s0:s0 + step]
-        cell = (chunk * G).astype(np.intp, order="C")
+        cell, code = cells[:len(chunk)], found[:len(chunk)]
+        np.multiply(chunk, G, out=cell, casting="unsafe")  # floor(u G), exact
         cell += first_cell
-        lo = guide[cell]
-        cell += 1
-        hi = guide[cell]
-        at = np.flatnonzero(hi > lo)
-        flat_lo, q = lo.ravel(), chunk.ravel()[at]
-        a, b = flat_lo[at], hi.ravel()[at]
-        while len(at):
-            mid = (a + b + 1) >> 1
-            up = q >= flat[mid - 1]
-            np.copyto(a, mid, where=up)
-            np.subtract(mid, 1, out=b, where=~up)
-            flat_lo[at] = a
-            go = a < b
-            at, a, b, q = at[go], a[go], b[go], q[go]
-        np.subtract(lo, start, out=counts[s0:s0 + step], casting="unsafe")
+        codes.take(cell, out=code, mode="clip")
+        flat_code = code.reshape(-1)
+        at = np.flatnonzero(flat_code < 0)
+        if len(at):
+            a = ~flat_code[at]
+            b = codes.take(cell.reshape(-1)[at] + 1)
+            b ^= b >> 31  # the next cell's count: its code or, if negative, ~code
+            start, q = (at % R) * K, chunk.reshape(-1)[at]
+            flat_code[at] = a + (q >= flat.take(start + a))  # the count where b = a + 1
+            wide = np.flatnonzero(b - a > 1)
+            if len(wide):
+                at, a, b, q, start = at[wide], a[wide], b[wide], q[wide], start[wide] - 1
+                jump = 1 << (int((b - a).max()).bit_length() - 1)
+                while jump:
+                    probe = np.minimum(a + jump, b)
+                    np.copyto(a, probe, where=q >= flat.take(start + probe))
+                    jump >>= 1
+                flat_code[at] = a
+        np.copyto(counts[s0:s0 + step], code, casting="unsafe")
 
 
 def invert_uniform_rows(cdf: np.ndarray | RowTables, u: np.ndarray,

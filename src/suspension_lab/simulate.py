@@ -194,14 +194,16 @@ def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
     column.  The bit generator's state is saved at the x start and, after one
     ``advance``, at the y start, and each chunk resumes x and then y there.
     ``gen.random(out=...)`` fills one float64 buffer, and the counts, against
-    tables prepared once per block (no count depends on the guide size), two
-    int32 buffers; row chunks return the doubles of one matrix, so the stream
-    never changes and the generator ends 2 * rows * columns on."""
+    tables prepared once per block for all its sample rows (rows for the a_j
+    table, rows * columns for the a_0 row; no count depends on the guide
+    size), two int32 buffers; row chunks return the doubles of one matrix,
+    so the stream never changes and the generator ends 2 * rows * columns
+    on."""
     C = len(a_j)
     require_cells("a draw block", rows, C)
     step = _row_step(rows, C)
-    cdf = prepare_rows(poisson_cdf_tables(a_j), step)
-    y_table = prepare_rows(cdf0, step * C)
+    cdf = prepare_rows(poisson_cdf_tables(a_j), rows)
+    y_table = prepare_rows(cdf0, rows * C)
     u, x, y = np.empty(step * C), np.empty(step * C, dtype=np.int32), np.empty(step * C, dtype=np.int32)
     bits = gen.bit_generator
     at_x, at_y = bits.state, bits.advance(rows * C).state
@@ -263,9 +265,10 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
     from a fresh ``rng.generator()`` in gemm chunks of ``_HOPF_CHUNK_CELLS
     // (W + N)`` rows, each drawn in ``_row_step`` draw chunks of at most
     ``_DRAW_CHUNK_CELLS`` cells and inverted against its CDF table, built
-    once and prepared for a gemm chunk (a draw chunk's coarser guide would
-    search slower).  The eps grid, theta, a uniform buffer of one draw chunk
-    and a C-ordered float64 count buffer of one gemm chunk (the gemm's
+    once and prepared for a gemm chunk: a draw chunk's coarser guide would
+    search slower, and one for all samples would hold a finer guide for
+    each of the W rows.  The eps grid, theta, a uniform buffer of one draw
+    chunk and a C-ordered float64 count buffer of one gemm chunk (the gemm's
     operand, which the inversions fill) are built once per call and never
     change the stream.  Partial sums and
     moment bounds are linear-space floats: a level that overflows them is

@@ -301,10 +301,11 @@ class TestInversionExactness:
     def _with_cell_edges(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
         """Adversarial uniforms with u = 0, u = 1 - 2^-53 and, for the finest
         guide any call on this table can use (G at most the power of two at
-        or above its width), every cell edge j / G and both float neighbours
-        of it put in at random places."""
+        or above ``_GUIDE_PER_COLUMN`` times its width), every cell edge
+        j / G and both float neighbours of it put in at random places; the
+        edges of every coarser guide are among them."""
         u = _adversarial_uniforms(cdf, S, seed)
-        G = 1 << (cdf.shape[1] - 1).bit_length()
+        G = 1 << (sampling._GUIDE_PER_COLUMN * cdf.shape[1] - 1).bit_length()
         edges = np.arange(G + 1) / G
         special = np.concatenate([[0.0, 1.0], edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
         special = np.clip(special, 0.0, np.nextafter(1.0, 0.0))
@@ -323,6 +324,8 @@ class TestInversionExactness:
         pytest.param([200.0], 400, id="S-below-width"),  # the width is 401
         pytest.param([200.0], 401, id="S-at-width"),
         pytest.param([200.0], 402, id="S-above-width"),
+        pytest.param([200.0], 8 * 401 - 1, id="S-below-guide-cap"),  # G = 4096 = the cap's power of two
+        pytest.param([200.0], 8 * 401 + 1, id="S-above-guide-cap"),
         # three rows, so chunks of _GUIDE_CHUNK // 3 sample rows: two and a half
         pytest.param([30.0, 120.0, 200.0], 5 * sampling._GUIDE_CHUNK // 6, id="chunks"),
         pytest.param([709.0, 5e3, 1e4], 3_000, id="leading-zeros"),  # first entries exactly 0
@@ -350,6 +353,60 @@ class TestInversionExactness:
         u = RNGSpec(seed=S).generator().random(S * R)
         u[:len(queries)] = queries
         self._check(cdf, u.reshape(S, R))
+
+    @pytest.mark.parametrize("rates, S, G", [
+        pytest.param([200.0], 0, 1, id="no-sample-rows"),
+        pytest.param([200.0], 1, 1, id="one-sample-row"),
+        pytest.param([200.0], 3, 4, id="S-3"),
+        pytest.param([200.0], 2_000, 2_048, id="clt-block-rows"),
+        pytest.param([200.0], 2_048, 2_048, id="S-power-of-two"),
+        pytest.param([200.0], 2_049, 4_096, id="S-past-a-power-of-two"),
+        # 401 columns: at most 8 x 401 = 3208 cells, so 4096 for any larger S
+        pytest.param([200.0], 3_208, 4_096, id="S-at-the-cap"),
+        pytest.param([200.0], 512_000, 4_096, id="clt-a0-block"),
+        pytest.param([150.0, 200.0], 10**6, 4_096, id="two-rows"),
+        pytest.param([1e5], 10**7, 1 << 20, id="rate-cap"),  # 103,826 columns
+    ])
+    def test_guide_size(self, rates, S, G):
+        # the smallest power of two at least min(8 (K + 1), S), one code per cell and row
+        cdf = poisson_cdf_tables(np.array(rates))
+        assert sampling._GUIDE_PER_COLUMN == 8
+        table = prepare_rows(cdf, S)
+        assert table.passes is None and table.G == G
+        assert table.lookup.dtype == np.int32 and table.lookup.shape == (len(rates) * (G + 1),)
+
+    @pytest.mark.parametrize("G", [1, 2, 64, 1_024, 8_192])
+    def test_count_codes(self, G):
+        # each cell's code against its definition: the count at the cell's lower
+        # edge, complemented where an entry before the plateau lies in the cell
+        full = poisson_cdf_tables(np.array([0.0, 25.0, 200.0, 900.0]))
+        # top 3, with an entry above 1 before it
+        past_one = np.array([[0.25, 0.5, 1.0 + 2**-52, 1.0 + 2**-51, 1.0 + 2**-51]])
+        for cdf in (full, full[:, :full.shape[1] // 3], full + 4e-16 * (full > 0.5), past_one):
+            top = np.argmax(cdf == cdf[:, -1:], axis=1)
+            codes = sampling._guide_codes(cdf, top, G)
+            assert codes.shape == (len(cdf), G + 1) and codes.dtype == np.int32
+            lower, upper = np.arange(G) / G, np.arange(1, G + 1) / G
+            for r, row in enumerate(cdf):
+                entries = row[:top[r]]
+                n = np.minimum((entries[None, :] <= lower[:, None]).sum(axis=1), top[r])
+                inside = (entries[None, :] > lower[:, None]) & (entries[None, :] <= upper[:, None])
+                mixed = inside.any(axis=1)
+                assert np.array_equal(codes[r, :G], np.where(mixed, ~n, n))
+                assert codes[r, G] == top[r]
+
+    def test_clt_guides_send_few_cells_to_bisection(self):
+        # the bench clt tables at base 200: the first and last 256-column a_j
+        # blocks, guided for their 2000 sample rows, and the a_0 row, guided
+        # for 2000 x 256 of them; a 512-cell guide has 14-15% negative codes
+        profile = IntensityProfile(200.0, HALF)
+        a0 = poisson_cdf_tables(np.array([eval_intensity(profile, 0)]))
+        a_j = [profile.level * np.exp(epsilon_at(HALF, np.arange(lo, lo + 256))) for lo in (2, 9_745)]
+        blocks = [(poisson_cdf_tables(rates), 2_000) for rates in a_j] + [(a0, 2_000 * 256)]
+        for cdf, S in blocks:
+            table = prepare_rows(cdf, S)
+            codes = table.lookup.reshape(len(cdf), table.G + 1)[:, :table.G]
+            assert table.G >= 2_048 and np.mean(codes < 0) <= 0.05
 
     def test_path_follows_the_table(self):
         # low-count tables take the passes; wide ones the guide search
@@ -809,10 +866,11 @@ class TestRowChunks:
 
     def test_one_set_up_per_table_and_block(self, monkeypatch):
         # a block of 49 x 8192 spans four row chunks (13, 13, 13 and 10 rows):
-        # the a_j table and the one-row a_0 table are each prepared once
+        # the a_j table and the one-row a_0 table are each prepared once, for
+        # the block's 49 sample rows and its 49 x 8192 single-row draws
         calls = []
         def prepare(cdf, samples, prepare_rows=sampling.prepare_rows):
-            calls.append(cdf.shape)
+            calls.append((cdf.shape, samples))
             return prepare_rows(cdf, samples)
         monkeypatch.setattr(simulate, "prepare_rows", prepare)
         monkeypatch.setattr(sampling, "prepare_rows", prepare)
@@ -820,7 +878,7 @@ class TestRowChunks:
         cdf0 = poisson_cdf_tables(np.array([1.0]))
         chunks = simulate._increments(RNGSpec(seed=3).generator(), a_j, cdf0, 49)
         assert [(r0, len(d)) for r0, d in chunks] == [(0, 13), (13, 13), (26, 13), (39, 10)]
-        assert sorted(calls) == sorted([poisson_cdf_tables(a_j).shape, cdf0.shape])
+        assert sorted(calls) == sorted([(poisson_cdf_tables(a_j).shape, 49), (cdf0.shape, 49 * 8_192)])
 
     def test_stream_position(self, monkeypatch):
         # 50 rows of 300 columns in chunks of 7 (the last of 1): the chunks
