@@ -40,13 +40,14 @@ cell's lower edge complemented (~n, negative) where one does.  A uniform
 takes the code of its cell j = floor(u G) in one gather; only a negative
 code goes on to bisection on the raw test u >= cdf[r, mid - 1] over
 [~code, the next cell's count].  G is the smallest power of two at least
-min(``_GUIDE_PER_COLUMN`` (K + 1), S), S being the number of sample rows
-the table serves over its whole draw block, so u G, j / G and G cdf are
-exact, about one cell in 20 holds an entry for tables some 400 wide, and
-the codes take at most about the bytes of the block's uniforms; one
-sample row (G = 1) bisects over the whole row.  ``prepare_rows`` does
-this set-up (plateaus, pass count, pass columns or guide codes) once for
-the row chunks of one block.
+min(``_GUIDE_PER_COLUMN`` (K + 1), S, ``_GUIDE_CELLS`` // rows), S being
+the number of sample rows the table serves over its whole draw block, so
+u G, j / G and G cdf are exact, about one cell in 20 holds an entry for
+tables some 400 wide, and a table's codes number fewer than
+2 ``_GUIDE_CELLS`` + rows however large its block; one sample row (G = 1)
+bisects over the whole row.  ``prepare_rows`` does this set-up (plateaus,
+pass count, pass columns or guide codes) once for the row chunks of one
+block.
 """
 
 from __future__ import annotations
@@ -72,8 +73,14 @@ _CLIMB_SHARE = 0.01
 #: Guide cells per table column, at most: the finer the guide, the fewer
 #: cells hold a CDF entry and send their uniforms on to bisection.
 _GUIDE_PER_COLUMN = 8
+#: Guide cells of one table, about, at most: G is at most the power of two
+#: at or above this over the table's rows, so a table of many rows serving
+#: many sample rows keeps fewer than 2^21 + rows codes (8 MiB of int32).
+#: The clt a_j tables (256 rows, G = 2048) stay within it, and so does every
+#: Hopf gemm chunk's guide, whose sample rows are at most 2^20 // W.
+_GUIDE_CELLS = 1 << 20
 #: Queries per chunk of sample rows: 1 MiB of float64, which stays in cache
-#: across the passes.
+#: across the passes.  Also the table cells per chunk of a guide's build.
 _CHUNK_CELLS = 1 << 17
 #: Queries per chunk of the guide search; bounds its buffers (cells, codes,
 #: bisection state) and so its share of peak RSS.  On the clt_hirate op, in
@@ -172,8 +179,9 @@ class RowTables:
     start ``top``, the comparison ``passes`` (None for the guide search) and
     ``lookup``, the (passes, rows) pass columns, +inf from each plateau on,
     or the flat (rows, G + 1) int32 count codes of a guide of ``G`` cells,
-    G sized for the sample rows of the whole block.  Row chunks of one block
-    inverted against it share that set-up."""
+    G sized for the sample rows of the whole block, within a budget of
+    cells for the table.  Row chunks of one block inverted against it share
+    that set-up."""
 
     cdf: np.ndarray
     top: np.ndarray
@@ -185,14 +193,15 @@ class RowTables:
 def prepare_rows(cdf: np.ndarray, samples: int) -> RowTables:
     """The inversion set-up of ``cdf`` for the ``samples`` sample rows S
     that it serves, over every row chunk of its block: G is the smallest
-    power of two at least min(``_GUIDE_PER_COLUMN`` (K + 1), S), K + 1
-    being the table's width."""
+    power of two at least min(``_GUIDE_PER_COLUMN`` (K + 1), S,
+    ``_GUIDE_CELLS`` // rows) for a table of rows x (K + 1) cells."""
     top = np.argmax(cdf == cdf[:, -1:], axis=1)
     passes = _pass_count(cdf)
     if passes is not None:
         columns = np.where(np.arange(passes)[:, None] < top, cdf[:, :passes].T, np.inf)
         return RowTables(cdf, top, passes, columns, 0)
-    G = 1 << (max(min(_GUIDE_PER_COLUMN * cdf.shape[1], samples), 1) - 1).bit_length()
+    R, width = cdf.shape
+    G = 1 << (max(min(_GUIDE_PER_COLUMN * width, samples, _GUIDE_CELLS // max(R, 1)), 1) - 1).bit_length()
     return RowTables(cdf, top, None, _guide_codes(cdf, top, G).ravel(), G)
 
 
@@ -232,26 +241,33 @@ def _guide_codes(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
     row r holds m over the cells e[m - 1] <= j < e[m], where e[-1] = 0,
     e[k] = min(ceil(G cdf[r, k]), G + 1) for k < top[r] and e[k] = G + 1
     from top[r] on: one ``np.repeat`` of 0..T over those run lengths builds
-    every row, and one scatter flips the cells e[k] - 1 with 1 <= e[k] <= G.
+    each chunk of rows, and one scatter flips the cells e[k] - 1 with
+    1 <= e[k] <= G.  Chunks of about ``_CHUNK_CELLS`` table cells bound the
+    build's temporaries; a table of more rows is joined from its chunks.
     """
-    R = cdf.shape[0]
-    T = int(top.max(initial=0))
-    ends = np.empty((R, T + 2))  # e[k - 1] in column k, from e[-1] = 0 to G + 1
-    ends[:, 0] = 0.0
-    inner = ends[:, 1:T + 1]
-    np.multiply(cdf[:, :T], G, out=inner)
-    np.ceil(inner, out=inner)
-    np.minimum(inner, G + 1, out=inner)
-    inner[np.arange(T) >= top[:, None]] = G + 1  # runs past the row's top are empty
-    ends[:, T + 1] = G + 1
-    codes = np.repeat(np.tile(np.arange(T + 1, dtype=np.int32), R),
-                      np.diff(ends).astype(np.intp).ravel())
-    codes[G::G + 1] = top  # the run of top starts past G where an entry before top passes 1
-    in_cells = (inner >= 1.0) & (inner <= G)
-    inner += (np.arange(R) * (G + 1.0) - 1.0)[:, None]  # cell e[k] - 1 as a flat position
-    mixed = inner[in_cells].astype(np.intp)
-    codes[mixed] = ~codes[mixed]
-    return codes.reshape(R, G + 1)
+    R, width = cdf.shape
+    step = max(1, _CHUNK_CELLS // width)
+    parts = []
+    for r0 in range(0, max(R, 1), step):  # once for a table of no rows
+        row_top = top[r0:r0 + step]
+        n, T = len(row_top), int(row_top.max(initial=0))
+        ends = np.empty((n, T + 2))  # e[k - 1] in column k, from e[-1] = 0 to G + 1
+        ends[:, 0] = 0.0
+        inner = ends[:, 1:T + 1]
+        np.multiply(cdf[r0:r0 + step, :T], G, out=inner)
+        np.ceil(inner, out=inner)
+        np.minimum(inner, G + 1, out=inner)
+        inner[np.arange(T) >= row_top[:, None]] = G + 1  # runs past the row's top are empty
+        ends[:, T + 1] = G + 1
+        codes = np.repeat(np.tile(np.arange(T + 1, dtype=np.int32), n),
+                          np.diff(ends).astype(np.intp).ravel())
+        codes[G::G + 1] = row_top  # the run of top starts past G where an entry before top passes 1
+        in_cells = (inner >= 1.0) & (inner <= G)
+        inner += (np.arange(n) * (G + 1.0) - 1.0)[:, None]  # cell e[k] - 1 as a flat position
+        mixed = inner[in_cells].astype(np.intp)
+        codes[mixed] = ~codes[mixed]
+        parts.append(codes.reshape(n, G + 1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _invert_by_guide(table: RowTables, u: np.ndarray, counts: np.ndarray) -> None:
@@ -260,8 +276,10 @@ def _invert_by_guide(table: RowTables, u: np.ndarray, counts: np.ndarray) -> Non
     code[r, j], its count unless negative.  From a negative code the count
     lies in [a, b] = [~code[r, j], n[r, j + 1]], n being a code or its
     complement; it is a + (u >= cdf[r, a]) where b = a + 1, the common case,
-    and wider brackets are bisected by halving steps s, each taking
-    m = min(a + s, b) for a where u >= cdf[r, m - 1]."""
+    in one gather, and wider brackets are bisected by halving steps s, each
+    taking m = min(a + s, b) for a where u >= cdf[r, m - 1].  (Halving steps
+    over every bracket, with no one-gather case, ran the clt_hirate op 0.76
+    -> 0.95 s in process on a 2-core VM.)"""
     S, R = u.shape
     cdf, codes, G = table.cdf, table.lookup, table.G
     K = cdf.shape[1]

@@ -298,21 +298,19 @@ class TestInversionExactness:
         assert np.array_equal(invert_uniform_rows(cdf, u), _raw_search(cdf, u))
 
     @staticmethod
-    def _with_cell_edges(cdf: np.ndarray, S: int, seed: int) -> np.ndarray:
-        """Adversarial uniforms with u = 0, u = 1 - 2^-53 and, for the finest
-        guide any call on this table can use (G at most the power of two at
-        or above ``_GUIDE_PER_COLUMN`` times its width), every cell edge
-        j / G and both float neighbours of it put in at random places; the
-        edges of every coarser guide are among them."""
-        u = _adversarial_uniforms(cdf, S, seed)
-        G = 1 << (sampling._GUIDE_PER_COLUMN * cdf.shape[1] - 1).bit_length()
+    def _with_cell_edges(cdf: np.ndarray, S: int, G: int, seed: int) -> np.ndarray:
+        """Adversarial uniforms of at least S sample rows with, in every
+        column, u = 0, u = 1 - 2^-53 and every cell edge j / G of a G-cell
+        guide and both float neighbours of it, each put in at a random
+        sample row; there are more sample rows than S where these values
+        outnumber S."""
         edges = np.arange(G + 1) / G
         special = np.concatenate([[0.0, 1.0], edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
         special = np.clip(special, 0.0, np.nextafter(1.0, 0.0))
+        u = _adversarial_uniforms(cdf, max(S, len(special)), seed)
         gen = np.random.default_rng(seed)
-        flat = u.reshape(-1)
-        n = min(len(flat), len(special))
-        flat[gen.choice(len(flat), n, replace=False)] = gen.permutation(special)[:n]
+        for column in u.T:
+            column[gen.choice(len(column), len(special), replace=False)] = special
         return u
 
     @pytest.mark.parametrize("rates, S", [
@@ -333,10 +331,15 @@ class TestInversionExactness:
         pytest.param([0.0, 2.0, 40.0, 1e3], 700, id="mixed"),
     ])
     def test_guide_matches_raw_search(self, rates, S):
+        # every cell edge of the guide prepared for S sample rows, and its
+        # float neighbours, in every row
         full = poisson_cdf_tables(np.array(rates))
         assert sampling._pass_count(full) is None
         for cdf in (full, full[:, :full.shape[1] // 2]):  # the cut table's rows end below 1
-            self._check(cdf, self._with_cell_edges(cdf, S, seed=S))
+            table = prepare_rows(cdf, S)
+            u = self._with_cell_edges(cdf, S, table.G, seed=S)
+            assert np.array_equal(invert_uniform_rows(table, u), _raw_search(cdf, u))
+            self._check(cdf, u)
 
     @pytest.mark.parametrize("S", [1, 2, 3, 5, 6, 7, 12])
     def test_cells_split_at_exact_edges(self, S):
@@ -366,17 +369,25 @@ class TestInversionExactness:
         pytest.param([200.0], 512_000, 4_096, id="clt-a0-block"),
         pytest.param([150.0, 200.0], 10**6, 4_096, id="two-rows"),
         pytest.param([1e5], 10**7, 1 << 20, id="rate-cap"),  # 103,826 columns
+        # many rows: at most the power of two at or above 2^20 // rows
+        pytest.param([5e3] * 256, 10**5, 4_096, id="clt-base-5000"),  # 5879 columns
+        pytest.param([200.0] * 2_048, 4_096, 512, id="cells-2048-rows"),
+        pytest.param([200.0] * 3_000, 4_096, 512, id="cells-3000-rows"),  # 2^20 // 3000 = 349
+        pytest.param([200.0] * 8_192, 4_096, 128, id="stopping-block"),  # 8192 columns at base 200
+        pytest.param([200.0] * 8_192, 50, 64, id="S-below-the-cells"),
     ])
     def test_guide_size(self, rates, S, G):
-        # the smallest power of two at least min(8 (K + 1), S), one code per cell and row
+        # the smallest power of two at least min(8 (K + 1), S, 2^20 // rows),
+        # one code per cell and row: fewer than 2^21 + rows codes
         cdf = poisson_cdf_tables(np.array(rates))
-        assert sampling._GUIDE_PER_COLUMN == 8
+        assert sampling._GUIDE_PER_COLUMN == 8 and sampling._GUIDE_CELLS == 1 << 20
         table = prepare_rows(cdf, S)
         assert table.passes is None and table.G == G
         assert table.lookup.dtype == np.int32 and table.lookup.shape == (len(rates) * (G + 1),)
+        assert len(table.lookup) < (1 << 21) + len(rates)
 
     @pytest.mark.parametrize("G", [1, 2, 64, 1_024, 8_192])
-    def test_count_codes(self, G):
+    def test_count_codes(self, monkeypatch, G):
         # each cell's code against its definition: the count at the cell's lower
         # edge, complemented where an entry before the plateau lies in the cell
         full = poisson_cdf_tables(np.array([0.0, 25.0, 200.0, 900.0]))
@@ -386,6 +397,9 @@ class TestInversionExactness:
             top = np.argmax(cdf == cdf[:, -1:], axis=1)
             codes = sampling._guide_codes(cdf, top, G)
             assert codes.shape == (len(cdf), G + 1) and codes.dtype == np.int32
+            with monkeypatch.context() as m:
+                m.setattr(sampling, "_CHUNK_CELLS", 1)  # built one row per chunk and joined
+                assert np.array_equal(sampling._guide_codes(cdf, top, G), codes)
             lower, upper = np.arange(G) / G, np.arange(1, G + 1) / G
             for r, row in enumerate(cdf):
                 entries = row[:top[r]]
