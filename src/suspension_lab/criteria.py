@@ -16,7 +16,8 @@ integral) or its lower end x (Hellinger).  One evaluator serves both and
 every family with a table, a power tail or both (a power family is the
 empty table): an exact prefix whose d_x are ``epsilon_at`` differences up
 to the end of the table and stable power differences past it, plus, for a
-power tail, an Euler-Maclaurin closure of the remainder (see
+power tail, a closure of the remainder whose terms are exponentials in
+y = v^-gamma and z = n / v, summed exactly as a double power series (see
 ``numerics``).  Truncating instead would cancel catastrophically.  Zero
 and step families have one closed form.  Slope fits against log n replace
 the exact asymptotics; a verdict is only issued when the decisive
@@ -50,7 +51,8 @@ from .intensity import (
     limit_gap,
     limit_sets,
 )
-from .numerics import SlopeFit, fit_log_slope, geometric_grid, semi_infinite_sum
+from .numerics import (SlopeFit, binomial_series, exponential_series, fit_log_slope, geometric_grid,
+                       semi_infinite_sum)
 
 #: Least-squares windows (powers of two, inclusive).  The square-integral
 #: series is fitted from 16; the Hellinger series carries a boundary block
@@ -161,25 +163,36 @@ def _shift_diff(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, 
 
 class _Series(NamedTuple):
     """sum_x terms(eps_v, d_x), v being the shift's upper end k = x + n
-    (``upper``) or its lower end x.  The terms grow like d_x^order, so over
-    a power tail they decay like v^-(order (1 + gamma))."""
+    (``upper``) or its lower end x.  Over a power tail a term is
+    sum_r w_r e^{y R_r(z)} for the forms ``exponentials(eps_v / y, eps_other / y)``."""
 
     what: str
     terms: Callable[[np.ndarray, np.ndarray], np.ndarray]
     upper: bool
-    order: int
+    exponentials: Callable[[np.ndarray, np.ndarray], tuple[tuple[float, np.ndarray], ...]]
 
 
-#: sum_x e^{eps_{x+n}} expm1(2 d_x)
-_RN = _Series("square-integral series", lambda eps_v, d: np.exp(eps_v) * np.expm1(2.0 * d), True, 1)
+#: sum_x e^{eps_{x+n}} expm1(2 d_x), that is e^{3 eps_k - 2 eps_{k-n}} - e^{eps_k} for k = x + n
+_RN = _Series("square-integral series", lambda eps_v, d: np.exp(eps_v) * np.expm1(2.0 * d), True,
+              lambda here, other: ((1.0, 3.0 * here - 2.0 * other), (-1.0, here)))
 #: sum_x e^{eps_x} expm1(d_x / 2)^2, that is (e^{eps_{x+n}/2} - e^{eps_x/2})^2 without its cancellation
-_HELLINGER = _Series("hellinger series", lambda eps_v, d: np.exp(eps_v) * np.expm1(0.5 * d) ** 2, False, 2)
+_HELLINGER = _Series("hellinger series", lambda eps_v, d: np.exp(eps_v) * np.expm1(0.5 * d) ** 2, False,
+                     lambda here, other: ((1.0, other), (-2.0, 0.5 * (here + other)), (1.0, here)))
+
+
+@lru_cache(maxsize=256)
+def _tail_coefficients(series: _Series, gamma: float, sign: int) -> np.ndarray:
+    """The terms over the tail eps_v = sign y, y = v^-gamma, as sum T_ik y^i z^k,
+    z = n / v; at v -+ n, the shift's other end, eps = sign y (1 -+ z)^-gamma."""
+    other = sign * binomial_series(gamma, 1.0 if series.upper else -1.0)
+    here = np.where(np.arange(other.size) == 0, float(sign), 0.0)
+    return exponential_series(series.exponentials(here, other))
 
 
 @lru_cache(maxsize=131_072)
 def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
-    """The series at shift n: exact over v <= K and, for a power tail, an
-    Euler-Maclaurin closure over v > K."""
+    """The series at shift n: exact over v <= K and, for a power tail, the
+    double-series closure over v > K."""
     if isinstance(fam, ZeroFamily):
         return 0.0
     if isinstance(fam, StepFamily):
@@ -192,10 +205,8 @@ def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
     total = float(np.sum(series.terms(eps_v, d)))
     if tail is None:
         return total
-    g, s = tail.gamma, tail.sign
-    return total + semi_infinite_sum(
-        lambda v: series.terms(s * np.power(v, -g), _power_eps_diff(g, s, v + (n - lag), float(n))),
-        K + 1, series.order * (1.0 + g))
+    coeffs = _tail_coefficients(series, tail.gamma, tail.sign)
+    return total + semi_infinite_sum(coeffs, tail.gamma, K + 1, n)
 
 
 def require_condition(profile: IntensityProfile, condition: str, who: str) -> None:
@@ -227,8 +238,8 @@ def rn_square_integral(profile: IntensityProfile, n: int) -> float:
 
     Refuses profiles whose asymptotic gap is nonzero: the derivation of the
     displayed form cancels the linear increment sum, which requires the gap
-    to vanish.  The infinite sum is evaluated as an exact prefix plus an
-    Euler-Maclaurin tail.
+    to vanish.  The infinite sum is evaluated as an exact prefix plus, for
+    a power tail, its Hurwitz-zeta closure.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

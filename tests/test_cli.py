@@ -674,15 +674,15 @@ DEAD_COLUMNS = {"kind": "explicit", "table": {"3": 0.0, "4": -0.3, "6": 0.0, "30
 TWO_ENTRIES = {"kind": "explicit", "table": {"0": 0.4, "1": -0.2}, "tail": {"kind": "power", "gamma": 0.4, "sign": -1}}
 GOLDEN_BODIES = [
     ("hopf_power", "hopf", {"profile": {"base": 1.0}, "N": 8, "samples": 40},
-     "02ad4eb9e3b81ac101369d8c8f22595d726759c9daf3e06e836a8e7f6c41418d"),
+     "fd7bac3c4b19ca950d48d939393a8aaf409cbbe3fe1bc1c7cae76286b9c381af"),
     ("hopf_step", "hopf",
      {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}, "N": 8, "samples": 40},
      "2bea45dd04590b150eb2eee592f0cb71d9d60e6fe43ef520b6fc4c69de083ede"),
     ("hopf_explicit_window", "hopf",
      {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}, "N": 8, "samples": 40, "window": [-50, 3000]},
-     "e14eac50bf9c3d3011a84ab7a00c40208ce9a353639933716a6ab9df110e7f15"),
+     "4541b77b23159f7b1a58d33f75c049bb67d7fc95d3e139eeceda4903450408d7"),
     ("scan", "scan", {"profile": {"base": 1.0}, "t_grid": [0.5, 1.0, 2.0], "N": 8, "samples": 40},
-     "c8be4ee339b573a7afd39de57d3fef7b09e8fe8624468752a5296bb91a07fe5c"),
+     "559be79918046ea06ddbdd1941751182bca2de4b09612e9515fd9acc7933e4c7"),
     ("clt_power", "clt", {"profile": {"base": 1.0}, "n": 300, "samples": 40},
      "01a624e2b273f92b006647068da0058ed610c2b1183769fd9c29cca65947abf3"),
     ("clt_dead_columns", "clt", {"profile": {"base": 1.0, "epsilon": DEAD_COLUMNS}, "n": 600, "samples": 40},
@@ -702,25 +702,25 @@ GOLDEN_BODIES = [
      "61a4a293bb599550c4843f781d4b7fa822a07f2f42fc872b40bf328371ecbe0d"),
     # fewer sample rows (a chunk of 40) than table columns
     ("hopf_base_50", "hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 40},
-     "45f973324212c972cdae14ab2c817bbc8059c7db4cb183eb31ad2fb1d46a8663"),
+     "6fcf1927677045ab6e73812f131463956aecb885441683659839b22fcb91bf39"),
     # the analytic layer: condition verdicts, series units, fits, certificates and the bracket
     ("bracket", "bracket", {"profile": {"base": 1.0}},
-     "de3b7fa96c927a34db7ae223b7d6461c265e95328d641a5d61b9548edb522658"),
+     "701c74856e54cac82c0f15d87133944caa1e9e2a8d68df3b3a56c4f66904ebed"),
     ("classify_power_0.3", "classify",
      {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.3, "sign": -1}}},
      "36fe6de9f873332d808b052cd792933587e81d9a2841ef8c5529e5480a834e74"),
     ("classify_power_0.75", "classify",
      {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.75, "sign": -1}}},
-     "62530fd87495d2d336f205932d78feb3c4b3b59123a3897042328b07a9d0f9fd"),
+     "441f140934dbaaff0591dd28649953dd57c89e6f070fcf9ea739328e31e54717"),
     ("classify_explicit", "classify", {"profile": {"base": 1.0, "epsilon": TWO_ENTRIES}},
-     "2757ecb8f4c0594b6b82be633398268a321947c93c270797decfbb7527ddbeba"),
+     "a4653b300aa4a72f9c09ee75b41cf3b05e788acf260834ae89283c1684790f3b"),
     ("classify_step", "classify",
      {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.5}}},
      "b53ff87ef00f70cb42098a7ac412cd3cdc45cb2b713c2588804ebc797f860ec7"),
     ("check", "check", {"profile": {"base": 1.0}},
      "032bd234c32109a4b23b2ae777118760472499765049860962ba6289ac85e94e"),
     ("asymptotics", "asymptotics", {"profile": {"base": 1.0}},
-     "db1a905af6df4287be0c93ad0488a174ec8bf6b75ff13be979315956481ff5bb"),
+     "200795d8cdbdf26c960fa80778dc60109c6243554d22a3386b453440536eec8f"),
     ("tails", "tails", {"skellam": {"a": 1.0, "b": 0.6}, "L": 4},
      "23afa1f524f30a8bda0e37cbb98eb9d02c545166da1e771d1c95fff31c02056a"),
     # written forms no digest above reaches: disjoint limit sets, a body rng
@@ -749,12 +749,12 @@ GOLDEN_BODIES = [
     # one of 51; 55 and 45 in the partial chunk), three scales of a zero-gap
     # family, so every scale reports its Markov event frequencies
     ("scan_chunks", "scan", {"profile": {"base": 1.0}, "t_grid": [0.25, 0.5, 1.0], "N": 64, "samples": 972},
-     "7d8e9f22373faacb0ecc812b9dd19bc18489fd49b79645c78e279198840bd72b"),
+     "03377b2cf85bd638805b755f66d70dbf282197ae6699fd6a295a6ceae5b2e7d1"),
     # the guide search over two full gemm chunks and a partial one (W = 2022,
     # N = 8: 516 rows; 1132 = 2 * 516 + 100), in draw chunks of 58 rows (the
     # last of a full chunk 52, those of the partial one 58 and 42)
     ("hopf_base_50_chunks", "hopf", {"profile": {"base": 50.0}, "N": 8, "samples": 1132},
-     "25f12ffbc79f255867070a8e83d21c13dc31f5cea82872220d595ed017531445"),
+     "0236f7618b9593cfeaabae316d56604290e93f5c5ffc95e3c7cf9cb0e02a828e"),
 ]
 
 #: Runs (name, command, config) documents from stdin at seed 1 in one
