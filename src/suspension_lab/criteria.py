@@ -19,9 +19,18 @@ to the end of the table and stable power differences past it, plus, for a
 power tail, a closure of the remainder whose terms are exponentials in
 y = v^-gamma and z = n / v, summed exactly as a double power series (see
 ``numerics``).  Truncating instead would cancel catastrophically.  Zero
-and step families have one closed form.  Slope fits against log n replace
-the exact asymptotics; a verdict is only issued when the decisive
-inequality clears three residual standard errors.
+and step families have one closed form.
+
+Every prefix slices one eps grid per family (``_eps_grid``), sized by the
+largest request so far, and turns its differences into terms in place,
+chunk by chunk, in one buffer that a single ``np.sum`` adds.  Every step is
+an elementwise ufunc, whose results depend neither on a slice's offset nor
+on its length, and sign t^-gamma is the value the grid holds, so each unit
+has the bits of a grid built for it alone.  The closure's zeta-weighted
+column sums are cached per series, gamma, sign and prefix end.
+
+Slope fits against log n replace the exact asymptotics; a verdict is only
+issued when the decisive inequality clears three residual standard errors.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from .intensity import (
     limit_sets,
 )
 from .numerics import (SlopeFit, binomial_series, exponential_series, fit_log_slope, geometric_grid,
-                       semi_infinite_sum)
+                       semi_infinite_sum, zeta_weights)
 
 #: Least-squares windows (powers of two, inclusive).  The square-integral
 #: series is fitted from 16; the Hellinger series carries a boundary block
@@ -108,12 +117,21 @@ def nonsingularity_deficit(profile: IntensityProfile, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _power_eps_diff(gamma: float, sign: int, t: np.ndarray, shift: float) -> np.ndarray:
-    """eps(t) - eps(t - shift) for the pure power form, computed stably.
+def _power_eps_diff(gamma: float, eps_t: np.ndarray, t: np.ndarray, shift: float) -> np.ndarray:
+    """eps(t) - eps(t - shift) for the pure power form, computed stably as
+    -eps_t expm1(-gamma log1p(-shift / t)) into ``t``, which it overwrites.
 
-    Valid where both t and t - shift are in the power regime (> 1).
+    Valid where both t and t - shift are in the power regime (> 1).  Where
+    gamma log(t / (t - shift)) passes expm1's range (about 709.78) the cell
+    is not finite, and the caller keeps the plain difference.
     """
-    return -sign * np.power(t, -gamma) * np.expm1(-gamma * np.log1p(-shift / t))
+    np.divide(-shift, t, out=t)
+    np.log1p(t, out=t)
+    np.multiply(t, -gamma, out=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.expm1(t, out=t)
+        np.multiply(t, eps_t, out=t)
+    return np.negative(t, out=t)
 
 
 def _span(fam: PowerFamily | ExplicitFamily, series: str) -> tuple[int, int, Optional[PowerFamily]]:
@@ -136,48 +154,111 @@ def _span(fam: PowerFamily | ExplicitFamily, series: str) -> tuple[int, int, Opt
     return first, last, tail
 
 
-def _shift_diff(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, last: int,
-                tail: Optional[PowerFamily], lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """eps_{x+lag} and d_x = eps_{x+n} - eps_x for x = first - n ... hi,
-    given the family's ``_span``.
+#: Cells per pass of the in-place kernels: a chunk and its temporaries stay in cache.
+_CHUNK = 16_384
 
-    Up to the end of the table d_x is a difference of ``epsilon_at`` values;
-    past it both indices lie in the power tail, so eps is the tail's own
-    formula and d_x the stable ``_power_eps_diff``.  The regions are
-    contiguous slices of one grid of eps values.
-    """
-    lo = first - n
-    t = np.arange(lo, hi + n + 1, dtype=float)
-    eps = np.zeros_like(t)
-    a, b = first - lo, last + 1 - lo  # eps[a:b] covers the table, eps[b:] lies past it
-    if b > a:
-        eps[a:b] = epsilon_at(fam, t[a:b])
-    if tail is not None:
-        eps[b:] = tail.sign * np.power(t[b:], -tail.gamma)
-    m = hi - lo + 1
-    d = eps[n:n + m] - eps[:m]
-    if tail is not None:
-        d[b:] = _power_eps_diff(tail.gamma, tail.sign, t[n + b:n + m], float(n))
-    return eps[lag:lag + m], d
+
+class _EpsGrid:
+    """eps_t of one family for t = lo ... lo + size - 1, grown to the largest
+    request so far: zeros below ``first``, ``epsilon_at`` over the table and
+    the tail's own formula sign t^-gamma past it (zeros without a tail).
+    Each cell is computed once, elementwise, so its bits do not depend on
+    when the grid grew to it."""
+
+    def __init__(self, fam: PowerFamily | ExplicitFamily, first: int, last: int, tail: Optional[PowerFamily]):
+        self.fam, self.first, self.last, self.tail = fam, first, last, tail
+        self.lo, self.eps = first, np.empty(0)
+
+    def over(self, lo: int, hi: int) -> np.ndarray:
+        """eps_t for t = lo ... hi, a view of the grid."""
+        end = self.lo + self.eps.size
+        if lo < self.lo or hi >= end:
+            self._grow(min(lo, self.lo), max(hi + 1, end))
+        return self.eps[lo - self.lo:hi + 1 - self.lo]
+
+    def _grow(self, lo: int, end: int) -> None:
+        eps = np.zeros(end - lo)
+        done = self.lo + self.eps.size
+        eps[self.lo - lo:done - lo] = self.eps
+        start, past = max(done, self.first), self.last + 1  # first cell to compute, first past the table
+        if past > start:
+            eps[start - lo:past - lo] = epsilon_at(self.fam, np.arange(start, past, dtype=float))
+        if self.tail is not None:
+            for s in range(max(start, past), end, _CHUNK):
+                cells = eps[s - lo:min(s + _CHUNK, end) - lo]
+                np.power(np.arange(s, s + cells.size, dtype=float), -self.tail.gamma, out=cells)
+                np.multiply(cells, self.tail.sign, out=cells)
+        eps.flags.writeable = False  # units share the grid's views
+        self.lo, self.eps = lo, eps
+
+
+@lru_cache(maxsize=4)
+def _eps_grid(fam: PowerFamily | ExplicitFamily, first: int, last: int, tail: Optional[PowerFamily]) -> _EpsGrid:
+    """The one eps grid of a family, given its ``_span``."""
+    return _EpsGrid(fam, first, last, tail)
 
 
 class _Series(NamedTuple):
     """sum_x terms(eps_v, d_x), v being the shift's upper end k = x + n
-    (``upper``) or its lower end x.  Over a power tail a term is
+    (``upper``) or its lower end x.  ``kernel(d, e^{eps_v})`` turns an array
+    of d_x into those terms in place, by the same elementwise steps; a step
+    family's scalars take ``terms``.  Over a power tail a term is
     sum_r w_r e^{y R_r(z)} for the forms ``exponentials(eps_v / y, eps_other / y)``."""
 
     what: str
     terms: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    kernel: Callable[[np.ndarray, np.ndarray], None]
     upper: bool
     exponentials: Callable[[np.ndarray, np.ndarray], tuple[tuple[float, np.ndarray], ...]]
 
 
+def _rn_kernel(d: np.ndarray, exp_v: np.ndarray) -> None:
+    np.multiply(d, 2.0, out=d)
+    np.expm1(d, out=d)
+    np.multiply(d, exp_v, out=d)
+
+
+def _hellinger_kernel(d: np.ndarray, exp_v: np.ndarray) -> None:
+    np.multiply(d, 0.5, out=d)
+    np.expm1(d, out=d)
+    np.square(d, out=d)  # an array's ** 2; a numpy scalar's ** 2 is pow, hence ``terms`` for steps
+    np.multiply(d, exp_v, out=d)
+
+
 #: sum_x e^{eps_{x+n}} expm1(2 d_x), that is e^{3 eps_k - 2 eps_{k-n}} - e^{eps_k} for k = x + n
-_RN = _Series("square-integral series", lambda eps_v, d: np.exp(eps_v) * np.expm1(2.0 * d), True,
+_RN = _Series("square-integral series", lambda eps_v, d: np.exp(eps_v) * np.expm1(2.0 * d), _rn_kernel, True,
               lambda here, other: ((1.0, 3.0 * here - 2.0 * other), (-1.0, here)))
 #: sum_x e^{eps_x} expm1(d_x / 2)^2, that is (e^{eps_{x+n}/2} - e^{eps_x/2})^2 without its cancellation
-_HELLINGER = _Series("hellinger series", lambda eps_v, d: np.exp(eps_v) * np.expm1(0.5 * d) ** 2, False,
+_HELLINGER = _Series("hellinger series", lambda eps_v, d: np.exp(eps_v) * np.expm1(0.5 * d) ** 2,
+                     _hellinger_kernel, False,
                      lambda here, other: ((1.0, other), (-2.0, 0.5 * (here + other)), (1.0, here)))
+
+
+def _prefix_terms(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, last: int,
+                  tail: Optional[PowerFamily], series: _Series) -> np.ndarray:
+    """terms(eps_v, d_x) for x = first - n ... hi, d_x = eps_{x+n} - eps_x,
+    given the family's ``_span``, in one buffer.
+
+    Up to the end of the table d_x is a difference of grid cells; past it
+    both indices lie in the power tail, so d_x is the stable
+    ``_power_eps_diff`` of the grid's eps_{x+n}, save where that overflows.
+    Both steps and the kernel run in place, chunk by chunk.
+    """
+    lo = first - n
+    eps = _eps_grid(fam, first, last, tail).over(lo, hi + n)
+    m = hi - lo + 1
+    terms = np.subtract(eps[n:n + m], eps[:m])
+    exp_v = np.empty(min(m, _CHUNK))
+    b, lag = last + 1 - lo, n if series.upper else 0  # terms[b:] lies past the table
+    for s in range(0, m, _CHUNK):
+        e = min(s + _CHUNK, m)
+        if tail is not None and e > b:
+            p = max(s, b)
+            t = np.arange(lo + n + p, lo + n + e, dtype=float)
+            d = _power_eps_diff(tail.gamma, eps[n + p:n + e], t, float(n))
+            np.copyto(terms[p:e], d, where=np.isfinite(d))
+        series.kernel(terms[s:e], np.exp(eps[lag + s:lag + e], out=exp_v[:e - s]))
+    return terms
 
 
 @lru_cache(maxsize=256)
@@ -187,6 +268,13 @@ def _tail_coefficients(series: _Series, gamma: float, sign: int) -> np.ndarray:
     other = sign * binomial_series(gamma, 1.0 if series.upper else -1.0)
     here = np.where(np.arange(other.size) == 0, float(sign), 0.0)
     return exponential_series(series.exponentials(here, other))
+
+
+@lru_cache(maxsize=256)
+def _closure_weights(series: _Series, gamma: float, sign: int, start: int) -> np.ndarray:
+    """The closure's zeta-weighted column sums from ``start``, shared by every
+    shift with that prefix end (all n <= 2016 start at 4097)."""
+    return zeta_weights(_tail_coefficients(series, gamma, sign), gamma, start)
 
 
 @lru_cache(maxsize=131_072)
@@ -201,12 +289,11 @@ def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
     first, last, tail = _span(fam, series.what)
     lag = n if series.upper else 0
     K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + lag + _PREFIX_MARGIN)
-    eps_v, d = _shift_diff(fam, n, last + 1 if tail is None else K - lag, first, last, tail, lag)
-    total = float(np.sum(series.terms(eps_v, d)))
+    terms = _prefix_terms(fam, n, last + 1 if tail is None else K - lag, first, last, tail, series)
+    total = float(np.sum(terms))
     if tail is None:
         return total
-    coeffs = _tail_coefficients(series, tail.gamma, tail.sign)
-    return total + semi_infinite_sum(coeffs, tail.gamma, K + 1, n)
+    return total + semi_infinite_sum(_closure_weights(series, tail.gamma, tail.sign, K + 1), K + 1, n)
 
 
 def require_condition(profile: IntensityProfile, condition: str, who: str) -> None:

@@ -4,9 +4,10 @@ Kolmogorov-Smirnov distance.
 Past a prefix, the series summed here have terms analytic in y = v^-gamma
 and z = n / v, double power series sum T_ik y^i z^k (``exponential_series``)
 whose monomials ``semi_infinite_sum`` sums exactly over v >= a, as Hurwitz
-zeta values.  No BLAS or LAPACK call enters: Cauchy products are
-elementwise multiply-adds and the last sums exact (``math.fsum``), so
-results do not depend on the BLAS kernel or thread count.
+zeta values (weighted once per T and a by ``zeta_weights``).  No BLAS or
+LAPACK call enters: Cauchy products are elementwise multiply-adds and the
+last sums exact (``math.fsum``), so results do not depend on the BLAS
+kernel or thread count.
 """
 
 from __future__ import annotations
@@ -74,9 +75,18 @@ def _zeta_block(gamma: float, a: int) -> np.ndarray:
     return np.power(float(a), -gamma * i) * scaled_hurwitz_zeta(gamma * i + (k - 1.0), float(a))
 
 
-def semi_infinite_sum(coeffs: np.ndarray, gamma: float, start: int, n: int) -> float:
-    """sum_{v >= a} sum_{i,k >= 1} T_ik y^i z^k for a = start >= 4097, y = v^-gamma,
-    z = n / v < 1/2 and T from ``exponential_series``, each monomial summed as
+def zeta_weights(coeffs: np.ndarray, gamma: float, start: int) -> np.ndarray:
+    """w_k = sum_i T_ik a^-(gamma i) a^q zeta(q, a), q = gamma i + k, for
+    a = start >= 4097 and T from ``exponential_series``: the closure from a
+    at any shift n is sum_k w_k (n / a)^k (``semi_infinite_sum``)."""
+    if not (gamma > 0.0 and start >= MIN_START):
+        raise ValueError(f"closure at gamma {gamma} from {start}: need gamma > 0 and start >= {MIN_START}")
+    return np.sum(coeffs * _zeta_block(gamma, start), axis=0)
+
+
+def semi_infinite_sum(weights: np.ndarray, start: int, n: int) -> float:
+    """sum_{v >= a} sum_{i,k >= 1} T_ik y^i z^k for a = start, y = v^-gamma,
+    z = n / v < 1/2, given T's ``zeta_weights`` from a: each monomial summed as
     (n / a)^k a^-(gamma i) a^q zeta(q, a), q = gamma i + k.  Cut at 48 x 72, a
     term at (y, z) loses at most
     W sum_{m >= m0} (y M(rho))^m / m! (z / rho)^73 + W sum_{m >= 49} (y M(z))^m / m!
@@ -88,10 +98,8 @@ def semi_infinite_sum(coeffs: np.ndarray, gamma: float, start: int, n: int) -> f
     grows, but that closure is below a (2 / a)^(2 gamma) / (2 gamma - 1) of
     its unit.
     """
-    if not (gamma > 0.0 and start >= MIN_START and 2 * n < start):
-        raise ValueError(f"closure at gamma {gamma} from {start}, shift {n}: "
-                         f"need gamma > 0, start >= {MIN_START} and 2n < start")
-    weights = np.sum(coeffs * _zeta_block(gamma, start), axis=0)
+    if not 2 * n < start:
+        raise ValueError(f"closure from {start} at shift {n}: need 2n < start")
     return math.fsum((weights * np.power(n / start, np.arange(1.0, _TAIL_COLS + 1))).tolist())
 
 

@@ -124,6 +124,16 @@ class TestCommands:
 
         jsonschema.validate(json.loads(out.read_text(), parse_constant=refuse), SCHEMA)
 
+    @pytest.mark.parametrize("gamma", [64.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("command", ["classify", "asymptotics"])
+    def test_steepest_power_tails_are_finite(self, tmp_path, command, gamma):
+        # at the prefix start t = n + 2, gamma log(t / (t - n)) passes expm1's
+        # range; those cells of the stable power difference take the plain one
+        doc = {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": gamma, "sign": -1}}}
+        code, out = run_to_file(tmp_path, command, doc)
+        assert code == EXIT_OK
+        jsonschema.validate(json.loads(out.read_text(), parse_constant=_strict), SCHEMA)
+
     def test_tails_bound_above_one(self, tmp_path):
         doc = {"skellam": {"a": 27, "b": 27}, "L": 20}
         code, out = run_to_file(tmp_path, "tails", doc)

@@ -21,6 +21,7 @@ from suspension_lab.numerics import (
     normal_cdf,
     scaled_hurwitz_zeta,
     semi_infinite_sum,
+    zeta_weights,
 )
 from suspension_lab.simulate import _KS_CRITICAL_1PCT
 
@@ -104,7 +105,7 @@ class TestSemiInfiniteSum:
     def test_zeta_tails(self, s):
         coeffs = np.zeros_like(_tail_coefficients(_RN, 0.5, -1))
         coeffs[0, 0] = 1.0
-        got = semi_infinite_sum(coeffs, s - 1.0, MIN_START, 1)
+        got = semi_infinite_sum(zeta_weights(coeffs, s - 1.0, MIN_START), MIN_START, 1)
         with mpmath.workdps(40):
             want = mpmath.zeta(1 + mpmath.mpf(s - 1.0), MIN_START)
         assert relative_error(got, want) <= 1e-15
@@ -120,10 +121,11 @@ class TestSemiInfiniteSum:
                 for n in ns:
                     a = max(2 * n + 65, MIN_START)
                     v = np.arange(a, a + 200_000, dtype=float)
+                    k = v + (1 - lag) * n
                     terms = series.terms(sign * np.power(v, -gamma),
-                                         _power_eps_diff(gamma, sign, v + (1 - lag) * n, float(n)))
-                    closure = semi_infinite_sum(coeffs, gamma, a, n)
-                    got = closure - semi_infinite_sum(coeffs, gamma, a + 200_000, n)
+                                         _power_eps_diff(gamma, sign * np.power(k, -gamma), k, float(n)))
+                    closure = semi_infinite_sum(zeta_weights(coeffs, gamma, a), a, n)
+                    got = closure - semi_infinite_sum(zeta_weights(coeffs, gamma, a + 200_000), a + 200_000, n)
                     yield series, sign, n, closure, abs(got - math.fsum(terms.tolist()))
 
     @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.26, 0.3, 0.5, 0.55, 0.75, 1.0, 2.0, 3.0])
@@ -139,14 +141,14 @@ class TestSemiInfiniteSum:
     def test_rejects_tiny_start(self):
         coeffs = _tail_coefficients(_RN, 0.5, -1)
         with pytest.raises(ValueError):
-            semi_infinite_sum(coeffs, 0.5, 8, 1)
+            zeta_weights(coeffs, 0.5, 8)
         with pytest.raises(ValueError):
-            semi_infinite_sum(coeffs, 0.5, MIN_START, MIN_START // 2 + 1)
+            semi_infinite_sum(zeta_weights(coeffs, 0.5, MIN_START), MIN_START, MIN_START // 2 + 1)
 
     def test_rejects_decay_without_a_tail_sum(self):
         # at gamma = 0 the monomial y z = 1 / v has no finite sum
         with pytest.raises(ValueError):
-            semi_infinite_sum(_tail_coefficients(_RN, 0.5, -1), 0.0, MIN_START, 1)
+            zeta_weights(_tail_coefficients(_RN, 0.5, -1), 0.0, MIN_START)
 
 
 class TestFitLogSlope:
