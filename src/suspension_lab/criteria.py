@@ -72,6 +72,7 @@ HELLINGER_FIT_RANGE = (1_024, 131_072)
 
 _PREFIX_MIN = 4_096
 _PREFIX_MARGIN = 64
+_TINY = np.finfo(float).tiny
 
 
 class PreconditionError(RuntimeError):
@@ -123,7 +124,9 @@ def _power_eps_diff(gamma: float, eps_t: np.ndarray, t: np.ndarray, shift: float
 
     Valid where both t and t - shift are in the power regime (> 1).  Where
     gamma log(t / (t - shift)) passes expm1's range (about 709.78) the cell
-    is not finite, and the caller keeps the plain difference.
+    is not finite, and the caller keeps the plain difference; so it does
+    where eps_t is subnormal or 0, whose lost bits the product would scale
+    up to the size of eps_{t - shift} (a steep tail at t = shift + 2).
     """
     np.divide(-shift, t, out=t)
     np.log1p(t, out=t)
@@ -241,7 +244,8 @@ def _prefix_terms(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int
 
     Up to the end of the table d_x is a difference of grid cells; past it
     both indices lie in the power tail, so d_x is the stable
-    ``_power_eps_diff`` of the grid's eps_{x+n}, save where that overflows.
+    ``_power_eps_diff`` of the grid's eps_{x+n}, save where that overflows
+    or eps_{x+n} is not a normal float.
     Both steps and the kernel run in place, chunk by chunk.
     """
     lo = first - n
@@ -256,7 +260,9 @@ def _prefix_terms(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int
             p = max(s, b)
             t = np.arange(lo + n + p, lo + n + e, dtype=float)
             d = _power_eps_diff(tail.gamma, eps[n + p:n + e], t, float(n))
-            np.copyto(terms[p:e], d, where=np.isfinite(d))
+            stable = np.isfinite(d)
+            stable &= np.abs(eps[n + p:n + e]) >= _TINY
+            np.copyto(terms[p:e], d, where=stable)
         series.kernel(terms[s:e], np.exp(eps[lag + s:lag + e], out=exp_v[:e - s]))
     return terms
 

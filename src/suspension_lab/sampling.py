@@ -6,17 +6,21 @@ indices give statistically independent generators while identical pairs
 replay bit-for-bit.
 
 Poisson variates are drawn by CDF-table inversion at every rate: one
-uniform per variate, inverted against a per-rate cumulative table of
-K + 1 entries, K = rate + 12 sqrt(rate + 1) + 30 at the table's largest
-rate, which leaves out a mass below 1e-16.  One uniform per variate keeps
-the stream layout trivial to reason about; the table length grows
-linearly with the rate, so rates are capped defensively, and so are a
-table's cells: ``MAX_CELLS`` bounds every table and draw block of the
-package, and ``require_cells`` refuses one past it.  Rows are one running
-product of rate / k from P(X = 0) = exp(-rate) while that value is a normal
-float (rate below about 708.4); above that, P(X = 0) is subnormal or zero,
-so the row is built from its mode in log space instead, recursing both ways
-and normalized to unit mass.
+uniform per variate, inverted against a per-rate cumulative table.  A table
+ends at its float plateau: its W columns stop where the Poisson(rmax) pmf,
+rmax being its largest rate, first falls below 2^-60 past rmax, never past
+the cutoff K = rmax + 12 sqrt(rmax + 1) + 30, whose left-out mass is below
+1e-16.  Every row's running sum is constant from there on, so the columns
+past W would only repeat the last one (``poisson_cdf_tables`` has the
+proof).  One uniform per variate keeps the stream layout trivial to reason
+about; the table length grows linearly with the rate, so rates are capped
+defensively, and so are a table's cells: ``MAX_CELLS`` bounds every table
+and draw block of the package, and ``require_cells`` refuses one past it.
+Rows are one running product of rate / k from P(X = 0) = exp(-rate) while
+that value is a normal float (rate below about 708.4); above that, P(X = 0)
+is subnormal or zero, so the row is built from its mode in log space
+instead, recursing both ways, normalized to unit mass over the cutoff K and
+then cut to W.
 
 ``invert_uniform_rows`` is the one inversion entry point; a single rate is
 its one-row table, with the uniforms as one column.
@@ -40,7 +44,7 @@ cell's lower edge complemented (~n, negative) where one does.  A uniform
 takes the code of its cell j = floor(u G) in one gather; only a negative
 code goes on to bisection on the raw test u >= cdf[r, mid - 1] over
 [~code, the next cell's count].  G is the smallest power of two at least
-min(``_GUIDE_PER_COLUMN`` (K + 1), S, ``_GUIDE_CELLS`` // rows), S being
+min(``_GUIDE_PER_COLUMN`` W, S, ``_GUIDE_CELLS`` // rows), S being
 the number of sample rows the table serves over its whole draw block, so
 u G, j / G and G cdf are exact, about one cell in 20 holds an entry for
 tables some 400 wide, and a table's codes number fewer than
@@ -61,6 +65,8 @@ from .dist import ParameterDomainError, SkellamLaw, skellam_support_cutoff
 
 _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
+#: log 2^-60: past the largest rate, a table ends where its pmf falls below this.
+_LOG_PLATEAU_PMF = -60.0 * math.log(2.0)
 
 #: Most comparison passes run; below 256, since the passes count in uint8.
 #: At rate 20 over 8192 rows and 250 sample rows on a 2-core VM (Xeon with
@@ -122,9 +128,28 @@ def require_cells(what: str, rows: int, columns: int) -> None:
 def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     """CDF tables for an array of rates, one row per rate.
 
-    Row r holds P(X <= k) for k = 0..K, K = rmax + 12 sqrt(rmax + 1) + 30
-    at the largest rate rmax; the mass left out is below 1e-16.  Each row's
-    pmf is built, and summed, in place in the returned array.
+    Row r holds P(X <= k) for k = 0..W - 1, W - 1 being the first k past
+    the largest rate rmax, k >= floor(rmax) + 1, at which the Poisson(rmax)
+    pmf p(k; rmax) is below 2^-60 (``_plateau_width``), and at most the
+    cutoff K = rmax + 12 sqrt(rmax + 1) + 30, whose left-out mass is below
+    1e-16.  Each row's pmf is built, and summed, in place in the returned
+    array.
+
+    The columns past W that the cutoff would add repeat column W - 1 in
+    every row, so the counts of ``invert_uniform_rows`` are those of the
+    cutoff-wide table.  For k >= W - 1 > rmax >= rate, the pmf rises with
+    the rate where k >= rate (d/dλ p(k; λ) = p(k; λ) (k / λ - 1)) and falls
+    in k past the mode, so p(k; rate) <= p(k; rmax) <= p(W - 1; rmax)
+    < 2^-60; the float terms carry relative errors far below 1, so each
+    stays below 2^-59.  The running sums there are at least
+    P(X <= floor(rmax) + 1) for X ~ Poisson(rmax), at least 1/2 since the
+    median is below rmax + 1/3 (Choi, *Proc. AMS* 121, 1994), and the float
+    sums are within 1e-10 of it, so above 2^-6, whose half ulp is 2^-59.
+    Adding a term below half an ulp leaves a sum as it is: every column past
+    W - 1 equals it, the plateau starts at the same index, and no count
+    changes.  The kept columns have the cutoff-wide table's bits, being the
+    same sequential products and sums; rows from the mode are normalized
+    over the cutoff before they are cut.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     if np.any(rates < 0.0):
@@ -133,14 +158,40 @@ def poisson_cdf_tables(rates: np.ndarray) -> np.ndarray:
     if rmax > _MAX_RATE:
         raise ParameterDomainError(f"rate {rmax} exceeds the supported cap {_MAX_RATE}")
     K = skellam_support_cutoff(SkellamLaw(rmax, 0.0))
-    require_cells("a CDF table", len(rates), K + 1)
-    pmf = np.empty((len(rates), K + 1))
-    pmf[:, 0] = np.exp(-rates)
-    np.divide(rates[:, None], np.arange(1, K + 1), out=pmf[:, 1:])
+    W = _plateau_width(rmax, K)
+    require_cells("a CDF table", len(rates), W)
+    pmf = np.empty((len(rates), W))
+    p0 = np.negative(rates)
+    pmf[:, 0] = np.exp(p0, out=p0)
+    # rate / k by 1-D calls, over columns or rows, whichever are fewer: a 2-D
+    # call would take iterator buffers of some 10% of a narrow table
+    if len(rates) > W:
+        for k in range(1, W):
+            np.divide(rates, k, out=pmf[:, k])
+    else:
+        ks = np.arange(1.0, W)
+        for r, rate in enumerate(rates):
+            np.divide(rate, ks, out=pmf[r, 1:])
     np.cumprod(pmf, axis=1, out=pmf)
     for r in np.flatnonzero(pmf[:, 0] < _TINY):
-        pmf[r] = _pmf_from_mode(float(rates[r]), K)
+        pmf[r] = _pmf_from_mode(float(rates[r]), K)[:W]
     return np.cumsum(pmf, axis=1, out=pmf)
+
+
+def _plateau_width(rmax: float, K: int) -> int:
+    """W = k + 1 for the first k >= floor(rmax) + 1 with p(k; rmax) < 2^-60,
+    at most K + 1.  The walk steps log p by log(rmax / k) from its value
+    at floor(rmax) + 1; its rounding, some 1e-12 in log p, is far inside the
+    factor 2 between 2^-60 and the half ulp that ``poisson_cdf_tables``
+    needs."""
+    k = int(rmax) + 1
+    if rmax == 0.0:
+        return k + 1  # p(1; 0) = 0
+    log_p = k * math.log(rmax) - rmax - math.lgamma(k + 1.0)
+    while log_p >= _LOG_PLATEAU_PMF and k < K:
+        k += 1
+        log_p += math.log(rmax / k)
+    return k + 1
 
 
 def _pmf_from_mode(rate: float, K: int) -> np.ndarray:
@@ -161,7 +212,7 @@ def _pmf_from_mode(rate: float, K: int) -> np.ndarray:
 
 
 def _pass_count(cdf: np.ndarray) -> int | None:
-    """Comparison passes for a (rows, K) table, or None for the per-row search.
+    """Comparison passes for a (rows, W) table, or None for the per-row search.
 
     After p passes a uniform draw is still climbing with probability
     1 - cdf[r, p - 1]; take the fewest passes that leave at most
@@ -175,7 +226,7 @@ def _pass_count(cdf: np.ndarray) -> int | None:
 
 @dataclass(frozen=True)
 class RowTables:
-    """A (rows, K) CDF table with its inversion set-up: each row's plateau
+    """A (rows, W) CDF table with its inversion set-up: each row's plateau
     start ``top``, the comparison ``passes`` (None for the guide search) and
     ``lookup``, the (passes, rows) pass columns, +inf from each plateau on,
     or the flat (rows, G + 1) int32 count codes of a guide of ``G`` cells,
@@ -193,8 +244,8 @@ class RowTables:
 def prepare_rows(cdf: np.ndarray, samples: int) -> RowTables:
     """The inversion set-up of ``cdf`` for the ``samples`` sample rows S
     that it serves, over every row chunk of its block: G is the smallest
-    power of two at least min(``_GUIDE_PER_COLUMN`` (K + 1), S,
-    ``_GUIDE_CELLS`` // rows) for a table of rows x (K + 1) cells."""
+    power of two at least min(``_GUIDE_PER_COLUMN`` W, S,
+    ``_GUIDE_CELLS`` // rows) for a table of rows x W cells."""
     top = np.argmax(cdf == cdf[:, -1:], axis=1)
     passes = _pass_count(cdf)
     if passes is not None:
@@ -224,7 +275,7 @@ def _invert_by_passes(table: RowTables, u: np.ndarray, counts: np.ndarray) -> No
         # the climbing counts, never read back from ``counts``, whose dtype is the caller's
         c = np.full(len(s_i), passes, dtype=np.intp)
         while len(s_i):
-            # c is at most top[r_i] <= K - 1, so the gather stays in the row
+            # c is at most top[r_i] <= W - 1, so the gather stays in the row
             up = (c < top[r_i]) & (chunk[s_i, r_i] >= cdf[r_i, c])
             s_i, r_i, c = s_i[up], r_i[up], c[up] + 1
             block[s_i, r_i] = c

@@ -577,7 +577,7 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
     alive = np.arange(samples)
     # the float reductions stay one row chunk in size, in buffers of the largest
     cells = max(_DRAW_CHUNK_CELLS, _STOPPING_BLOCK)
-    X_buf, sums_buf, below_buf = np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool)
+    X_buf, below_buf = np.empty(cells), np.empty(cells, dtype=bool)
 
     j = M
     while j < N and len(alive):
@@ -587,19 +587,24 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         for r0, chunk in _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive)):
             rows = alive[r0:r0 + len(chunk)]
             X = np.multiply(chunk, eps_j, out=X_buf[:chunk.size].reshape(chunk.shape))
+            block_max = np.maximum(X.max(axis=1), -X.min(axis=1))  # max |X| per row
             # c + p is p + c in IEEE arithmetic, so these are the bits of partial + cumsum(X)
-            sums = np.cumsum(X, axis=1, out=sums_buf[:chunk.size].reshape(chunk.shape))
+            sums = np.cumsum(X, axis=1, out=X)
             sums += partial[rows, None]
             below = np.less(sums, r, out=below_buf[:chunk.size].reshape(chunk.shape))
             first = below.argmax(axis=1)
             h = np.flatnonzero(below[np.arange(len(rows)), first])  # chunk rows that cross in this block
-            absX = np.abs(X, out=X)
-            block_max = absX.max(axis=1)
-            block_max[h] = np.maximum.accumulate(absX[h], axis=1)[np.arange(len(h)), first[h]]
+            # the crossing rows' |X| again from the increments, up to their last
+            # crossing column, and each one's prefix max up to its own
+            f = first[h]
+            F = f.max(initial=0) + 1
+            absX = np.abs(np.multiply(chunk[h, :F], eps_j[:F]))
+            absX[np.arange(F) > f[:, None]] = 0.0
+            block_max[h] = absX.max(axis=1)
             max_abs_x[rows] = np.maximum(max_abs_x[rows], block_max)
-            crossing[rows[h]] = js[first[h]]
-            overshoot[rows[h]] = np.abs(sums[h, first[h]] - r)
-            x_at_crossing[rows[h]] = absX[h, first[h]]
+            crossing[rows[h]] = js[f]
+            overshoot[rows[h]] = np.abs(sums[h, f] - r)
+            x_at_crossing[rows[h]] = absX[np.arange(len(h)), f]
             partial[rows] = sums[:, -1]
         alive = alive[crossing[alive] < 0]
         j = j_hi

@@ -467,8 +467,8 @@ class TestValidationAndExitCodes:
     def test_far_explicit_table_is_refused(self, tmp_path, command, config):
         # each would allocate beyond a 3 GiB address-space limit: series grids
         # of 7.45 and 2.24 GiB, a 74.5 GiB Hopf theta table, 2.24 GiB per array
-        # over N, draw blocks of 6.10 and 14.8 GiB, CDF tables of 3.18 and
-        # 1.55 GiB; series indices of 2^25 and 1e9, whose grids grow like 2n to 4n
+        # over N, draw blocks of 6.10 and 14.8 GiB, CDF tables of 3.13 and
+        # 1.53 GiB; series indices of 2^25 and 1e9, whose grids grow like 2n to 4n
         cfg = write_config(tmp_path, config)
         limit = 3 * 2**30
         proc = subprocess.run(

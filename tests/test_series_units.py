@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -144,7 +145,9 @@ class TestHighGamma:
                     assert math.isfinite(_unit(PowerFamily(gamma, sign), n, series)), (sign, n, series.what)
 
     def test_overflowing_cells_take_the_plain_difference(self):
-        # gamma 100, n 2^17: at x = 2, t = n + 2, 100 log(65537) is about 1109
+        # gamma 100, n 2^17: at x = 2, t = n + 2, 100 log(65537) is about 1109;
+        # eps_t = t^-100 is 0 there, so the cells whose expm1 stays finite
+        # (x up to about 1200, where eps_x is still nonzero) keep it as well
         fam, n = PowerFamily(100.0, -1), 2**17
         first, last, tail = _span(fam, _HELLINGER.what)
         clear_caches()
@@ -155,8 +158,27 @@ class TestHighGamma:
         assert bad[n] and bad.sum() < 200  # only cells near the prefix start overflow
         eps = epsilon_at(fam, np.arange(first - n, 3 * n + 65, dtype=float))
         plain = eps[n:n + d.size] - eps[:d.size]
-        want = FROZEN_TERMS[False](eps[:d.size], np.where(bad, plain, d))
+        underflowed = np.abs(eps[n:n + d.size]) < np.finfo(float).tiny
+        assert np.any(underflowed & ~bad & (plain != 0.0))
+        want = FROZEN_TERMS[False](eps[:d.size], np.where(bad | underflowed, plain, d))
         assert np.array_equal(terms, want)
+
+    @pytest.mark.parametrize("n", [1650, 1708, 2048, 2418])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_underflowed_cells_take_the_plain_difference(self, n, sign):
+        # gamma 100 at t = n + 2: eps_t = t^-100 is subnormal (n = 1650) or 0,
+        # and its product with expm1 lost the x = 2 term, half the series
+        # (1.5558e-61 at n = 2048), or up to a quarter of it near n = 1700
+        gamma = 100
+        clear_caches()
+        got = criteria.hellinger_growth(IntensityProfile(1.0, PowerFamily(float(gamma), sign)), n)
+        with mpmath.workdps(50):
+            def eps(t):
+                return sign * mpmath.mpf(t) ** -gamma if t > 1 else mpmath.mpf(0)
+            # terms past x = 400 are below 400^-199 of the sum
+            want = mpmath.fsum((mpmath.exp(eps(x + n) / 2) - mpmath.exp(eps(x) / 2)) ** 2
+                               for x in range(2 - n, 400))
+        assert abs(got - float(want)) <= 1e-12 * float(want)
 
 
 def cold_peak(fn, n) -> int:

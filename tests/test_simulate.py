@@ -97,7 +97,7 @@ class TestPoissonSampler:
             poisson_cdf_tables(np.array([1e9]))
 
     def test_rejects_oversized_tables(self):
-        # 8192 rows of 52714 columns would take 3.2 GiB; refused before allocating
+        # 8192 rows of 51890 columns would take 3.2 GiB; refused before allocating
         with pytest.raises(ParameterDomainError, match="cells"):
             poisson_cdf_tables(np.full(8_192, 5e4))
 
@@ -116,7 +116,7 @@ class TestPoissonSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * cdf.nbytes
-        assert np.array_equal(cdf, _recurrence_tables(rates))
+        _assert_cut_of(cdf, _recurrence_tables(rates))
 
     def test_rng_spec_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -127,16 +127,40 @@ class TestPoissonSampler:
             RNGSpec(seed=0, stream=-2)
 
 
-def _recurrence_tables(rates: np.ndarray) -> np.ndarray:
-    """The pmf recurrence from exp(-rate), the table every row whose
-    exp(-rate) is a normal float must keep bit for bit."""
+def _recurrence_pmf(rates: np.ndarray) -> np.ndarray:
+    """The pmf recurrence from exp(-rate) over the cutoff's K + 1 columns,
+    K = rmax + 12 sqrt(rmax + 1) + 30."""
     rmax = float(rates.max())
     K = int(rmax + 12.0 * math.sqrt(rmax + 1.0) + 30.0)
     pmf = np.empty((len(rates), K + 1))
     pmf[:, 0] = np.exp(-rates)
     for k in range(1, K + 1):
         pmf[:, k] = pmf[:, k - 1] * (rates / k)
+    return pmf
+
+
+def _recurrence_tables(rates: np.ndarray) -> np.ndarray:
+    """The cutoff-wide table whose kept columns every row whose exp(-rate)
+    is a normal float must keep bit for bit."""
+    return np.cumsum(_recurrence_pmf(rates), axis=1)
+
+
+def _cutoff_tables(rates: np.ndarray) -> np.ndarray:
+    """``_recurrence_tables`` with the rows whose exp(-rate) is not a normal
+    float built from their mode over the same K + 1 columns."""
+    pmf = _recurrence_pmf(rates)
+    for r in np.flatnonzero(pmf[:, 0] < np.finfo(float).tiny):
+        pmf[r] = sampling._pmf_from_mode(float(rates[r]), pmf.shape[1] - 1)
     return np.cumsum(pmf, axis=1)
+
+
+def _assert_cut_of(cdf: np.ndarray, ref: np.ndarray) -> None:
+    """``cdf`` holds the first W columns of the cutoff-wide ``ref`` bit for
+    bit, and every column of ``ref`` past them repeats its column W - 1."""
+    W = cdf.shape[1]
+    assert 2 <= W <= ref.shape[1]
+    assert np.array_equal(cdf, ref[:, :W])
+    assert np.array_equal(ref[:, W - 1:], np.broadcast_to(ref[:, W - 1:W], (len(ref), ref.shape[1] - W + 1)))
 
 
 class TestLargeRates:
@@ -167,14 +191,16 @@ class TestLargeRates:
 
     def test_normal_rows_unchanged(self):
         rates = np.array([0.0, 0.4, 3.0, 250.0, 708.0])
-        assert np.array_equal(poisson_cdf_tables(rates), _recurrence_tables(rates))
+        _assert_cut_of(poisson_cdf_tables(rates), _recurrence_tables(rates))
 
     def test_mixed_rows(self):
         # a large-rate row must not disturb the small-rate rows sharing its width
         rates = np.array([1.0, 900.0, 30.0])
         cdf = poisson_cdf_tables(rates)
-        assert np.array_equal(cdf[[0, 2]], _recurrence_tables(rates)[[0, 2]])
+        _assert_cut_of(cdf[[0, 2]], _recurrence_tables(rates)[[0, 2]])
         assert abs(cdf[1, -1] - 1.0) <= 1e-12
+        # the mode row is normalized over the cutoff, then cut
+        _assert_cut_of(cdf, _cutoff_tables(rates))
 
 
 def _raw_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -319,11 +345,11 @@ class TestInversionExactness:
         pytest.param([150.0, 200.0], 255, id="S-255"),
         pytest.param([150.0, 200.0], 256, id="S-256"),
         pytest.param([150.0, 200.0], 257, id="S-257"),
-        pytest.param([200.0], 400, id="S-below-width"),  # the width is 401
-        pytest.param([200.0], 401, id="S-at-width"),
-        pytest.param([200.0], 402, id="S-above-width"),
-        pytest.param([200.0], 8 * 401 - 1, id="S-below-guide-cap"),  # G = 4096 = the cap's power of two
-        pytest.param([200.0], 8 * 401 + 1, id="S-above-guide-cap"),
+        pytest.param([200.0], 335, id="S-below-width"),  # the width is 336
+        pytest.param([200.0], 336, id="S-at-width"),
+        pytest.param([200.0], 337, id="S-above-width"),
+        pytest.param([200.0], 8 * 336 - 1, id="S-below-guide-cap"),  # G = 4096 = the cap's power of two
+        pytest.param([200.0], 8 * 336 + 1, id="S-above-guide-cap"),
         # three rows, so chunks of _GUIDE_CHUNK // 3 sample rows: two and a half
         pytest.param([30.0, 120.0, 200.0], 5 * sampling._GUIDE_CHUNK // 6, id="chunks"),
         pytest.param([709.0, 5e3, 1e4], 3_000, id="leading-zeros"),  # first entries exactly 0
@@ -364,20 +390,20 @@ class TestInversionExactness:
         pytest.param([200.0], 2_000, 2_048, id="clt-block-rows"),
         pytest.param([200.0], 2_048, 2_048, id="S-power-of-two"),
         pytest.param([200.0], 2_049, 4_096, id="S-past-a-power-of-two"),
-        # 401 columns: at most 8 x 401 = 3208 cells, so 4096 for any larger S
-        pytest.param([200.0], 3_208, 4_096, id="S-at-the-cap"),
+        # 336 columns: at most 8 x 336 = 2688 cells, so 4096 for any larger S
+        pytest.param([200.0], 2_688, 4_096, id="S-at-the-cap"),
         pytest.param([200.0], 512_000, 4_096, id="clt-a0-block"),
         pytest.param([150.0, 200.0], 10**6, 4_096, id="two-rows"),
-        pytest.param([1e5], 10**7, 1 << 20, id="rate-cap"),  # 103,826 columns
+        pytest.param([1e5], 10**7, 1 << 20, id="rate-cap"),  # 102,655 columns
         # many rows: at most the power of two at or above 2^20 // rows
-        pytest.param([5e3] * 256, 10**5, 4_096, id="clt-base-5000"),  # 5879 columns
+        pytest.param([5e3] * 256, 10**5, 4_096, id="clt-base-5000"),  # 5616 columns
         pytest.param([200.0] * 2_048, 4_096, 512, id="cells-2048-rows"),
         pytest.param([200.0] * 3_000, 4_096, 512, id="cells-3000-rows"),  # 2^20 // 3000 = 349
         pytest.param([200.0] * 8_192, 4_096, 128, id="stopping-block"),  # 8192 columns at base 200
         pytest.param([200.0] * 8_192, 50, 64, id="S-below-the-cells"),
     ])
     def test_guide_size(self, rates, S, G):
-        # the smallest power of two at least min(8 (K + 1), S, 2^20 // rows),
+        # the smallest power of two at least min(8 W, S, 2^20 // rows),
         # one code per cell and row: fewer than 2^21 + rows codes
         cdf = poisson_cdf_tables(np.array(rates))
         assert sampling._GUIDE_PER_COLUMN == 8 and sampling._GUIDE_CELLS == 1 << 20
@@ -411,16 +437,17 @@ class TestInversionExactness:
 
     def test_clt_guides_send_few_cells_to_bisection(self):
         # the bench clt tables at base 200: the first and last 256-column a_j
-        # blocks, guided for their 2000 sample rows, and the a_0 row, guided
-        # for 2000 x 256 of them; a 512-cell guide has 14-15% negative codes
+        # blocks, guided for their 2000 sample rows (G = 2048), and the a_0
+        # row, guided for 2000 x 256 of them (G = 4096, from its 8 x 336
+        # columns); a 512-cell guide has 14-15% negative codes
         profile = IntensityProfile(200.0, HALF)
         a0 = poisson_cdf_tables(np.array([eval_intensity(profile, 0)]))
         a_j = [profile.level * np.exp(epsilon_at(HALF, np.arange(lo, lo + 256))) for lo in (2, 9_745)]
-        blocks = [(poisson_cdf_tables(rates), 2_000) for rates in a_j] + [(a0, 2_000 * 256)]
-        for cdf, S in blocks:
+        blocks = [(poisson_cdf_tables(rates), 2_000, 2_048) for rates in a_j] + [(a0, 2_000 * 256, 4_096)]
+        for cdf, S, G in blocks:
             table = prepare_rows(cdf, S)
             codes = table.lookup.reshape(len(cdf), table.G + 1)[:, :table.G]
-            assert table.G >= 2_048 and np.mean(codes < 0) <= 0.05
+            assert table.G == G and np.mean(codes < 0) <= 0.05
 
     def test_path_follows_the_table(self):
         # low-count tables take the passes; wide ones the guide search
@@ -428,6 +455,82 @@ class TestInversionExactness:
         assert sampling._pass_count(poisson_cdf_tables(np.full(64, 8.0))) is not None
         assert sampling._pass_count(poisson_cdf_tables(np.linspace(100.0, 200.0, 64))) is None
         assert sampling._pass_count(poisson_cdf_tables(np.array([200.0]))) is None
+
+
+#: A log grid of rates from 0 to the cap, with the switch to rows from the
+#: mode (exp(-rate) subnormal from about 708.4) on both sides.
+PLATEAU_RATES = [0.0, *np.geomspace(1e-3, sampling._MAX_RATE, 17).tolist(), 0.94, 1.0, 8.0, 200.0,
+                 708.3, 708.5, 1e3, 1e5]
+
+
+class TestPlateauWidth:
+    """Tables end where every row's running sum has stopped moving: the
+    counts are those of the cutoff-wide table, from fewer columns."""
+
+    @staticmethod
+    def _entries_and_neighbours(ref: np.ndarray) -> np.ndarray:
+        """(3 (K + 1) + 1, rows) uniforms: every entry of each row of the
+        cutoff-wide table, both float neighbours, and 1 - 2^-53."""
+        u = np.concatenate([ref.T, np.nextafter(ref.T, -1.0), np.nextafter(ref.T, 2.0),
+                            np.ones((1, len(ref)))])
+        return np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+
+    @pytest.mark.parametrize("rate", PLATEAU_RATES)
+    def test_counts_of_the_cutoff_table(self, rate):
+        ref = _cutoff_tables(np.array([rate]))
+        cdf = poisson_cdf_tables(np.array([rate]))
+        _assert_cut_of(cdf, ref)
+        u = self._entries_and_neighbours(ref)
+        counts = invert_uniform_rows(cdf, u)
+        assert np.array_equal(counts, invert_uniform_rows(ref, u))
+        assert np.array_equal(counts, _raw_search(ref, u))
+
+    def test_counts_of_a_mixed_table(self):
+        # rows of every rate up to 1e3 in one table, each inverted at its own
+        # cutoff-wide entries and their neighbours
+        rates = np.array([rate for rate in PLATEAU_RATES if rate <= 1e3])
+        ref = _cutoff_tables(rates)
+        cdf = poisson_cdf_tables(rates)
+        _assert_cut_of(cdf, ref)
+        u = self._entries_and_neighbours(ref)
+        assert np.array_equal(invert_uniform_rows(cdf, u), _raw_search(ref, u))
+
+    @pytest.mark.parametrize("rate", PLATEAU_RATES)
+    def test_width_rule(self, rate):
+        # W - 1 is the first k >= floor(rate) + 1 with p(k; rate) < 2^-60,
+        # within the cutoff K + 1
+        W = poisson_cdf_tables(np.array([rate])).shape[1]
+        first, log_floor = int(rate) + 1, -60.0 * math.log(2.0)
+        assert first <= W - 1 <= int(rate + 12.0 * math.sqrt(rate + 1.0) + 30.0)
+        assert poisson_log_pmf(rate, W - 1) < log_floor
+        assert W - 2 < first or poisson_log_pmf(rate, W - 2) >= log_floor
+
+    @pytest.mark.parametrize("rate", PLATEAU_RATES[1:])
+    def test_width_past_the_plateau(self, rate):
+        # at the plateau start T, p(T + 1) is below the half ulp 2^-53 of a
+        # final sum in [1/2, 2), and the pmf falls by rate / (T + 2) or more
+        # per column from there, so it is below 2^-60 after j columns,
+        # 2^-53 (rate / (T + 2))^j <= 2^-60
+        cdf = poisson_cdf_tables(np.array([rate]))
+        T = int(np.argmax(cdf[0] == cdf[0, -1]))
+        j = math.floor(7.0 * math.log(2.0) / math.log((T + 2) / rate)) + 1
+        assert cdf.shape[1] - 1 <= max(int(rate) + 1, T + 1 + j)
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 1.0])
+    def test_low_rate_tables_end_near_their_plateau(self, t):
+        # the scan's tables up to scale 1: at most three columns past the plateau
+        # start; the gap grows with the rate (4 at scale 8, 10 at rate 200)
+        cdf = poisson_cdf_tables(t * np.exp(epsilon_at(HALF, np.arange(-3_000, 3_000))))
+        top = np.argmax(cdf == cdf[:, -1:], axis=1)
+        assert cdf.shape[1] <= top.max() + 3
+
+    def test_cells_counted_as_built(self, monkeypatch):
+        # rate-1 rows are 21 columns wide, not the cutoff's 48: a cell budget of
+        # 100 such rows takes 100 of them and refuses 101
+        monkeypatch.setattr(sampling, "MAX_CELLS", 100 * 21)
+        assert poisson_cdf_tables(np.full(100, 1.0)).shape == (100, 21)
+        with pytest.raises(ParameterDomainError, match="101 x 21 passes"):
+            poisson_cdf_tables(np.full(101, 1.0))
 
 
 class TestSampleConfiguration:
@@ -913,6 +1016,49 @@ class TestRowChunks:
         assert gen.bit_generator.state == spec.generator().bit_generator.advance(2 * rows * columns).state
 
 
+def _stopping_whole_rows(profile, r, eps, M, N, samples, rng):
+    """``stopping_time_experiment``'s statistics from its draws, reduced over
+    whole rows: every |X| kept, and the crossing rows' prefix max taken by
+    ``np.maximum.accumulate`` over all of each row's columns."""
+    gen = rng.generator()
+    cdf0 = poisson_cdf_tables(np.array([eval_intensity(profile, 0)]))
+    partial, max_abs_x = np.zeros(samples), np.zeros(samples)
+    crossing = np.full(samples, -1, dtype=np.int64)
+    overshoot, x_at_crossing = np.full(samples, np.nan), np.full(samples, np.nan)
+    alive, j = np.arange(samples), M
+    while j < N and len(alive):
+        js = np.arange(j + 1, min(j + simulate._STOPPING_BLOCK, N) + 1)
+        eps_j = epsilon_at(profile.epsilon, js)
+        for r0, chunk in simulate._increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive)):
+            rows = alive[r0:r0 + len(chunk)]
+            X = chunk * eps_j
+            sums = partial[rows, None] + np.cumsum(X, axis=1)
+            below = sums < r
+            first = below.argmax(axis=1)
+            h = np.flatnonzero(below[np.arange(len(rows)), first])
+            absX = np.abs(X)
+            block_max = absX.max(axis=1)
+            block_max[h] = np.maximum.accumulate(absX[h], axis=1)[np.arange(len(h)), first[h]]
+            max_abs_x[rows] = np.maximum(max_abs_x[rows], block_max)
+            crossing[rows[h]] = js[first[h]]
+            overshoot[rows[h]] = np.abs(sums[h, first[h]] - r)
+            x_at_crossing[rows[h]] = absX[h, first[h]]
+            partial[rows] = sums[:, -1]
+        alive = alive[crossing[alive] < 0]
+        j = js[-1]
+    ok = crossing > 0
+    clean = ok & (max_abs_x < eps)
+    return {
+        "success_freq": float(np.mean(ok)),
+        "no_crossing": int(np.sum(~ok)),
+        "median_crossing_index": int(np.median(crossing[ok])),
+        "max_overshoot": float(np.max(overshoot[ok])),
+        "overshoot_le_last_step": bool(np.all(overshoot[ok] <= x_at_crossing[ok] + 1e-12)),
+        "eps_clean_freq_given_success": float(np.mean(clean[ok])),
+        "conditional_overshoot_below_eps": float(np.mean(overshoot[clean] < eps)),
+    }
+
+
 class TestStoppingTime:
     def test_domain_errors(self):
         with pytest.raises(ParameterDomainError):
@@ -966,6 +1112,20 @@ class TestStoppingTime:
         for cells in (7 * 8_192 + 1_000, 3_000):
             monkeypatch.setattr(simulate, "_DRAW_CHUNK_CELLS", cells)
             assert run() == default, cells
+
+    @pytest.mark.parametrize("cells", [None, 7 * 8_192 + 1_000, 3_000])
+    def test_reductions_match_whole_rows(self, monkeypatch, cells):
+        # the reductions as they were, over whole rows: |X| and its running
+        # max over all 8192 columns, sums in a second buffer; blocks over 120
+        # samples, some clean and some not, in default, 7-row and 1-row chunks
+        # (a row max of X alone, not |X|, moves the clean share)
+        if cells is not None:
+            monkeypatch.setattr(simulate, "_DRAW_CHUNK_CELLS", cells)
+        args = dict(r=-2.0, eps=0.15, M=1_000, N=1_000 + 2 * 8_192 + 3_000, samples=120)
+        got = stopping_time_experiment(P1, rng=RNGSpec(seed=2), **args).statistics
+        want = _stopping_whole_rows(P1, rng=RNGSpec(seed=2), **args)
+        assert 0.0 < want["eps_clean_freq_given_success"] < 1.0 and want["no_crossing"] > 0
+        assert got == want
 
     def test_reproducible(self):
         a = stopping_time_experiment(P1, r=-1.5, eps=0.5, M=50, N=5_000, samples=100, rng=RNGSpec(seed=33))
