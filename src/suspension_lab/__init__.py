@@ -2,7 +2,7 @@
 
 Five layers:
 
-* ``dist``      distributional kernels (Poisson, Bessel, Skellam, Hellinger)
+* ``dist``      distributional kernels (Poisson, Skellam, Hellinger)
 * ``intensity`` intensity profiles and their symbolic condition system
 * ``criteria``  analytic conservativity / dissipativity certificates
 * ``simulate``  reproducible Monte Carlo experiments over configurations
@@ -20,12 +20,12 @@ from .dist import (
     LOG_ZERO,
     ParameterDomainError,
     SkellamLaw,
-    bessel_i,
     hellinger_sq_poisson,
     poisson_log_pmf,
     skellam_cf,
     skellam_moments,
     skellam_pmf,
+    skellam_pmf_row,
     skellam_tail,
 )
 from .intensity import (

@@ -1,13 +1,13 @@
-"""Distributional kernels: Poisson pmf, modified Bessel I_k, the Skellam
-family, and Hellinger distances between Poisson laws.
+"""Distributional kernels: Poisson pmf, the Skellam family, and Hellinger
+distances between Poisson laws.
 
 Everything multiplicative is accumulated in log space; the impossible
 outcome (log of zero mass) is the explicit sentinel ``LOG_ZERO`` rather than
-a silent under- or overflow.  The Skellam pmf uses the prefactor
-exp(-(a+b)), which is what the characteristic function
-exp(-(a+b) + a e^{it} + b e^{-it}) and normalisation over the integers
-force; the analytic tail bound carries the same prefactor.  The exact tail
-takes its pmf row from a recurrence in k, not from the Bessel series.
+a silent under- or overflow.  The Skellam pmf and its exact tail read one
+row, built by a backward recurrence in k (Miller's algorithm) and
+normalised to unit mass; the analytic tail bound carries the prefactor
+exp(-(a+b)) that the characteristic function
+exp(-(a+b) + a e^{it} + b e^{-it}) forces.
 """
 
 from __future__ import annotations
@@ -19,22 +19,14 @@ from typing import NamedTuple
 
 LOG_ZERO = float("-inf")
 
-# Bessel series policy: stop once a term drops below BESSEL_RTOL times the
-# partial sum, kept below _BESSEL_RESCALE by rescaling; refuse a series that
-# has not stopped within BESSEL_MAX_TERMS terms (arguments above about 1.9e4).
-BESSEL_RTOL = 1e-18
-BESSEL_MAX_TERMS = 10_000
-_BESSEL_RESCALE = 1e280
-
 # The exact tail takes a Python step per pmf term, about |a - b| + 12 sd + L.
 TAIL_MAX_RATE = 10_000.0
 # Past the rates, the tail and its bound fall with L and are 0 in floats at
 # this L for rates up to TAIL_MAX_RATE, so a larger L is evaluated here.
 _L_FAR = 2**1000
 
-# Tail threshold search: L up to THRESHOLD_L_MAX, parameter grid step THRESHOLD_GRID_STEP.
+# Tail threshold search: L up to THRESHOLD_L_MAX.
 THRESHOLD_L_MAX = 50
-THRESHOLD_GRID_STEP = 0.25
 
 
 class ParameterDomainError(ValueError):
@@ -78,65 +70,6 @@ def poisson_pmf(rate: float, k: int) -> float:
     return 0.0 if lp == LOG_ZERO else math.exp(lp)
 
 
-def _log_bessel_series_factor(k: int, z: float) -> float:
-    """log sum_j (z^2/4)^j * k! / (j! (j+k)!), normalised so the j=0 term is 1.
-    The sum is exp(log_scale) * total, with total rescaled to 1 when large."""
-    q = 0.25 * z * z
-    term = 1.0
-    total = 1.0
-    log_scale = 0.0
-    for j in range(1, BESSEL_MAX_TERMS):
-        term *= q / (j * (j + k))
-        total += term
-        if term < BESSEL_RTOL * total:
-            return log_scale + math.log(total)
-        if total > _BESSEL_RESCALE:
-            log_scale += math.log(total)
-            term /= total
-            total = 1.0
-    raise ParameterDomainError(f"Bessel series of I_{k}({z}) does not settle")
-
-
-def log_bessel_i(k: int, z: float) -> float:
-    """log I_|k|(z), evaluated without forming (z/2)^k / k! in linear space."""
-    if z < 0.0:
-        raise ParameterDomainError(f"argument must be nonnegative, got {z}")
-    k = abs(k)
-    if z == 0.0:
-        return 0.0 if k == 0 else LOG_ZERO
-    # log(z/2) kept as a difference: z/2 can underflow for subnormal z
-    return k * (math.log(z) - math.log(2.0)) - math.lgamma(k + 1) + _log_bessel_series_factor(k, z)
-
-
-def bessel_i(k: int, z: float) -> float:
-    """Modified Bessel function of the first kind at integer order.
-
-    I_k(z) = (z/2)^|k| sum_j (z^2/4)^j / (j! (j+|k|)!), and I_k = I_{-k}.
-    """
-    lp = log_bessel_i(k, z)
-    return 0.0 if lp == LOG_ZERO else math.exp(lp)
-
-
-def skellam_log_pmf(law: SkellamLaw, k: int) -> float:
-    """log pmf of the Skellam law at integer k.
-
-    Degenerate parameters dispatch to the (reflected) Poisson law; the
-    Bessel form is singular at a=0 or b=0 although the law is perfectly
-    well defined there.
-    """
-    a, b = law.a, law.b
-    if b == 0.0:
-        return poisson_log_pmf(a, k)
-    if a == 0.0:
-        return poisson_log_pmf(b, -k)
-    return -(a + b) + 0.5 * k * (math.log(a) - math.log(b)) + log_bessel_i(k, 2.0 * math.sqrt(a * b))
-
-
-def skellam_pmf(law: SkellamLaw, k: int) -> float:
-    lp = skellam_log_pmf(law, k)
-    return 0.0 if lp == LOG_ZERO else math.exp(lp)
-
-
 def skellam_cf(law: SkellamLaw, t: float) -> complex:
     """Characteristic function exp(-(a+b) + a e^{it} + b e^{-it})."""
     a, b = law.a, law.b
@@ -173,13 +106,40 @@ def _log_side(a: float, b: float, T: int) -> list[tuple[float, float]]:
     return side
 
 
+def _skellam_sides(law: SkellamLaw, T: int) -> tuple[list[float], list[float]]:
+    """The pmf row over [-T, T] up to one factor, as its sides pos[k] ~ p(k)
+    and neg[k] ~ p(-k), k = 0..T: ``_log_side`` of the law and of its
+    reflection (b, a), shifted by their common maximum before exp.  A side
+    whose rate is 0 is k = 0 alone."""
+    sides = _log_side(law.a, law.b, T), _log_side(law.b, law.a, T)
+    s_m, c_m = max(max(side) for side in sides)
+    pos, neg = ([math.exp((s - s_m) + (c - c_m)) for s, c in side] for side in sides)
+    return pos, neg
+
+
+def skellam_pmf_row(law: SkellamLaw, T: int) -> list[float]:
+    """The pmf at k = -T..T, normalised over that window, which holds the
+    whole mass in floats once T >= ``skellam_support_cutoff``."""
+    pos, neg = _skellam_sides(law, T)
+    total = math.fsum(pos + neg[1:])
+    row = [0.0] * (T + 1 - len(neg)) + neg[:0:-1] + pos + [0.0] * (T + 1 - len(pos))
+    return [p / total for p in row]
+
+
+def skellam_pmf(law: SkellamLaw, k: int) -> float:
+    """The pmf at k: the entry of ``skellam_pmf_row`` with T = |k| +
+    ``skellam_support_cutoff``."""
+    T = abs(k) + skellam_support_cutoff(law)
+    return skellam_pmf_row(law, T)[T + k]
+
+
 def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
     """Two-sided tail mass sum_{|k| >= L} pmf(k) and ``skellam_tail_bound``.
 
     The exact tail is the share of |k| >= L in the pmf row over [-T, T],
-    T = L + ``skellam_support_cutoff``, whose sides are ``_log_side`` of the
-    law and of its reflection (b, a); it is 0, with no row, where both Chernoff
-    bounds P(X - Y >= L) <= P(X >= L) <= e^-a (e a / L)^L (L > a) underflow.
+    T = L + ``skellam_support_cutoff`` (``_skellam_sides``); it is 0, with no
+    row, where both Chernoff bounds P(X - Y >= L) <= P(X >= L) <=
+    e^-a (e a / L)^L (L > a) underflow.
     """
     bound = skellam_tail_bound(law, L)  # refuses L < 1
     if not max(law.a, law.b) <= TAIL_MAX_RATE:
@@ -188,10 +148,7 @@ def skellam_tail(law: SkellamLaw, L: int) -> TailEstimate:
     if L > max(law.a, law.b) and not any(math.exp(L + L * (math.log(r) - math.log(L)) - r)
                                          for r in (law.a, law.b) if r):
         return TailEstimate(exact=0.0, bound=bound)
-    T = L + skellam_support_cutoff(law)
-    sides = _log_side(law.a, law.b, T), _log_side(law.b, law.a, T)
-    s_m, c_m = max(max(side) for side in sides)
-    pos, neg = ([math.exp((s - s_m) + (c - c_m)) for s, c in side] for side in sides)
+    pos, neg = _skellam_sides(law, L + skellam_support_cutoff(law))
     return TailEstimate(exact=math.fsum(pos[L:] + neg[L:]) / math.fsum(pos + neg[1:]), bound=bound)
 
 
@@ -216,24 +173,25 @@ def skellam_tail_threshold(limit: float) -> int:
     """Smallest L <= THRESHOLD_L_MAX such that tail(l) <= l^-8 for all
     l >= L and all Skellam parameters in (0, limit]^2.
 
-    Certified through the analytic bound: the bound is evaluated at L over a
-    parameter grid including the corner (limit, limit), and validity for
-    every l > L follows because bound(l) * l^8 decreases once
+    Certified through the analytic bound at the corner (limit, limit).  The
+    bound is e^{ab} (a^L e^-b + b^L e^-a) / L!; for fixed b it is convex in
+    a (a^L e^{ab} and e^{a(b-1)} are), and likewise in b for fixed a, so its
+    maximum over the box lies at a vertex.  There the corner's value
+    exceeds the bound limit^L / L! at (limit, 0) and (0, limit) by the factor
+    2 e^{limit^2 - limit} >= 2 e^{-1/4} > 1, and the bound 0 at (0, 0).
+    Validity for every l > L follows because bound(l) * l^8 decreases once
     ((l+1)/l)^8 * limit / (l+1) < 1, which is checked before accepting L.
     """
     if limit <= 0.0:
         raise ParameterDomainError("limit must be positive")
-    l_max, step = THRESHOLD_L_MAX, THRESHOLD_GRID_STEP
+    l_max, corner = THRESHOLD_L_MAX, SkellamLaw(limit, limit)
     # the decrease condition tightens as L falls: without it at l_max, no L qualifies
     if ((l_max + 1) / l_max) ** 8 * limit / (l_max + 1) >= 1.0:
         raise ParameterDomainError(f"no threshold found up to l_max={l_max} for limit={limit}")
-    grid = [step * i for i in range(1, int(limit / step) + 1) if step * i < limit]
-    grid.append(limit)
     for L in range(1, l_max + 1):
         if ((L + 1) / L) ** 8 * limit / (L + 1) >= 1.0:
             continue
-        sup_bound = max(skellam_tail_bound(SkellamLaw(a, b), L) for a in grid for b in grid)
-        if sup_bound <= L**-8:
+        if skellam_tail_bound(corner, L) <= L**-8:
             return L
     raise ParameterDomainError(f"no threshold found up to l_max={l_max} for limit={limit}")
 

@@ -44,7 +44,7 @@ from suspension_lab.dist import (
     SkellamLaw,
     hellinger_sq_poisson,
     poisson_pmf,
-    skellam_pmf,
+    skellam_pmf_row,
     skellam_support_cutoff,
     skellam_tail_bound,
 )
@@ -138,9 +138,10 @@ def test_criterion_01_skellam_oracle_equivalence():
         for b in GRID:
             law = SkellamLaw(a, b)
             oracle = _convolution_pmf(a, b, 30)
-            worst = max(worst, max(abs(skellam_pmf(law, k) - oracle[k]) for k in range(-30, 31)))
-            C = skellam_support_cutoff(law)
-            s = math.fsum(skellam_pmf(law, k) for k in range(-C, C + 1))
+            C = skellam_support_cutoff(law)  # at least 42, so the row holds k = -30..30
+            row = skellam_pmf_row(law, C)
+            worst = max(worst, max(abs(row[C + k] - oracle[k]) for k in range(-30, 31)))
+            s = math.fsum(row)
             norm_lo, norm_hi = min(norm_lo, s), max(norm_hi, s)
     elapsed = time.perf_counter() - t0
     # the mass is provably < 1; the few-ulp upper slack absorbs float
@@ -176,7 +177,7 @@ def test_criterion_03_tail_bound():
             for b in grid:
                 law = SkellamLaw(float(a), float(b))
                 C = skellam_support_cutoff(law) + 20
-                pmf = np.array([skellam_pmf(law, k) for k in range(-C, C + 1)])
+                pmf = np.array(skellam_pmf_row(law, C))
                 suffix = np.abs(np.arange(-C, C + 1))
                 tails = np.array([pmf[suffix >= L].sum() for L in range(1, 51)])
                 sup_tails[1:] = np.maximum(sup_tails[1:], tails)

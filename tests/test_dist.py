@@ -1,8 +1,9 @@
 """Distribution-kernel tests against independent oracles.
 
 Oracles used here deliberately avoid the code paths they check:
-arbitrary-precision evaluation (mpmath) for the pmf and Bessel series and
-for the Skellam tail as a sum of incomplete gamma functions, direct
+arbitrary-precision evaluation (mpmath) for the Poisson pmf, for the Skellam
+pmf through its Bessel form e^{-(a+b)} (a/b)^{k/2} I_k(2 sqrt(ab)) and for
+the Skellam tail as a sum of incomplete gamma functions, direct
 Poisson-convolution sums for the Skellam pmf, Fourier sums for the
 characteristic function, and definitional sums for the Hellinger distance.
 """
@@ -21,16 +22,16 @@ from scipy.special import gammaln
 from suspension_lab.dist import (
     LOG_ZERO,
     TAIL_MAX_RATE,
+    THRESHOLD_L_MAX,
     ParameterDomainError,
     SkellamLaw,
-    bessel_i,
-    log_bessel_i,
     hellinger_sq_poisson,
     poisson_log_pmf,
     poisson_pmf,
     skellam_cf,
     skellam_moments,
     skellam_pmf,
+    skellam_pmf_row,
     skellam_support_cutoff,
     skellam_tail,
     skellam_tail_bound,
@@ -96,43 +97,51 @@ class TestPoissonLogPmf:
             assert s == pytest.approx(1.0, abs=1e-13)
 
 
+def _skellam_oracle(a: float, b: float, k: int) -> float:
+    """P(X - Y = k) at 50 digits: e^{-(a+b)} (a/b)^{k/2} I_k(2 sqrt(ab)), or
+    the (reflected) Poisson pmf where a rate is 0."""
+    with mpmath.workdps(50):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        if a == 0.0 or b == 0.0:
+            rate, m = (a_, k) if b == 0.0 else (b_, -k)
+            return float(mpmath.exp(-rate) * rate**m / mpmath.factorial(m)) if m >= 0 else 0.0
+        return float(mpmath.exp(-(a_ + b_)) * (a_ / b_) ** (mpmath.mpf(k) / 2)
+                     * mpmath.besseli(k, 2 * mpmath.sqrt(a_ * b_)))
+
+
 class TestBessel:
+    """I_k(z) through the Skellam row: the pmf of the law (z/2, z/2) at k is
+    e^{-z} I_k(z), checked against mpmath's ``besseli``."""
+
     def test_order_zero_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
+        assert skellam_pmf(SkellamLaw(0.0, 0.0), 0) == 1.0
 
     def test_positive_order_at_zero(self):
-        assert bessel_i(3, 0.0) == 0.0
+        assert skellam_pmf(SkellamLaw(0.0, 0.0), 3) == 0.0
 
     def test_series_against_mpmath(self):
         with mpmath.workdps(60):
-            expected = float(mpmath.besseli(0, 2))
-        assert bessel_i(0, 2.0) == pytest.approx(expected, abs=1e-13)
+            expected = float(mpmath.exp(-2) * mpmath.besseli(0, 2))
+        assert skellam_pmf(SkellamLaw(1.0, 1.0), 0) == pytest.approx(expected, abs=1e-13)
 
     @given(k=st.integers(-20, 20), z=st.floats(0.0, 30.0))
     @settings(max_examples=200, deadline=None)
     def test_order_symmetry(self, k, z):
-        assert bessel_i(k, z) == bessel_i(-k, z)
+        law = SkellamLaw(z / 2, z / 2)
+        assert skellam_pmf(law, k) == skellam_pmf(law, -k)
 
     @pytest.mark.parametrize("k", [0, 1, 5, 17])
     @pytest.mark.parametrize("z", [0.3, 2.0, 9.5])
     def test_against_mpmath_grid(self, k, z):
         with mpmath.workdps(60):
-            expected = float(mpmath.besseli(k, z))
-        assert bessel_i(k, z) == pytest.approx(expected, rel=1e-13)
+            expected = float(mpmath.exp(-z) * mpmath.besseli(k, z))
+        assert skellam_pmf(SkellamLaw(z / 2, z / 2), k) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("k, z", [(0, 800.0), (3, 800.0), (1, 5000.0), (40, 18000.0)])
     def test_large_argument_against_mpmath(self, k, z):
-        # the unscaled series factor passes the float range near z = 713
-        expected = float(mpmath.log(mpmath.besseli(k, z)))
-        assert log_bessel_i(k, z) == pytest.approx(expected, rel=1e-13)
-
-    def test_unsettled_series_refused(self):
-        with pytest.raises(ParameterDomainError):
-            log_bessel_i(0, 1e5)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            bessel_i(0, -1.0)
+        # past z = 713, I_k(z) alone overflows a double; e^{-z} I_k(z) does not
+        expected = float(mpmath.exp(-z) * mpmath.besseli(k, z))
+        assert skellam_pmf(SkellamLaw(z / 2, z / 2), k) == pytest.approx(expected, rel=1e-13)
 
 
 class TestSkellamPmf:
@@ -174,9 +183,31 @@ class TestSkellamPmf:
         for a in GRID:
             for b in GRID:
                 law = SkellamLaw(a, b)
-                C = skellam_support_cutoff(law)
-                s = math.fsum(skellam_pmf(law, k) for k in range(-C, C + 1))
+                s = math.fsum(skellam_pmf_row(law, skellam_support_cutoff(law)))
                 assert 1.0 - 1e-12 <= s <= 1.0 + 1e-15
+
+    @pytest.mark.parametrize("a, b, k", [
+        (1.0, 0.6, -3), (1.0, 0.6, 0), (1.0, 0.6, 4),
+        (0.5, 0.5, 25), (1e-3, 1e-3, 5), (1e-3, 2.0, -1),
+        (3.0, 0.0, 2), (3.0, 0.0, -1), (0.0, 2.0, -3), (0.0, 2.0, 1), (0.0, 0.0, 0),
+        (1e4, 0.0, 10_000), (0.0, 1e4, -9_900),
+        (10.0, 10.0, 0), (10.0, 3.0, 20), (200.0, 150.0, 40), (200.0, 200.0, -60),
+        (1e3, 1e2, 900), (1e4, 1e4, 0), (1e4, 1e4, 300), (1e4, 3e3, -50),
+        (1e5, 9e4, 100), (9e4, 1e5, -100), (1e5, 1e5, 0), (1e5, 1e5, -700),
+    ])
+    def test_against_mpmath(self, a, b, k):
+        # up to the sampler's rate cap 1e5, with no refusal; a zero oracle is met exactly
+        got, want = skellam_pmf(SkellamLaw(a, b), k), _skellam_oracle(a, b, k)
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("a, b", [(0.1, 5.0), (1.0, 1.0), (2.0, 0.0), (0.0, 0.5), (150.0, 1.0), (400.0, 400.0)])
+    def test_row_matches_pointwise(self, a, b):
+        law = SkellamLaw(a, b)
+        C = skellam_support_cutoff(law)
+        row = skellam_pmf_row(law, C)
+        assert len(row) == 2 * C + 1
+        for k, p in zip(range(-C, C + 1), row):
+            assert p == pytest.approx(skellam_pmf(law, k), rel=0, abs=1e-15)
 
 
 class TestSkellamCf:
@@ -203,7 +234,7 @@ class TestSkellamCf:
     def test_reconstruction_grid(self):
         law = SkellamLaw(1.0, 2.0)
         C = skellam_support_cutoff(law)
-        pmf = {k: skellam_pmf(law, k) for k in range(-C, C + 1)}
+        pmf = dict(zip(range(-C, C + 1), skellam_pmf_row(law, C)))
         for j in range(32):
             t = 0.1 * j
             want = sum(p * complex(math.cos(k * t), math.sin(k * t)) for k, p in pmf.items())
@@ -243,9 +274,9 @@ class TestSkellamMoments:
         mean, var = skellam_moments(law)
         assert (mean, var) == (pytest.approx(-0.5), pytest.approx(0.9))
         C = skellam_support_cutoff(law)
-        ks = range(-C, C + 1)
-        m1 = math.fsum(k * skellam_pmf(law, k) for k in ks)
-        m2 = math.fsum(k * k * skellam_pmf(law, k) for k in ks)
+        pmf = list(zip(range(-C, C + 1), skellam_pmf_row(law, C)))
+        m1 = math.fsum(k * p for k, p in pmf)
+        m2 = math.fsum(k * k * p for k, p in pmf)
         assert m1 == pytest.approx(mean, abs=1e-10)
         assert m2 - m1 * m1 == pytest.approx(var, abs=1e-10)
 
@@ -267,7 +298,7 @@ class TestSkellamTail:
             for b in GRID:
                 law = SkellamLaw(a, b)
                 C = skellam_support_cutoff(law)
-                pmf = np.array([skellam_pmf(law, k) for k in range(-C, C + 1)])
+                pmf = np.array(skellam_pmf_row(law, C))
                 dist_from_zero = np.abs(np.arange(-C, C + 1))
                 tails = np.array([pmf[dist_from_zero >= L].sum() for L in range(1, 31)])
                 assert np.all(np.diff(tails) <= 0)
@@ -328,6 +359,35 @@ class TestSkellamTail:
             assert sup_exact <= l**-8
         # and one step earlier the corner tail does not satisfy the bound route
         assert skellam_tail(SkellamLaw(1.0, 1.0), L - 1).bound > (L - 1) ** -8
+
+
+class TestTailThreshold:
+    # L from the bound's maximum over a 0.25-step grid of the box: the corner alone gives it
+    @pytest.mark.parametrize("limit, L", [
+        (0.01, 2), (0.1, 4), (0.25, 6), (0.5, 9), (1.0, 13), (math.exp(0.5), 17), (1.5, 16),
+        (2.0, 20), (3.0, 27), (4.0, 34), (4.7, 40), (5.0, 43), (5.5, 47),
+    ])
+    def test_same_threshold_as_grid_search(self, limit, L):
+        assert skellam_tail_threshold(limit) == L
+
+    @pytest.mark.parametrize("limit", [5.9, 6.0, 20.0])
+    def test_no_threshold_refused(self, limit):
+        with pytest.raises(ParameterDomainError):
+            skellam_tail_threshold(limit)
+
+    @given(limit=st.floats(0.01, 6.0), u=st.floats(0.0, 1.0, exclude_min=True),
+           v=st.floats(0.0, 1.0, exclude_min=True), L=st.integers(1, THRESHOLD_L_MAX))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_largest_at_the_corner(self, limit, u, v, L):
+        # the slack covers rounding next to the corner, where the two are equal
+        corner = skellam_tail_bound(SkellamLaw(limit, limit), L)
+        assert skellam_tail_bound(SkellamLaw(u * limit, v * limit), L) <= corner * (1.0 + 1e-12)
+
+    def test_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ParameterDomainError):
+            skellam_tail_threshold(20.0)
+        assert time.perf_counter() - t0 < 0.05
 
 
 @functools.lru_cache(maxsize=None)
