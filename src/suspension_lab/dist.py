@@ -185,9 +185,6 @@ def skellam_tail_threshold(limit: float) -> int:
     if limit <= 0.0:
         raise ParameterDomainError("limit must be positive")
     l_max, corner = THRESHOLD_L_MAX, SkellamLaw(limit, limit)
-    # the decrease condition tightens as L falls: without it at l_max, no L qualifies
-    if ((l_max + 1) / l_max) ** 8 * limit / (l_max + 1) >= 1.0:
-        raise ParameterDomainError(f"no threshold found up to l_max={l_max} for limit={limit}")
     for L in range(1, l_max + 1):
         if ((L + 1) / L) ** 8 * limit / (L + 1) >= 1.0:
             continue

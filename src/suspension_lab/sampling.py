@@ -51,7 +51,8 @@ tables some 400 wide, and a table's codes number fewer than
 2 ``_GUIDE_CELLS`` + rows however large its block; one sample row (G = 1)
 bisects over the whole row.  ``prepare_rows`` does this set-up (plateaus,
 pass count, pass columns or guide codes) once for the row chunks of one
-block.
+block.  The inverters take the uniforms they are given whole: the caller
+sizes each chunk, and so the inverters' buffers.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ParameterDomainError, SkellamLaw, skellam_support_cutoff
+from .dist import ParameterDomainError, SkellamLaw, poisson_log_pmf, skellam_support_cutoff
 
 _MAX_RATE = 100_000.0
 _TINY = np.finfo(float).tiny
@@ -85,14 +86,9 @@ _GUIDE_PER_COLUMN = 8
 #: The clt a_j tables (256 rows, G = 2048) stay within it, and so does every
 #: Hopf gemm chunk's guide, whose sample rows are at most 2^20 // W.
 _GUIDE_CELLS = 1 << 20
-#: Queries per chunk of sample rows: 1 MiB of float64, which stays in cache
-#: across the passes.  Also the table cells per chunk of a guide's build.
+#: Table cells per chunk of a guide's build (1 MiB of float64); bounds the
+#: build's temporaries for a table of many rows.
 _CHUNK_CELLS = 1 << 17
-#: Queries per chunk of the guide search; bounds its buffers (cells, codes,
-#: bisection state) and so its share of peak RSS.  On the clt_hirate op, in
-#: process on the same VM, 2^15, 2^16 and 2^17 ran 0.55, 0.55 and 0.53 s in
-#: the median of 8 runs, within their spread, at 44.3, 44.8 and 45.4 MB.
-_GUIDE_CHUNK = 1 << 16
 #: Most cells of one CDF table, draw block, Hopf theta table or set of Hopf
 #: partial sums (256 MiB of float64); it also keeps every count code of the
 #: guide search within int32.
@@ -187,7 +183,7 @@ def _plateau_width(rmax: float, K: int) -> int:
     k = int(rmax) + 1
     if rmax == 0.0:
         return k + 1  # p(1; 0) = 0
-    log_p = k * math.log(rmax) - rmax - math.lgamma(k + 1.0)
+    log_p = poisson_log_pmf(rmax, k)
     while log_p >= _LOG_PLATEAU_PMF and k < K:
         k += 1
         log_p += math.log(rmax / k)
@@ -205,7 +201,7 @@ def _pmf_from_mode(rate: float, K: int) -> np.ndarray:
     """
     m = int(rate)
     pmf = np.empty(K + 1)
-    pmf[m] = math.exp(m * math.log(rate) - rate - math.lgamma(m + 1.0))
+    pmf[m] = math.exp(poisson_log_pmf(rate, m))
     pmf[m + 1:] = pmf[m] * np.cumprod(rate / np.arange(m + 1, K + 1))
     pmf[:m] = pmf[m] * np.cumprod(np.arange(m, 0, -1) / rate)[::-1]
     return pmf / pmf.sum()
@@ -258,27 +254,24 @@ def prepare_rows(cdf: np.ndarray, samples: int) -> RowTables:
 
 def _invert_by_passes(table: RowTables, u: np.ndarray, counts: np.ndarray) -> None:
     """``invert_uniform_rows`` into ``counts`` by ``table.passes`` comparison
-    passes per chunk of sample rows; draws still climbing after them step up
-    one column at a time until the row's entry exceeds them or its plateau is
-    reached."""
-    S, R = u.shape
+    passes over the whole of ``u``, a chunk the caller sizes; draws still
+    climbing after them step up one column at a time until the row's entry
+    exceeds them or its plateau is reached."""
+    R = u.shape[1]
     cdf, top, passes, columns = table.cdf, table.top, table.passes, table.lookup
-    step = max(1, _CHUNK_CELLS // max(R, 1))
-    for s0 in range(0, S, step):
-        chunk, block = u[s0:s0 + step], counts[s0:s0 + step]
-        n = np.greater_equal(chunk, columns[0]).view(np.uint8)
-        for k in range(1, passes):
-            n += chunk >= columns[k]
-        block[:] = n
-        # the row-major positions of np.nonzero, for a tenth of its 2-D cost per cell
-        s_i, r_i = np.divmod(np.flatnonzero(n == passes), R)
-        # the climbing counts, never read back from ``counts``, whose dtype is the caller's
-        c = np.full(len(s_i), passes, dtype=np.intp)
-        while len(s_i):
-            # c is at most top[r_i] <= W - 1, so the gather stays in the row
-            up = (c < top[r_i]) & (chunk[s_i, r_i] >= cdf[r_i, c])
-            s_i, r_i, c = s_i[up], r_i[up], c[up] + 1
-            block[s_i, r_i] = c
+    n = np.greater_equal(u, columns[0]).view(np.uint8)
+    for k in range(1, passes):
+        n += u >= columns[k]
+    counts[:] = n
+    # the row-major positions of np.nonzero, for a tenth of its 2-D cost per cell
+    s_i, r_i = np.divmod(np.flatnonzero(n == passes), R)
+    # the climbing counts, never read back from ``counts``, whose dtype is the caller's
+    c = np.full(len(s_i), passes, dtype=np.intp)
+    while len(s_i):
+        # c is at most top[r_i] <= W - 1, so the gather stays in the row
+        up = (c < top[r_i]) & (u[s_i, r_i] >= cdf[r_i, c])
+        s_i, r_i, c = s_i[up], r_i[up], c[up] + 1
+        counts[s_i, r_i] = c
 
 
 def _guide_codes(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
@@ -322,47 +315,41 @@ def _guide_codes(cdf: np.ndarray, top: np.ndarray, G: int) -> np.ndarray:
 
 
 def _invert_by_guide(table: RowTables, u: np.ndarray, counts: np.ndarray) -> None:
-    """``invert_uniform_rows`` into ``counts`` by the guide's count codes per
-    chunk of sample rows: a uniform in cell j = floor(u G) of row r takes
-    code[r, j], its count unless negative.  From a negative code the count
-    lies in [a, b] = [~code[r, j], n[r, j + 1]], n being a code or its
-    complement; it is a + (u >= cdf[r, a]) where b = a + 1, the common case,
-    in one gather, and wider brackets are bisected by halving steps s, each
-    taking m = min(a + s, b) for a where u >= cdf[r, m - 1].  (Halving steps
-    over every bracket, with no one-gather case, ran the clt_hirate op 0.76
+    """``invert_uniform_rows`` into ``counts`` by the guide's count codes over
+    the whole of ``u``, a chunk the caller sizes: a uniform in cell
+    j = floor(u G) of row r takes code[r, j], its count unless negative.
+    From a negative code the count lies in [a, b] = [~code[r, j],
+    n[r, j + 1]], n being a code or its complement; it is
+    a + (u >= cdf[r, a]) where b = a + 1, the common case, in one gather,
+    and wider brackets are bisected by halving steps s, each taking
+    m = min(a + s, b) for a where u >= cdf[r, m - 1].  (Halving steps over
+    every bracket, with no one-gather case, ran the clt_hirate op 0.76
     -> 0.95 s in process on a 2-core VM.)"""
-    S, R = u.shape
+    R = u.shape[1]
     cdf, codes, G = table.cdf, table.lookup, table.G
     K = cdf.shape[1]
     flat = np.ascontiguousarray(cdf).ravel()
-    first_cell = np.arange(R) * (G + 1)
-    step = max(1, _GUIDE_CHUNK // max(R, 1))
-    cells = np.empty((min(step, S), R), dtype=np.intp)
-    found = np.empty(cells.shape, dtype=np.int32)
-    for s0 in range(0, S, step):
-        chunk = u[s0:s0 + step]
-        cell, code = cells[:len(chunk)], found[:len(chunk)]
-        np.multiply(chunk, G, out=cell, casting="unsafe")  # floor(u G), exact
-        cell += first_cell
-        codes.take(cell, out=code, mode="clip")
-        flat_code = code.reshape(-1)
-        at = np.flatnonzero(flat_code < 0)
-        if len(at):
-            a = ~flat_code[at]
-            b = codes.take(cell.reshape(-1)[at] + 1)
-            b ^= b >> 31  # the next cell's count: its code or, if negative, ~code
-            start, q = (at % R) * K, chunk.reshape(-1)[at]
-            flat_code[at] = a + (q >= flat.take(start + a))  # the count where b = a + 1
-            wide = np.flatnonzero(b - a > 1)
-            if len(wide):
-                at, a, b, q, start = at[wide], a[wide], b[wide], q[wide], start[wide] - 1
-                jump = 1 << (int((b - a).max()).bit_length() - 1)
-                while jump:
-                    probe = np.minimum(a + jump, b)
-                    np.copyto(a, probe, where=q >= flat.take(start + probe))
-                    jump >>= 1
-                flat_code[at] = a
-        np.copyto(counts[s0:s0 + step], code, casting="unsafe")
+    cell = np.multiply(u, G, out=np.empty(u.shape, dtype=np.intp), casting="unsafe")  # floor(u G), exact
+    cell += np.arange(R) * (G + 1)
+    code = codes.take(cell, mode="clip")
+    flat_code = code.reshape(-1)
+    at = np.flatnonzero(flat_code < 0)
+    if len(at):
+        a = ~flat_code[at]
+        b = codes.take(cell.reshape(-1)[at] + 1)
+        b ^= b >> 31  # the next cell's count: its code or, if negative, ~code
+        start, q = (at % R) * K, u.reshape(-1)[at]
+        flat_code[at] = a + (q >= flat.take(start + a))  # the count where b = a + 1
+        wide = np.flatnonzero(b - a > 1)
+        if len(wide):
+            at, a, b, q, start = at[wide], a[wide], b[wide], q[wide], start[wide] - 1
+            jump = 1 << (int((b - a).max()).bit_length() - 1)
+            while jump:
+                probe = np.minimum(a + jump, b)
+                np.copyto(a, probe, where=q >= flat.take(start + probe))
+                jump >>= 1
+            flat_code[at] = a
+    np.copyto(counts, code, casting="unsafe")
 
 
 def invert_uniform_rows(cdf: np.ndarray | RowTables, u: np.ndarray,
@@ -373,9 +360,11 @@ def invert_uniform_rows(cdf: np.ndarray | RowTables, u: np.ndarray,
     min(#{k : cdf[r, k] <= u[s, r]}, top[r]), top[r] being the first index
     of row r's plateau, for uniforms in [0, 1).  ``cdf`` is a table or its
     ``prepare_rows`` set-up.  Low-count tables take the comparison passes,
-    the rest the guide search.  The counts go into ``out``, of u's shape and
-    any integer or float dtype and layout, which is returned; without it,
-    into a fresh C-ordered int64 array.
+    the rest the guide search, each over all of ``u`` at once: the caller
+    sizes the chunk, and the search's buffers (12 bytes per uniform for the
+    guide's cells and codes) with it.  The counts go into ``out``, of u's
+    shape and any integer or float dtype and layout, which is returned;
+    without it, into a fresh C-ordered int64 array.
     """
     S, R = u.shape
     table = cdf if isinstance(cdf, RowTables) else prepare_rows(cdf, S)

@@ -18,7 +18,8 @@ inverted as one column against the one-row a_0 table.  clt blocks are
 skipped, stopping blocks ``_STOPPING_BLOCK`` indices over the samples
 still alive, decay one index.  A block is drawn and reduced in row chunks
 of at most ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer),
-each y chunk at its own stream offset, in buffers of one chunk.  Neither
+each y chunk at its own stream offset, in buffers of one chunk; these are
+the only chunks of the draws, which ``sampling`` inverts whole.  Neither
 this chunking, nor these buffers, nor the Hopf chunking ever changes the
 stream (``gen.random(out=...)`` returns the doubles ``gen.random(shape)``
 would), and clt's ``np.einsum`` row sums have the same bits for any row
@@ -26,10 +27,11 @@ split.
 
 Hopf and scan draw, at every scale, samples x window uniforms row-major
 from a fresh generator of the spec.  One ``_hopf_core`` call serves every
-scale: the eps grid, theta, the uniforms of one draw chunk and the float64
-counts of one gemm chunk are built once per call, and each scale's CDF
-table once per scale, after the previous scale's is dropped; neither the
-buffers, the chunks nor the shared theta change the stream.
+scale: it checks every scale's moment bounds first, then builds the eps
+grid, theta, the uniforms of one draw chunk and the float64 counts of one
+gemm chunk once per call, and each scale's CDF table once per scale, after
+the previous scale's is dropped; neither the buffers, the chunks nor the
+shared theta change the stream.
 
 Windowing: products over the lattice are truncated to a finite index
 window.  The truncated log-density equals the log-density of the
@@ -267,13 +269,15 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
     ``_DRAW_CHUNK_CELLS`` cells and inverted against its CDF table, built
     once and prepared for a gemm chunk: a draw chunk's coarser guide would
     search slower, and one for all samples would hold a finer guide for
-    each of the W rows.  The eps grid, theta, a uniform buffer of one draw
-    chunk and a C-ordered float64 count buffer of one gemm chunk (the gemm's
-    operand, which the inversions fill) are built once per call and never
-    change the stream.  Partial sums and
-    moment bounds are linear-space floats: a level that overflows them is
-    refused, its moment bounds before its table, the first level's before
-    anything is built."""
+    each of the W rows.  Moment bounds are linear-space floats: every
+    level's are checked before anything is built, and the first level that
+    overflows them is refused.  Then the eps grid, theta, a uniform buffer
+    of one draw chunk, a C-ordered float64 count buffer of one gemm chunk
+    (the gemm's operand, which the inversions fill) and the partial sums
+    are built once per call and never change the stream.  A partial sum
+    adds at most N <= 2^17 densities exp(logrn) of mean one, so it passes
+    the float range only if one of them passes 2^1007, which by Markov's
+    inequality has probability at most 2^-1007."""
     if not (2 <= N <= MAX_WINDOW and window[1] - window[0] <= MAX_WINDOW and samples >= 1):
         raise ParameterDomainError(f"need 2 <= N <= {MAX_WINDOW}, a window of at most {MAX_WINDOW} indices "
                                    f"and samples >= 1, got N={N}, window={list(window)}, samples={samples}")
@@ -285,27 +289,26 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
     log_bn = -b * np.log(np.arange(1, N + 1, dtype=float)) if zero_gap else None
     lo, hi = window
     W = hi - lo
-    rows = min(samples, max(1, _HOPF_CHUNK_CELLS // (W + N)))
-    step = _row_step(rows, W)  # rows per draw chunk of a gemm chunk
-    theta = None
-    results = []
-    for profile in profiles:
-        markov_bound = None
-        if zero_gap:
+    markov_bounds = [None] * len(profiles)
+    if zero_gap:
+        for i, profile in enumerate(profiles):
             log_bound = 2.0 * log_bn + np.array([criteria.rn_square_integral(profile, n) for n in range(1, N + 1)])
             if not log_bound.max() < _LOG_MAX:
                 raise ParameterDomainError(f"Hopf moment bounds overflow at level {profile.level}")
-            markov_bound = np.exp(log_bound)
-        if theta is None:
-            # eps over [lo - N, hi): eps_k and each eps_{k-n} are slices of one grid
-            eps = epsilon_at(profiles[0].epsilon, np.arange(lo - N, hi))
-            exp_eps = np.exp(eps)
-            theta = np.empty((W, N))
-            for n in range(1, N + 1):
-                theta[:, n - 1] = eps[N - n:N - n + W] - eps[N:]
-            uniforms = np.empty((step, W))
-            counts = np.empty((rows, W))  # the gemm operand, C-ordered
-            partials = np.empty((samples, len(checkpoints)))
+            markov_bounds[i] = np.exp(log_bound)
+    rows = min(samples, max(1, _HOPF_CHUNK_CELLS // (W + N)))
+    step = _row_step(rows, W)  # rows per draw chunk of a gemm chunk
+    # eps over [lo - N, hi): eps_k and each eps_{k-n} are slices of one grid
+    eps = epsilon_at(profiles[0].epsilon, np.arange(lo - N, hi))
+    exp_eps = np.exp(eps)
+    theta = np.empty((W, N))
+    for n in range(1, N + 1):
+        theta[:, n - 1] = eps[N - n:N - n + W] - eps[N:]
+    uniforms = np.empty((step, W))
+    counts = np.empty((rows, W))  # the gemm operand, C-ordered
+    partials = np.empty((samples, len(checkpoints)))
+    results = []
+    for profile, markov_bound in zip(profiles, markov_bounds):
         a = profile.level * exp_eps
         a_k = a[N:]
         drift = np.array([np.sum(a_k - a[N - n:N - n + W]) for n in range(1, N + 1)])
@@ -323,8 +326,6 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
             P = np.cumsum(np.exp(logrn), axis=1)
             partials[done:done + m] = P[:, checkpoints - 1]
         del table  # before the next scale builds its own
-        if not np.isfinite(partials).all():
-            raise ParameterDomainError(f"Hopf partial sums overflow at level {profile.level}")
         med = np.median(partials, axis=0)
         growth = fit_log_slope(checkpoints.tolist(), np.log(np.maximum(med, 1e-300)).tolist(),
                                kind="hopf_growth")

@@ -42,6 +42,8 @@ SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report-sche
 
 POWER_PROFILE = {"base": 1.0, "epsilon": {"kind": "power", "gamma": 0.5, "sign": -1}}
 STEP_PROFILE = {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 0.693}}
+#: an explicit eps table with no tail; tests add the tails they need
+TWO_ENTRY_TABLE = {"kind": "explicit", "table": {"0": 0.3, "3": -0.2}}
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
@@ -194,6 +196,14 @@ class TestCommands:
         rows = json.loads(out.read_text())["body"]["statistics"]["rows"]
         assert [r["n"] for r in rows] == [10, 100]
 
+    def test_decay_skips_indices_without_a_deviation(self, tmp_path):
+        # eps_1 = 0 for a power tail, so n = 1 has no row
+        doc = {"profile": POWER_PROFILE, "samples": 200, "ns": [1, 10]}
+        code, out = run_to_file(tmp_path, "decay", doc)
+        assert code == EXIT_OK
+        rows = json.loads(out.read_text())["body"]["statistics"]["rows"]
+        assert [r["n"] for r in rows] == [10]
+
     def test_stopping(self, tmp_path):
         doc = {"profile": POWER_PROFILE, "r": -1.5, "eps": 0.5,
                "M": 50, "N": 5_000, "samples": 100}
@@ -208,6 +218,16 @@ class TestCommands:
         assert code == EXIT_OK
         stats = json.loads(out.read_text())["body"]["statistics"]
         assert stats["heuristic"] is True
+
+    def test_hopf_explicit_table_with_step_tail(self, tmp_path):
+        # the shift support of a table with a step tail runs from the table's
+        # first index, 0, to its last plus the shift, 3 + 8
+        tail = {"kind": "step", "left": 0.0, "right": 0.4}
+        doc = {"profile": {"base": 1.0, "epsilon": {**TWO_ENTRY_TABLE, "tail": tail}}, "N": 8, "samples": 40}
+        code, out = run_to_file(tmp_path, "hopf", doc)
+        assert code == EXIT_OK
+        body = json.loads(out.read_text())["body"]
+        assert body["parameters"]["window"] == body["statistics"]["window"] == [0, 12]
 
     def test_hopf_wide_window_override_used(self, tmp_path):
         doc = {"profile": POWER_PROFILE, "N": 16, "samples": 100, "window": [0, 5000]}
@@ -358,6 +378,20 @@ class TestValidationAndExitCodes:
         code, _ = run_to_file(tmp_path, command, {"profile": POWER_PROFILE, **extra})
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command, series", [("classify", "hellinger"), ("asymptotics", "square-integral")])
+    def test_explicit_table_with_step_tail_has_no_series(self, tmp_path, capsys, command, series):
+        tail = {"kind": "step", "left": 0.4, "right": 0.4}
+        doc = {"profile": {"base": 1.0, "epsilon": {**TWO_ENTRY_TABLE, "tail": tail}}}
+        code, out = run_to_file(tmp_path, command, doc)
+        assert code == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err == f"config error: {series} series for explicit profiles requires a zero or power tail\n"
+
+    def test_bracket_refuses_a_singular_scale(self, tmp_path, capsys):
+        # a finite table with no tail classifies not_nonsingular at every scale
+        code, out = run_to_file(tmp_path, "bracket", {"profile": {"base": 1.0, "epsilon": TWO_ENTRY_TABLE}})
+        assert code == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err == "config error: bracket requires a nonsingular profile at every scale\n"
 
     def test_scan_refuses_a_later_scale(self, tmp_path, capsys):
         # the first scale fits its Hopf moment bounds, the second does not

@@ -10,6 +10,7 @@ characteristic function, and definitional sums for the Hellinger distance.
 
 import functools
 import math
+import re
 import time
 
 import mpmath
@@ -370,9 +371,12 @@ class TestTailThreshold:
     def test_same_threshold_as_grid_search(self, limit, L):
         assert skellam_tail_threshold(limit) == L
 
-    @pytest.mark.parametrize("limit", [5.9, 6.0, 20.0])
+    @pytest.mark.parametrize("limit", [5.9, 6.0, 20.0, 1e3])
     def test_no_threshold_refused(self, limit):
-        with pytest.raises(ParameterDomainError):
+        # at 5.9 some L passes the decrease condition but not the bound; at
+        # 1e3 none passes the condition: one message for both
+        message = f"no threshold found up to l_max={THRESHOLD_L_MAX} for limit={limit}"
+        with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
             skellam_tail_threshold(limit)
 
     @given(limit=st.floats(0.01, 6.0), u=st.floats(0.0, 1.0, exclude_min=True),

@@ -275,20 +275,19 @@ class TestInversionExactness:
 
     def test_matches_raw_search_across_chunks(self):
         cdf = poisson_cdf_tables(np.linspace(0.0, 6.0, 4_000))
-        u = _adversarial_uniforms(cdf, 70, seed=1)  # several chunks, the last partial
+        u = _adversarial_uniforms(cdf, 70, seed=1)  # 280,000 queries in one call
         assert np.array_equal(invert_uniform_rows(cdf, u), _raw_search(cdf, u))
         y = _adversarial_uniforms(cdf[:1], 300_000, seed=2)
         assert np.array_equal(invert_uniform_rows(cdf[:1], y), _raw_search(cdf[:1], y))
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "column"])
-    def test_passes_across_sample_chunks(self, monkeypatch, layout):
-        # chunks of 5 sample rows of 7 columns (38 // 7), the last one partial,
-        # each with draws climbing past the passes
-        monkeypatch.setattr(sampling, "_CHUNK_CELLS", 38)
+    def test_passes_across_sample_chunks(self, layout):
+        # 23 sample rows of 7 columns, or 100 of one, in each layout of u and
+        # out, with draws climbing past the passes
         cdf = poisson_cdf_tables(np.linspace(0.0, 6.0, 7))
         S = 23
         if layout == "column":
-            cdf, S = cdf[5:6], 100  # chunks of 38 rows
+            cdf, S = cdf[5:6], 100
         u = _adversarial_uniforms(cdf, S, seed=3)
         if layout == "F":
             u = np.asfortranarray(u)
@@ -350,8 +349,8 @@ class TestInversionExactness:
         pytest.param([200.0], 337, id="S-above-width"),
         pytest.param([200.0], 8 * 336 - 1, id="S-below-guide-cap"),  # G = 4096 = the cap's power of two
         pytest.param([200.0], 8 * 336 + 1, id="S-above-guide-cap"),
-        # three rows, so chunks of _GUIDE_CHUNK // 3 sample rows: two and a half
-        pytest.param([30.0, 120.0, 200.0], 5 * sampling._GUIDE_CHUNK // 6, id="chunks"),
+        # three rows over 5 * 2^16 // 6 sample rows: 163,839 queries in one call
+        pytest.param([30.0, 120.0, 200.0], 54_613, id="chunks"),
         pytest.param([709.0, 5e3, 1e4], 3_000, id="leading-zeros"),  # first entries exactly 0
         pytest.param([1e5], 5_000, id="rate-cap"),
         pytest.param([0.0, 2.0, 40.0, 1e3], 700, id="mixed"),
@@ -1135,7 +1134,7 @@ class TestStoppingTime:
 
 class TestScanIntensity:
     def test_later_level_refused_before_its_table(self, monkeypatch):
-        # each scale runs whole before the next one's moment bounds are checked
+        # every scale's moment bounds are checked before the first scale's table is built
         tables = []
         def table(rates, build=simulate.poisson_cdf_tables):
             tables.append(len(rates))
@@ -1143,7 +1142,7 @@ class TestScanIntensity:
         monkeypatch.setattr(simulate, "poisson_cdf_tables", table)
         with pytest.raises(ParameterDomainError, match=r"^Hopf moment bounds overflow at level 600\.0$"):
             scan_intensity(IntensityProfile(1.0, HALF), [1.0, 600.0], N=8, samples=20, rng=RNGSpec(seed=0))
-        assert len(tables) == 1
+        assert tables == []
 
     def test_requires_monotone_grid(self):
         with pytest.raises(ValueError):
