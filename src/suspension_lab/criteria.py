@@ -58,7 +58,6 @@ from .intensity import (
     epsilon_at,
     intensities,
     limit_gap,
-    limit_sets,
 )
 from .numerics import (SlopeFit, binomial_series, exponential_series, fit_log_slope, geometric_grid,
                        semi_infinite_sum, zeta_weights)
@@ -263,7 +262,8 @@ def _prefix_terms(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int
             stable = np.isfinite(d)
             stable &= np.abs(eps[n + p:n + e]) >= _TINY
             np.copyto(terms[p:e], d, where=stable)
-        series.kernel(terms[s:e], np.exp(eps[lag + s:lag + e], out=exp_v[:e - s]))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN term: _at_level and SlopeFit refuse it
+            series.kernel(terms[s:e], np.exp(eps[lag + s:lag + e], out=exp_v[:e - s]))
     return terms
 
 
@@ -285,8 +285,8 @@ def _closure_weights(series: _Series, gamma: float, sign: int, start: int) -> np
 
 @lru_cache(maxsize=131_072)
 def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
-    """The series at shift n: exact over v <= K and, for a power tail, the
-    double-series closure over v > K."""
+    """The series at shift n: exact over v <= K and, for a power tail whose
+    (K + 1)^-gamma is a nonzero float, the double-series closure over v > K."""
     if isinstance(fam, ZeroFamily):
         return 0.0
     if isinstance(fam, StepFamily):
@@ -297,7 +297,7 @@ def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
     K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + lag + _PREFIX_MARGIN)
     terms = _prefix_terms(fam, n, last + 1 if tail is None else K - lag, first, last, tail, series)
     total = float(np.sum(terms))
-    if tail is None:
+    if tail is None or float(K + 1) ** -tail.gamma == 0.0:
         return total
     return total + semi_infinite_sum(_closure_weights(series, tail.gamma, tail.sign, K + 1), K + 1, n)
 
@@ -321,7 +321,7 @@ def require_series_index(n: int, what: str) -> None:
 def _at_level(profile: IntensityProfile, unit: float, what: str) -> float:
     """level * unit, refused when the product leaves the float range."""
     value = profile.level * float(unit)
-    if math.isinf(value):
+    if not math.isfinite(value):
         raise ParameterDomainError(f"{what} overflows at level {profile.level}")
     return value
 
@@ -439,29 +439,20 @@ def classify(profile: IntensityProfile, series_N: int = 200) -> ClassificationRe
     """Verdict for the suspension over this profile.
 
     Certificates are attempted in fixed order, cheap exact tests first:
-    nonzero asymptotic gap, disjoint limit sets, summable overlap series
-    (dissipative), weighted recurrence series (conservative).  Anything
-    else is an honest "inconclusive".  Nonsingularity holds only for a
-    declared tail, which also fixes the asymptotic gap and limit sets.
+    nonzero asymptotic gap, summable overlap series (dissipative), weighted
+    recurrence series (conservative).  Anything else is an honest
+    "inconclusive".  Nonsingularity and the gap are ``condition_verdict``'s,
+    by family, so a gap whose float value rounds to 0 still certifies.
     """
     require_series_index(series_N, "series_N")
     if condition_verdict(profile.epsilon, "nonsingularity")[0] is not Trivalent.YES:
         return ClassificationReport(Verdict.NOT_NONSINGULAR, None, profile,
                                     notes=("nonsingularity condition not established",))
 
-    gap = limit_gap(profile)
-    if gap != 0.0:
+    if condition_verdict(profile.epsilon, "zero_gap")[0] is Trivalent.NO:
         return ClassificationReport(
             Verdict.TOTALLY_DISSIPATIVE,
-            {"kind": "nonzero_limit_gap", "gap": gap},
-            profile,
-        )
-
-    sets = limit_sets(profile)
-    if sets.disjoint:
-        return ClassificationReport(
-            Verdict.TOTALLY_DISSIPATIVE,
-            {"kind": "disjoint_limit_sets", "limit_sets": asdict(sets)},
+            {"kind": "nonzero_limit_gap", "gap": limit_gap(profile)},
             profile,
         )
 
@@ -516,12 +507,15 @@ def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3) -> Bifurc
     t_lower is the supremum of scales classified conservative, t_upper the
     infimum classified totally dissipative.  The verdict pattern along the
     scan must be monotone (conservative below dissipative); any inversion
-    raises MonotonicityError.  ``rtol`` must be finite and at least 1e-12:
-    the bisection stops once hi / lo <= 1 + rtol, which adjacent floats
-    never reach for rtol <= 0.
+    raises MonotonicityError.  Nonsingularity is a fact of the family, the
+    same at every scale, so a singular family is refused before any probe.
+    ``rtol`` must be finite and at least 1e-12: the bisection stops once
+    hi / lo <= 1 + rtol, which adjacent floats never reach for rtol <= 0.
     """
     if not (math.isfinite(rtol) and rtol >= _MIN_RTOL):
         raise ParameterDomainError(f"rtol must be finite and >= {_MIN_RTOL}, got {rtol}")
+    if condition_verdict(profile.epsilon, "nonsingularity")[0] is not Trivalent.YES:
+        raise ProfileError("bracket requires a nonsingular profile at every scale")
 
     def verdict_at(t: float) -> Verdict:
         # short evidence series during the scan; verdicts only use the fits
@@ -534,8 +528,6 @@ def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3) -> Bifurc
         probes.append(t)
         t *= 2.0
     verdicts = [verdict_at(t) for t in probes]
-    if any(v is Verdict.NOT_NONSINGULAR for v in verdicts):
-        raise ProfileError("bracket requires a nonsingular profile at every scale")
     order = [_VERDICT_ORDER[v] for v in verdicts]
     if any(b < a for a, b in zip(order, order[1:])):
         raise MonotonicityError(f"verdict pattern not monotone along scales: "

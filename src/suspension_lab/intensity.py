@@ -123,7 +123,7 @@ def epsilon_at(family: EpsilonFamily, ns) -> np.ndarray:
 @dataclass(frozen=True)
 class IntensityProfile:
     """a_n = scale * base * exp(eps_n); base is the level, scale the sweep knob.
-    The level, exp(sup eps) and their product must be finite floats."""
+    The level (nonzero), exp(sup eps) and their product must be finite floats."""
 
     base: float
     epsilon: EpsilonFamily = field(default_factory=ZeroFamily)
@@ -134,6 +134,8 @@ class IntensityProfile:
             raise ProfileError(f"base must be positive, got {self.base}")
         if not self.scale > 0.0:
             raise ProfileError(f"scale must be positive, got {self.scale}")
+        if self.level == 0.0:
+            raise ProfileError(f"level of base {self.base} and scale {self.scale} underflows to 0")
         log_peak = max(0.0, math.log(self.base) + math.log(self.scale)) + max(0.0, sup_epsilon(self.epsilon))
         if not log_peak < _LOG_MAX:
             raise ProfileError(f"peak intensity of base {self.base}, scale {self.scale} and sup eps "

@@ -12,7 +12,6 @@ kernel or thread count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -68,7 +67,6 @@ def scaled_hurwitz_zeta(s: np.ndarray, a: float) -> np.ndarray:
     return total
 
 
-@functools.lru_cache(maxsize=256)
 def _zeta_block(gamma: float, a: int) -> np.ndarray:
     """a^-(gamma i) a^q zeta(q, a), q = gamma i + k: sum_{v >= a} y^i z^k / (n / a)^k."""
     i, k = np.ogrid[1:_TAIL_ROWS + 1, 1:_TAIL_COLS + 1]
@@ -105,7 +103,8 @@ def semi_infinite_sum(weights: np.ndarray, start: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Least-squares fit of y against log(n) on a geometric grid."""
+    """Least-squares fit of y against log(n) on a geometric grid; one whose
+    slope, intercept, residual rms or slope se is not a finite float is refused."""
 
     kind: str
     slope: float
@@ -115,15 +114,15 @@ class SlopeFit:
     n_min: int
     n_max: int
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.slope, self.intercept, self.residual_rms, self.slope_se))):
+            raise ParameterDomainError(f"{self.kind} fit leaves the float range")
+
     def scaled(self, factor: float) -> "SlopeFit":
-        """The fit of ``factor * y``; least squares is linear in the data.
-        A finite field that the factor takes past the float range is refused."""
+        """The fit of ``factor * y``; least squares is linear in the data."""
         f = float(factor)
-        fields = {"slope": self.slope * f, "intercept": self.intercept * f,
-                  "residual_rms": self.residual_rms * abs(f), "slope_se": self.slope_se * abs(f)}
-        if any(math.isinf(v) and math.isfinite(getattr(self, k)) for k, v in fields.items()):
-            raise ParameterDomainError(f"{self.kind} fit overflows when scaled by {f}")
-        return replace(self, **fields)
+        return replace(self, slope=self.slope * f, intercept=self.intercept * f,
+                       residual_rms=self.residual_rms * abs(f), slope_se=self.slope_se * abs(f))
 
 
 def fit_log_slope(ns: Sequence[int], ys: Sequence[float], kind: str) -> SlopeFit:
@@ -147,7 +146,10 @@ def fit_log_slope(ns: Sequence[int], ys: Sequence[float], kind: str) -> SlopeFit
         raise ValueError("need at least two distinct n")
     slope = math.fsum(u * v for u, v in zip(dx, dy)) / sxx
     intercept = y_bar - slope * x_bar
-    rss = math.fsum((v - slope * u) ** 2 for u, v in zip(dx, dy))
+    try:
+        rss = math.fsum((v - slope * u) ** 2 for u, v in zip(dx, dy))
+    except OverflowError:  # a square past the float range; the fit refuses it
+        rss = math.inf
     return SlopeFit(
         kind=kind,
         slope=slope,

@@ -301,9 +301,8 @@ def _hopf_core(profiles: Sequence[IntensityProfile], N: int, samples: int, rng: 
     # eps over [lo - N, hi): eps_k and each eps_{k-n} are slices of one grid
     eps = epsilon_at(profiles[0].epsilon, np.arange(lo - N, hi))
     exp_eps = np.exp(eps)
-    theta = np.empty((W, N))
-    for n in range(1, N + 1):
-        theta[:, n - 1] = eps[N - n:N - n + W] - eps[N:]
+    theta = np.empty((W, N))  # theta[:, n - 1] = eps[N - n:N - n + W] - eps[N:], C-ordered
+    np.subtract(np.lib.stride_tricks.sliding_window_view(eps, W)[N - 1::-1].T, eps[N:, None], out=theta)
     uniforms = np.empty((step, W))
     counts = np.empty((rows, W))  # the gemm operand, C-ordered
     partials = np.empty((samples, len(checkpoints)))

@@ -126,15 +126,47 @@ class TestCommands:
 
         jsonschema.validate(json.loads(out.read_text(), parse_constant=refuse), SCHEMA)
 
-    @pytest.mark.parametrize("gamma", [64.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("gamma", [64.0, 100.0, 1000.0, 1e5])
     @pytest.mark.parametrize("command", ["classify", "asymptotics"])
     def test_steepest_power_tails_are_finite(self, tmp_path, command, gamma):
         # at the prefix start t = n + 2, gamma log(t / (t - n)) passes expm1's
-        # range; those cells of the stable power difference take the plain one
+        # range; those cells of the stable power difference take the plain one.
+        # At gamma 1e5 the tail's y = v^-gamma is 0.0 past every prefix, and
+        # the closure, whose series would not build there, is not taken
         doc = {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": gamma, "sign": -1}}}
         code, out = run_to_file(tmp_path, command, doc)
         assert code == EXIT_OK
         jsonschema.validate(json.loads(out.read_text(), parse_constant=_strict), SCHEMA)
+
+    @pytest.mark.parametrize("command, sign, fields", [
+        pytest.param("classify", 1, {}, id="classify-plus"),
+        pytest.param("hopf", -1, {"N": 4, "samples": 3}, id="hopf"),
+        pytest.param("scan", -1, {"N": 4, "samples": 3, "t_grid": [1, 2]}, id="scan"),
+    ])
+    def test_power_tail_past_the_closure(self, tmp_path, command, sign, fields):
+        doc = {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 1e5, "sign": sign}}, **fields}
+        code, out = run_to_file(tmp_path, command, doc)
+        assert code == EXIT_OK
+        jsonschema.validate(json.loads(out.read_text(), parse_constant=_strict), SCHEMA)
+
+    @pytest.mark.parametrize("epsilon", [
+        pytest.param({"kind": "step", "left": 0.0, "right": 1e-17}, id="step"),
+        pytest.param({**TWO_ENTRY_TABLE, "table": {"0": 0.3}, "tail": {"kind": "step", "left": 1e-17, "right": 0.0}},
+                     id="table-step-tail"),
+    ])
+    def test_classify_gap_that_rounds_to_zero(self, tmp_path, epsilon):
+        # e^right - e^left is 0.0 in floats, but the two limits differ, so the
+        # gap certificate holds; its value reads 0.0, as in check's report
+        doc = {"profile": {"base": 1.0, "epsilon": epsilon}}
+        code, out = run_to_file(tmp_path, "classify", doc)
+        assert code == EXIT_OK
+        body = json.loads(out.read_text())["body"]
+        assert body["verdict"] == "totally_dissipative"
+        assert body["certificate"] == {"kind": "nonzero_limit_gap", "gap": 0.0}
+        code, out = run_to_file(tmp_path, "check", doc)
+        assert code == EXIT_OK
+        body = json.loads(out.read_text())["body"]
+        assert body["conditions"]["zero_gap"]["holds"] == "no" and body["limit_gap"] == 0.0
 
     def test_tails_bound_above_one(self, tmp_path):
         doc = {"skellam": {"a": 27, "b": 27}, "L": 20}
@@ -392,6 +424,30 @@ class TestValidationAndExitCodes:
         code, out = run_to_file(tmp_path, "bracket", {"profile": {"base": 1.0, "epsilon": TWO_ENTRY_TABLE}})
         assert code == EXIT_CONFIG and not out.exists()
         assert capsys.readouterr().err == "config error: bracket requires a nonsingular profile at every scale\n"
+
+    @pytest.mark.parametrize("command, doc, message", [
+        pytest.param("bracket", {"profile": {"base": 1.0, "epsilon": {"kind": "step", "left": 0.0, "right": 1e-17}}},
+                     "probe range does not straddle the transition", id="bracket-step-gap-rounds-to-zero"),
+        pytest.param("bracket", {"profile": {"base": 1.0, "epsilon": {"kind": "power", "gamma": 1e5}}},
+                     "probe range does not straddle the transition", id="bracket-power-1e5"),
+        pytest.param("classify", {"profile": {"base": 1.0, "epsilon": {**TWO_ENTRY_TABLE, "table": {"0": 400},
+                                                                      "tail": {"kind": "zero"}}}},
+                     "rn_square_integral fit leaves the float range", id="classify-fit-nan"),
+        pytest.param("classify", {"profile": {"base": 0.1, "epsilon": {
+                         **TWO_ENTRY_TABLE, "table": {"16": -300}, "tail": {"kind": "power", "gamma": 0.75}}}},
+                     "rn_square_integral fit leaves the float range", id="classify-fit-overflow"),
+        # at k = 4, e^{eps_k} is 0 and expm1(2 (eps_4 - eps_0)) inf: the unit at n = 4 is NaN
+        pytest.param("asymptotics", {"profile": {"base": 1.0, "epsilon": {
+                         **TWO_ENTRY_TABLE, "table": {"0": -3000, "4": -2000}, "tail": {"kind": "zero"}}},
+                      "n_min": 4, "n_max": 4},
+                     "rn_square_integral overflows at level 1.0", id="asymptotics-unit-nan"),
+        pytest.param("clt", {"profile": {"base": 1e-300, "scale": 1e-300}, "n": 20, "samples": 3},
+                     "level of base 1e-300 and scale 1e-300 underflows to 0", id="clt-level-underflows"),
+    ])
+    def test_refusal_message(self, tmp_path, capsys, command, doc, message):
+        code, out = run_to_file(tmp_path, command, doc)
+        assert code == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_scan_refuses_a_later_scale(self, tmp_path, capsys):
         # the first scale fits its Hopf moment bounds, the second does not

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from suspension_lab import cli, intensity
+from suspension_lab import cli, criteria, intensity
 from suspension_lab.criteria import (
     GapNotZeroError,
     HELLINGER_FIT_RANGE,
@@ -414,6 +414,15 @@ class TestBifurcationBracket:
     def test_no_transition_rejected(self):
         with pytest.raises(ProfileError, match="does not straddle the transition"):
             bifurcation_bracket(IntensityProfile(1.0))
+
+    def test_singular_family_refused_before_any_probe(self, monkeypatch):
+        # nonsingularity is a fact of the family, so no scale is classified
+        def probe(*args, **kwargs):
+            raise AssertionError("classify ran")
+
+        monkeypatch.setattr(criteria, "classify", probe)
+        with pytest.raises(ProfileError, match="^bracket requires a nonsingular profile at every scale$"):
+            bifurcation_bracket(IntensityProfile(1.0, ExplicitFamily(((0, 0.3),))))
 
 
 class TestContinuousBaseBound:

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from suspension_lab.criteria import _HELLINGER, _RN, _power_eps_diff, _tail_coefficients, _unit
+from suspension_lab.dist import ParameterDomainError
 from suspension_lab.intensity import PowerFamily
 from suspension_lab.numerics import (
     MIN_START,
@@ -170,6 +171,25 @@ class TestFitLogSlope:
         assert double.slope == pytest.approx(2.0 * fit.slope)
         assert double.residual_rms == pytest.approx(2.0 * fit.residual_rms)
         assert double.slope_se == pytest.approx(2.0 * fit.slope_se)
+
+    @pytest.mark.parametrize("field", ["slope", "intercept", "residual_rms", "slope_se"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_refused(self, field, value):
+        fields = {"slope": 1.0, "intercept": 0.0, "residual_rms": 0.0, "slope_se": 0.0, field: value}
+        with pytest.raises(ParameterDomainError, match="^demo fit leaves the float range$"):
+            SlopeFit(kind="demo", n_min=16, n_max=1024, **fields)
+
+    def test_scaled_past_the_float_range_refused(self):
+        fit = fit_log_slope(geometric_grid(16, 1024), [10.0 * math.log(n) for n in geometric_grid(16, 1024)],
+                            kind="demo")
+        assert fit.slope == pytest.approx(10.0)
+        with pytest.raises(ParameterDomainError, match="^demo fit leaves the float range$"):
+            fit.scaled(1e308)
+
+    def test_overflowing_residuals_refused(self):
+        # each residual is finite, but its square passes the float range
+        with pytest.raises(ParameterDomainError, match="^demo fit leaves the float range$"):
+            fit_log_slope([16, 32, 64], [0.0, 1e200, 0.0], kind="demo")
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
