@@ -21,8 +21,9 @@ y = v^-gamma and z = n / v, summed exactly as a double power series (see
 ``numerics``).  Truncating instead would cancel catastrophically.  Zero
 and step families have one closed form.
 
-Every prefix slices one eps grid per family (``_eps_grid``), sized by the
-largest request so far, and turns its differences into terms in place,
+Every prefix slices one eps grid per family (``_eps_grid``), from the
+family's ``first`` index up to the largest request so far (eps is 0 below
+``first``), and turns its differences into terms in place,
 chunk by chunk, in one buffer that a single ``np.sum`` adds.  Every step is
 an elementwise ufunc, whose results depend neither on a slice's offset nor
 on its length, and sign t^-gamma is the value the grid holds, so each unit
@@ -107,9 +108,10 @@ def nonsingularity_deficit(profile: IntensityProfile, N: int) -> float:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    a = intensities(profile, np.arange(-N, N + 2))
-    d = np.diff(np.sqrt(a))
-    return float(np.sum(-2.0 * np.expm1(-0.5 * d * d)))
+    a = intensities(profile, np.arange(-N, N + 2, dtype=float))
+    d = np.diff(np.sqrt(a, out=a))
+    np.multiply(np.multiply(d, -0.5, out=a[1:]), d, out=d)  # -0.5 * d * d, its first product in spent cells
+    return float(np.sum(np.multiply(np.expm1(d, out=d), -2.0, out=d)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,37 +163,39 @@ _CHUNK = 16_384
 
 
 class _EpsGrid:
-    """eps_t of one family for t = lo ... lo + size - 1, grown to the largest
-    request so far: zeros below ``first``, ``epsilon_at`` over the table and
-    the tail's own formula sign t^-gamma past it (zeros without a tail).
-    Each cell is computed once, elementwise, so its bits do not depend on
-    when the grid grew to it."""
+    """eps_t of one family for t = first ... first + size - 1, grown upward to
+    the largest request so far: ``epsilon_at`` over the table and the tail's
+    own formula sign t^-gamma past it (zeros without a tail).  Below
+    ``first`` eps is 0, and the grid holds no cell there.  Each cell is
+    computed once, elementwise, so its bits do not depend on when the grid
+    grew to it."""
 
     def __init__(self, fam: PowerFamily | ExplicitFamily, first: int, last: int, tail: Optional[PowerFamily]):
         self.fam, self.first, self.last, self.tail = fam, first, last, tail
-        self.lo, self.eps = first, np.empty(0)
+        self.eps = np.empty(0)
 
-    def over(self, lo: int, hi: int) -> np.ndarray:
-        """eps_t for t = lo ... hi, a view of the grid."""
-        end = self.lo + self.eps.size
-        if lo < self.lo or hi >= end:
-            self._grow(min(lo, self.lo), max(hi + 1, end))
-        return self.eps[lo - self.lo:hi + 1 - self.lo]
+    def upto(self, hi: int) -> np.ndarray:
+        """eps_t for t = first ... hi, a view of the grid."""
+        end = hi + 1
+        if end > self.first + self.eps.size:
+            self._grow(end)
+        return self.eps[:end - self.first]
 
-    def _grow(self, lo: int, end: int) -> None:
-        eps = np.zeros(end - lo)
-        done = self.lo + self.eps.size
-        eps[self.lo - lo:done - lo] = self.eps
-        start, past = max(done, self.first), self.last + 1  # first cell to compute, first past the table
-        if past > start:
-            eps[start - lo:past - lo] = epsilon_at(self.fam, np.arange(start, past, dtype=float))
+    def _grow(self, end: int) -> None:
+        first = self.first
+        eps = np.zeros(end - first)
+        done = first + self.eps.size
+        eps[:done - first] = self.eps
+        past = self.last + 1  # the first cell past the table
+        if past > done:
+            eps[done - first:past - first] = epsilon_at(self.fam, np.arange(done, past, dtype=float))
         if self.tail is not None:
-            for s in range(max(start, past), end, _CHUNK):
-                cells = eps[s - lo:min(s + _CHUNK, end) - lo]
+            for s in range(max(done, past), end, _CHUNK):
+                cells = eps[s - first:min(s + _CHUNK, end) - first]
                 np.power(np.arange(s, s + cells.size, dtype=float), -self.tail.gamma, out=cells)
                 np.multiply(cells, self.tail.sign, out=cells)
         eps.flags.writeable = False  # units share the grid's views
-        self.lo, self.eps = lo, eps
+        self.eps = eps
 
 
 @lru_cache(maxsize=4)
@@ -241,29 +245,36 @@ def _prefix_terms(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int
     """terms(eps_v, d_x) for x = first - n ... hi, d_x = eps_{x+n} - eps_x,
     given the family's ``_span``, in one buffer.
 
-    Up to the end of the table d_x is a difference of grid cells; past it
-    both indices lie in the power tail, so d_x is the stable
-    ``_power_eps_diff`` of the grid's eps_{x+n}, save where that overflows
-    or eps_{x+n} is not a normal float.
+    The grid holds eps from ``first`` up.  For the n indices x < first,
+    eps_x = 0, so d_x is the grid's eps_{x+n} (a - 0.0 is a) and a lower end
+    v = x gives the kernel e^0 = 1.  From ``first`` to the end of the table
+    d_x is a difference of grid cells; past it both indices lie in the power
+    tail, so d_x is the stable ``_power_eps_diff`` of the grid's eps_{x+n},
+    save where that overflows or eps_{x+n} is not a normal float.
     Both steps and the kernel run in place, chunk by chunk.
     """
-    lo = first - n
-    eps = _eps_grid(fam, first, last, tail).over(lo, hi + n)
-    m = hi - lo + 1
-    terms = np.subtract(eps[n:n + m], eps[:m])
+    eps = _eps_grid(fam, first, last, tail).upto(hi + n)  # eps[i] = eps_{first + i} = eps_{x+n} at terms[i]
+    m = eps.size
+    terms = np.empty(m)
+    terms[:n] = eps[:n]
+    np.subtract(eps[n:], eps[:m - n], out=terms[n:])
     exp_v = np.empty(min(m, _CHUNK))
-    b, lag = last + 1 - lo, n if series.upper else 0  # terms[b:] lies past the table
+    b = last + 1 - first + n  # terms[b:] lies past the table
+    below = 0 if series.upper else n  # eps_v at terms[i] is eps[i - below], or 0 where i < below
     for s in range(0, m, _CHUNK):
         e = min(s + _CHUNK, m)
         if tail is not None and e > b:
             p = max(s, b)
-            t = np.arange(lo + n + p, lo + n + e, dtype=float)
-            d = _power_eps_diff(tail.gamma, eps[n + p:n + e], t, float(n))
+            t = np.arange(first + p, first + e, dtype=float)
+            d = _power_eps_diff(tail.gamma, eps[p:e], t, float(n))
             stable = np.isfinite(d)
-            stable &= np.abs(eps[n + p:n + e]) >= _TINY
+            stable &= np.abs(eps[p:e]) >= _TINY
             np.copyto(terms[p:e], d, where=stable)
+        ones = min(max(below - s, 0), e - s)
+        exp_v[:ones] = 1.0
+        np.exp(eps[s + ones - below:e - below], out=exp_v[ones:e - s])
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN term: _at_level and SlopeFit refuse it
-            series.kernel(terms[s:e], np.exp(eps[lag + s:lag + e], out=exp_v[:e - s]))
+            series.kernel(terms[s:e], exp_v[:e - s])
     return terms
 
 

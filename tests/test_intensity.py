@@ -1,6 +1,7 @@
 """Profile evaluation and the symbolic condition system."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,3 +266,79 @@ class TestVectorization:
     def test_duplicate_table_index_rejected(self):
         with pytest.raises(ProfileError):
             ExplicitFamily(((1, 0.1), (1, 0.2)))
+
+
+def frozen_epsilon_at(family, ns):
+    """``epsilon_at`` as written before it worked in place, kept as the oracle."""
+    ns = np.asarray(ns, dtype=float)
+    if isinstance(family, ZeroFamily):
+        return np.zeros_like(ns)
+    if isinstance(family, PowerFamily):
+        return np.where(ns > 1, family.sign * np.power(np.maximum(ns, 2.0), -family.gamma), 0.0)
+    if isinstance(family, StepFamily):
+        return np.where(ns >= 1, family.right, family.left)
+    base = frozen_epsilon_at(family.tail, ns) if family.tail is not None else np.zeros_like(ns)
+    keys = np.array([n for n, _ in family.table], dtype=float)
+    vals = np.array([e for _, e in family.table])
+    idx = np.minimum(np.searchsorted(keys, ns), len(keys) - 1)
+    hit = keys[idx] == ns
+    return np.where(hit, vals[idx], base)
+
+
+TABLE = ((-40, 0.3), (0, -0.0), (1, -0.2), (5, -0.1), (9000, 0.2), (150_000, -1.5))
+ORACLE_FAMILIES = [
+    *(PowerFamily(gamma, sign) for gamma in (0.01, 0.5, 3.0, 100.0, 2e4) for sign in (-1, 1)),
+    StepFamily(-0.3, 0.2), ZeroFamily(),
+    *(ExplicitFamily(TABLE, tail) for tail in (None, ZeroFamily(), PowerFamily(0.4, -1), StepFamily(0.0, 0.5))),
+]
+
+
+def index_arrays():
+    """Read-only index arrays over -2e5 ... 2e5, n <= 1 included: whole ranges
+    in int and float, a strided view, a shuffled copy and 0-d arrays."""
+    ints = np.arange(-200_000, 200_001)
+    arrays = [ints, ints.astype(float), ints.astype(float)[::7],
+              np.random.default_rng(5).permutation(ints)[:50_000], np.arange(-3, 3),
+              np.array(1), np.array(5.0), np.array(9000)]
+    for ns in arrays:
+        ns.flags.writeable = False
+    return arrays
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestFrozenEvaluation:
+    """``epsilon_at`` and ``intensities`` compute in place and must give the
+    bits of the expressions they replaced, without writing their input."""
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+    def test_epsilon_at(self, family):
+        for ns in index_arrays():
+            before = ns.copy()
+            assert same_bits(epsilon_at(family, ns), frozen_epsilon_at(family, ns))
+            assert same_bits(ns, before)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
+    def test_intensities(self, family):
+        for level in (1.0, 0.85, 3e5):
+            profile = IntensityProfile(level, family)
+            for ns in index_arrays():
+                assert same_bits(intensities(profile, ns), level * np.exp(frozen_epsilon_at(family, ns)))
+
+
+class TestEvidenceMemory:
+    @pytest.mark.parametrize("condition", CONDITION_IDS)
+    def test_default_profile(self, condition):
+        # 3.4-3.6 MiB for the increment sums (a and its differences over 2e5 + 1 cells),
+        # 1.7 MiB for clt_regime; 7.97-8.05 MiB when every condition held about five such arrays
+        profile = IntensityProfile(1.0, DEFAULT_EPSILON)
+        check_condition(profile, condition)  # numpy's lazily built state is not the call's
+        tracemalloc.start()
+        try:
+            check_condition(profile, condition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20

@@ -208,6 +208,24 @@ class TestPeakMemory:
         # 17.0 MiB when each unit built its own t, eps and d grids
         assert cold_peak(criteria.hellinger_growth, 2**17) <= 13 * 2**20
 
+    @pytest.mark.parametrize("fn, mib", [(criteria.hellinger_growth, 6.9), (criteria.rn_square_integral, 4.9)],
+                             ids=["hellinger", "rn"])
+    def test_cold_unit_grid_from_first(self, fn, mib):
+        # 6.41 / 4.41 MiB: the grid over first ... 3n + 64 / 2n + 64 and the terms, as long,
+        # and chunk temporaries; 1 MiB more when the grid held a zero for each of the n cells below first
+        assert cold_peak(fn, 2**17) <= mib * 2**20
+
+    @pytest.mark.parametrize("fam", [PowerFamily(0.5, -1), TWO_ENTRIES], ids=["power_0.5", "two_entries"])
+    def test_grid_holds_no_cell_below_first(self, fam):
+        # a Hellinger unit at n = 2^12 sums x = first - n ... 2n + 64 and reads eps_{x+n}
+        n = 2**12
+        first, last, tail = _span(fam, _HELLINGER.what)
+        clear_caches()
+        _unit(fam, n, _HELLINGER)
+        grid = criteria._eps_grid(fam, first, last, tail)
+        assert grid.eps.size == 3 * n + 64 - first + 1
+        assert np.array_equal(grid.eps, epsilon_at(fam, np.arange(first, 3 * n + 65, dtype=float)))
+
     def test_cold_small_unit(self):
         # a grid sized by the request, not by the largest shift a fit may ask for
         assert cold_peak(criteria.rn_square_integral, 64) <= 0.5 * 2**20
