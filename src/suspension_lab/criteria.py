@@ -23,12 +23,12 @@ and step families have one closed form.
 
 Every prefix slices one eps grid per family (``_eps_grid``), from the
 family's ``first`` index up to the largest request so far (eps is 0 below
-``first``), and turns its differences into terms in place,
-chunk by chunk, in one buffer that a single ``np.sum`` adds.  Every step is
-an elementwise ufunc, whose results depend neither on a slice's offset nor
-on its length, and sign t^-gamma is the value the grid holds, so each unit
-has the bits of a grid built for it alone.  The closure's zeta-weighted
-column sums are cached per series, gamma, sign and prefix end.
+``first``), whose cells are ``epsilon_at``'s, and turns its differences
+into terms in place, chunk by chunk, in one buffer that a single ``np.sum``
+adds.  Every step is an elementwise ufunc, whose results depend neither on
+a slice's offset nor on its length, so each unit has the bits of a grid
+built for it alone.  The closure's zeta-weighted column sums are cached
+per series, gamma, sign and prefix end.
 
 Slope fits against log n replace the exact asymptotics; a verdict is only
 issued when the decisive inequality clears three residual standard errors.
@@ -164,44 +164,33 @@ _CHUNK = 16_384
 
 class _EpsGrid:
     """eps_t of one family for t = first ... first + size - 1, grown upward to
-    the largest request so far: ``epsilon_at`` over the table and the tail's
-    own formula sign t^-gamma past it (zeros without a tail).  Below
-    ``first`` eps is 0, and the grid holds no cell there.  Each cell is
+    the largest request so far, ``_CHUNK`` new cells per ``epsilon_at`` call.
+    Below ``first`` eps is 0, and the grid holds no cell there.  Each cell is
     computed once, elementwise, so its bits do not depend on when the grid
     grew to it."""
 
-    def __init__(self, fam: PowerFamily | ExplicitFamily, first: int, last: int, tail: Optional[PowerFamily]):
-        self.fam, self.first, self.last, self.tail = fam, first, last, tail
+    def __init__(self, fam: PowerFamily | ExplicitFamily, first: int):
+        self.fam, self.first = fam, first
         self.eps = np.empty(0)
 
     def upto(self, hi: int) -> np.ndarray:
         """eps_t for t = first ... hi, a view of the grid."""
-        end = hi + 1
-        if end > self.first + self.eps.size:
-            self._grow(end)
-        return self.eps[:end - self.first]
-
-    def _grow(self, end: int) -> None:
-        first = self.first
-        eps = np.zeros(end - first)
-        done = first + self.eps.size
-        eps[:done - first] = self.eps
-        past = self.last + 1  # the first cell past the table
-        if past > done:
-            eps[done - first:past - first] = epsilon_at(self.fam, np.arange(done, past, dtype=float))
-        if self.tail is not None:
-            for s in range(max(done, past), end, _CHUNK):
-                cells = eps[s - first:min(s + _CHUNK, end) - first]
-                np.power(np.arange(s, s + cells.size, dtype=float), -self.tail.gamma, out=cells)
-                np.multiply(cells, self.tail.sign, out=cells)
-        eps.flags.writeable = False  # units share the grid's views
-        self.eps = eps
+        first, end, done = self.first, hi + 1, self.first + self.eps.size
+        if end > done:
+            eps = np.empty(end - first)
+            eps[:done - first] = self.eps
+            for s in range(done, end, _CHUNK):
+                e = min(s + _CHUNK, end)
+                eps[s - first:e - first] = epsilon_at(self.fam, np.arange(s, e, dtype=float))
+            eps.flags.writeable = False  # units share the grid's views
+            self.eps = eps
+        return self.eps[:end - first]
 
 
 @lru_cache(maxsize=4)
-def _eps_grid(fam: PowerFamily | ExplicitFamily, first: int, last: int, tail: Optional[PowerFamily]) -> _EpsGrid:
-    """The one eps grid of a family, given its ``_span``."""
-    return _EpsGrid(fam, first, last, tail)
+def _eps_grid(fam: PowerFamily | ExplicitFamily, first: int) -> _EpsGrid:
+    """The one eps grid of a family, from its ``_span``'s first index."""
+    return _EpsGrid(fam, first)
 
 
 class _Series(NamedTuple):
@@ -253,7 +242,7 @@ def _prefix_terms(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int
     save where that overflows or eps_{x+n} is not a normal float.
     Both steps and the kernel run in place, chunk by chunk.
     """
-    eps = _eps_grid(fam, first, last, tail).upto(hi + n)  # eps[i] = eps_{first + i} = eps_{x+n} at terms[i]
+    eps = _eps_grid(fam, first).upto(hi + n)  # eps[i] = eps_{first + i} = eps_{x+n} at terms[i]
     m = eps.size
     terms = np.empty(m)
     terms[:n] = eps[:n]
@@ -515,11 +504,12 @@ def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3) -> Bifurc
     """Certificate-limited bracket for the conservative/dissipative transition
     under intensity scaling.
 
-    t_lower is the supremum of scales classified conservative, t_upper the
-    infimum classified totally dissipative.  The verdict pattern along the
-    scan must be monotone (conservative below dissipative); any inversion
-    raises MonotonicityError.  Nonsingularity is a fact of the family, the
-    same at every scale, so a singular family is refused before any probe.
+    t_lower is the supremum of factors t of the profile's scale (as in
+    scan's ``t_grid``) whose ``profile.scaled(t)`` is conservative, t_upper
+    the infimum totally dissipative.  The verdict pattern along the scan
+    must be monotone (conservative below dissipative); any inversion raises
+    MonotonicityError.  Nonsingularity is a fact of the family, the same at
+    every scale, so a singular family is refused before any probe.
     ``rtol`` must be finite and at least 1e-12: the bisection stops once
     hi / lo <= 1 + rtol, which adjacent floats never reach for rtol <= 0.
     """
@@ -530,7 +520,7 @@ def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3) -> Bifurc
 
     def verdict_at(t: float) -> Verdict:
         # short evidence series during the scan; verdicts only use the fits
-        return classify(profile.with_scale(t), series_N=20).verdict
+        return classify(profile.scaled(t), series_N=20).verdict
 
     # Coarse scan over octaves establishes the pattern and the two seams.
     probes = []
@@ -561,8 +551,8 @@ def bifurcation_bracket(profile: IntensityProfile, rtol: float = 1e-3) -> Bifurc
                      lambda v: v is Verdict.CONSERVATIVE)
     t_upper = bisect(probes[first_diss - 1], probes[first_diss],
                      lambda v: v is not Verdict.TOTALLY_DISSIPATIVE)
-    lower_report = classify(profile.with_scale(t_lower / (1.0 + 2.0 * rtol)))
-    upper_report = classify(profile.with_scale(t_upper * (1.0 + 2.0 * rtol)))
+    lower_report = classify(profile.scaled(t_lower / (1.0 + 2.0 * rtol)))
+    upper_report = classify(profile.scaled(t_upper * (1.0 + 2.0 * rtol)))
     return BifurcationBracket(t_lower, t_upper, lower_report, upper_report)
 
 

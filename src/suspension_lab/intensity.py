@@ -150,8 +150,9 @@ class IntensityProfile:
         """Effective constant factor scale * base."""
         return self.scale * self.base
 
-    def with_scale(self, scale: float) -> "IntensityProfile":
-        return IntensityProfile(self.base, self.epsilon, scale)
+    def scaled(self, t: float) -> "IntensityProfile":
+        """The profile at t times its scale, so its intensities are t a_n."""
+        return IntensityProfile(self.base, self.epsilon, self.scale * t)
 
 
 def eval_intensity(profile: IntensityProfile, n: int) -> float:

@@ -13,17 +13,17 @@ last bits of a float.
 
 Skellam increments y_j - x_j are drawn by one rule (``_increments``): per
 block, the x uniforms, then the y uniforms, each row-major; the y block is
-inverted as one column against the one-row a_0 table.  clt blocks are
-``_CLT_BLOCK`` consecutive indices, whose dead ones (eps_j = 0) are
-skipped, stopping blocks ``_STOPPING_BLOCK`` indices over the samples
-still alive, decay one index.  A block is drawn and reduced in row chunks
-of at most ``_DRAW_CHUNK_CELLS`` cells (one row where a row is longer),
-each y chunk at its own stream offset, in buffers of one chunk; these are
-the only chunks of the draws, which ``sampling`` inverts whole.  Neither
-this chunking, nor these buffers, nor the Hopf chunking ever changes the
-stream (``gen.random(out=...)`` returns the doubles ``gen.random(shape)``
-would), and clt's ``np.einsum`` row sums have the same bits for any row
-split.
+inverted as one column against the one-row a_0 table each call builds.
+clt blocks are ``_CLT_BLOCK`` consecutive indices, whose dead ones
+(eps_j = 0) are skipped, stopping blocks ``_STOPPING_BLOCK`` indices over
+the samples still alive, decay one index.  A block is drawn and reduced in
+row chunks of at most ``_DRAW_CHUNK_CELLS`` cells (one row where a row is
+longer), each y chunk at its own stream offset, in buffers of one chunk;
+these are the only chunks of the draws, which ``sampling`` inverts whole.
+Neither this chunking, nor these buffers, nor the Hopf chunking ever
+changes the stream (``gen.random(out=...)`` returns the doubles
+``gen.random(shape)`` would), and clt's ``np.einsum`` row sums have the
+same bits for any row split.
 
 Hopf and scan draw, at every scale, samples x window uniforms row-major
 from a fresh generator of the spec.  One ``_hopf_core`` call serves every
@@ -56,9 +56,9 @@ import numpy as np
 from . import criteria
 from .dist import ParameterDomainError, SkellamLaw, skellam_tail, skellam_tail_threshold
 from .intensity import (
+    ExplicitFamily,
     IntensityProfile,
     MAX_WINDOW,
-    PowerFamily,
     Trivalent,
     _LOG_MAX,
     _tail_family,
@@ -185,10 +185,10 @@ def _row_step(rows: int, columns: int) -> int:
     return max(1, -(-rows // parts))
 
 
-def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
+def _increments(gen: np.random.Generator, a_j: np.ndarray, a0: float,
                 rows: int) -> Iterator[tuple[int, np.ndarray]]:
     """y - x for a (rows, len(a_j)) block, x[:, c] ~ Poisson(a_j[c]) and
-    y ~ Poisson(a_0) (``cdf0``, the one-row a_0 table), as (r0, chunk) pairs:
+    y ~ Poisson(a0), by a one-row table built here, as (r0, chunk) pairs:
     int32 views of ``_row_step`` rows from r0, which the next chunk overwrites.
 
     The block's x uniforms come first in the stream, then its y uniforms,
@@ -205,7 +205,7 @@ def _increments(gen: np.random.Generator, a_j: np.ndarray, cdf0: np.ndarray,
     require_cells("a draw block", rows, C)
     step = _row_step(rows, C)
     cdf = prepare_rows(poisson_cdf_tables(a_j), rows)
-    y_table = prepare_rows(cdf0, rows * C)
+    y_table = prepare_rows(poisson_cdf_tables(np.array([a0])), rows * C)
     u, x, y = np.empty(step * C), np.empty(step * C, dtype=np.int32), np.empty(step * C, dtype=np.int32)
     bits = gen.bit_generator
     at_x, at_y = bits.state, bits.advance(rows * C).state
@@ -417,7 +417,6 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
     live = eps_j != 0.0
     a_j = profile.level * np.exp(eps_j)
     ex_j = eps_j * (a0 - a_j)
-    cdf0 = poisson_cdf_tables(np.array([a0]))
 
     total = np.zeros(samples)
     crit = _KS_CRITICAL_1PCT / math.sqrt(samples)
@@ -431,7 +430,7 @@ def clt_experiment(profile: IntensityProfile, n: int, samples: int, rng: RNGSpec
             if len(idx):
                 # einsum's own loop, not a BLAS gemv: each row is summed alike, whatever
                 # the chunk's row count, BLAS kernel or thread count.
-                for r0, d in _increments(gen, a_j[idx], cdf0, samples):
+                for r0, d in _increments(gen, a_j[idx], a0, samples):
                     total[r0:r0 + len(d)] += np.einsum("sk,k->s", d, eps_j[idx])
             cursor = hi
         e2 = float(np.sum(eps_j[: m - 1] ** 2))
@@ -484,9 +483,9 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
 
     ``beats_eps_fourth`` is the exact comparison tail < eps_n^4 at n and
     may be false at small n.  ``guaranteed`` is a sufficient, conservative
-    certificate that the comparison holds; for a power-law eps it is set
-    for n beyond ``guaranteed_beyond_n``, and rows before that index may
-    beat eps_n^4 without it.
+    certificate that the comparison holds; it is set for every n beyond
+    ``guaranteed_beyond_n``, which lies past any table, where eps_n is the
+    power tail's, and rows before that index may beat eps_n^4 without it.
     """
     criteria.require_condition(profile, "clt_regime", "increment_tail_decay")
     if samples < 2:
@@ -496,7 +495,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
     a0 = eval_intensity(profile, 0)
     rate_limit = max(a0, profile.level * math.exp(max(0.0, sup_epsilon(profile.epsilon))))
     L_cert = skellam_tail_threshold(rate_limit)
-    cdf0 = poisson_cdf_tables(np.array([a0]))
+    tmax = profile.epsilon.index_range()[1] if isinstance(profile.epsilon, ExplicitFamily) else 1
 
     rows = []
     for n in sorted({int(v) for v in ns}):
@@ -518,7 +517,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
         }
         if n <= mc_max:
             freq = sum(np.count_nonzero(np.abs(d) > threshold)
-                       for _, d in _increments(gen, np.array([a_n]), cdf0, samples)) / samples
+                       for _, d in _increments(gen, np.array([a_n]), a0, samples)) / samples
             se = math.sqrt(max(exact * (1.0 - exact), 1e-300) / samples)
             row["mc_freq"] = freq
             row["mc_se"] = se
@@ -527,8 +526,7 @@ def increment_tail_decay(profile: IntensityProfile, rng: RNGSpec, samples: int,
 
     stats = {
         "tail_threshold_L": L_cert,
-        "guaranteed_beyond_n": int(L_cert ** (2.0 / profile.epsilon.gamma))
-        if isinstance(profile.epsilon, PowerFamily) else None,
+        "guaranteed_beyond_n": max(int(L_cert ** (2.0 / _tail_family(profile.epsilon).gamma)), tmax),
         "rows": rows,
     }
     return ExperimentSummary(
@@ -567,7 +565,6 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
     t0 = time.perf_counter()
     gen = rng.generator()
     a0 = eval_intensity(profile, 0)
-    cdf0 = poisson_cdf_tables(np.array([a0]))
 
     partial = np.zeros(samples)
     crossing = np.full(samples, -1, dtype=np.int64)
@@ -584,7 +581,7 @@ def stopping_time_experiment(profile: IntensityProfile, r: float, eps: float,
         j_hi = min(j + _STOPPING_BLOCK, N)
         js = np.arange(j + 1, j_hi + 1)
         eps_j = epsilon_at(profile.epsilon, js)
-        for r0, chunk in _increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive)):
+        for r0, chunk in _increments(gen, profile.level * np.exp(eps_j), a0, len(alive)):
             rows = alive[r0:r0 + len(chunk)]
             X = np.multiply(chunk, eps_j, out=X_buf[:chunk.size].reshape(chunk.shape))
             block_max = np.maximum(X.max(axis=1), -X.min(axis=1))  # max |X| per row
@@ -653,10 +650,9 @@ def scan_intensity(profile: IntensityProfile, t_grid: Sequence[float], N: int,
         raise ParameterDomainError("t_grid must be strictly increasing with at least two points")
     criteria.require_condition(profile, "nonsingularity", "scan_intensity")
     t0 = time.perf_counter()
-    window = window_for_shift(profile.with_scale(profile.scale * max(ts)), N, window_tol)
+    window = window_for_shift(profile.scaled(max(ts)), N, window_tol)
 
-    results = _hopf_core([profile.with_scale(profile.scale * t) for t in ts], N, samples, rng,
-                         window, beta=None)
+    results = _hopf_core([profile.scaled(t) for t in ts], N, samples, rng, window, beta=None)
 
     growth = [res["growth_exponent"] for res in results]
     rises = [b - a for a, b in zip(growth, growth[1:])]

@@ -411,6 +411,21 @@ class TestBifurcationBracket:
         assert other.t_lower * a == pytest.approx(unit.t_lower, rel=5e-3)
         assert other.t_upper * a == pytest.approx(unit.t_upper, rel=5e-3)
 
+    def test_endpoints_are_factors_of_the_scale(self):
+        # at scale 2 every probe's level is a scale-1 probe's, so the
+        # endpoints halve exactly and the reports classify the same profiles
+        unit = bifurcation_bracket(IntensityProfile(1.0, HALF))
+        double = bifurcation_bracket(IntensityProfile(1.0, HALF, scale=2.0))
+        assert (double.t_lower, double.t_upper) == (unit.t_lower / 2.0, unit.t_upper / 2.0)
+        assert double.lower_report.profile == unit.lower_report.profile
+        assert double.upper_report.profile == unit.upper_report.profile
+
+    def test_endpoints_at_a_scale_off_the_probes(self):
+        unit = bifurcation_bracket(IntensityProfile(1.0, HALF))
+        other = bifurcation_bracket(IntensityProfile(1.0, HALF, scale=0.3))
+        assert other.t_lower * 0.3 == pytest.approx(unit.t_lower, rel=1e-3)
+        assert other.t_upper * 0.3 == pytest.approx(unit.t_upper, rel=1e-3)
+
     def test_no_transition_rejected(self):
         with pytest.raises(ProfileError, match="does not straddle the transition"):
             bifurcation_bracket(IntensityProfile(1.0))

@@ -189,6 +189,32 @@ class TestHighGamma:
         assert abs(got - float(want)) <= 1e-12 * float(want)
 
 
+def frozen_grid(fam, first, last, tail, hi):
+    """eps_t for t = first ... hi as the grid once built it: ``epsilon_at``
+    over the table, and the tail's own sign t^-gamma past it (zeros without one)."""
+    eps = np.zeros(hi + 1 - first)
+    past = last + 1
+    eps[:past - first] = epsilon_at(fam, np.arange(first, past, dtype=float))
+    if tail is not None:
+        eps[past - first:] = np.power(np.arange(past, hi + 1, dtype=float), -tail.gamma) * tail.sign
+    return eps
+
+
+NEGATIVE_TABLE = ((-40, 0.3), (-2, -0.1), (0, 0.0), (5, 0.2))
+#: Power tails steep and shallow, in both signs, and tables with a power, zero or no tail.
+GRID_FAMILIES = {
+    **{f"power_{g}" + ("" if sign < 0 else "_plus"): PowerFamily(g, sign)
+       for g in (0.01, 0.3, 0.5, 0.75, 3.0, 64.0, 100.0, 1e5) for sign in (-1, 1)},
+    "two_entries": TWO_ENTRIES,
+    "negative_power": ExplicitFamily(NEGATIVE_TABLE, PowerFamily(0.75, 1)),
+    "negative_zero": ExplicitFamily(NEGATIVE_TABLE, ZeroFamily()),
+    "negative_none": ExplicitFamily(NEGATIVE_TABLE),
+    "lone_100_power": ExplicitFamily(((100, 0.3),), PowerFamily(0.5, -1)),
+    "lone_100_zero": ExplicitFamily(((100, 0.3),), ZeroFamily()),
+    "lone_100_none": ExplicitFamily(((100, 0.3),)),
+}
+
+
 def cold_peak(fn, n) -> int:
     """tracemalloc peak of one series call at shift n with every criteria cache cleared."""
     profile = IntensityProfile(1.0, PowerFamily(0.5, -1))
@@ -215,16 +241,26 @@ class TestPeakMemory:
         # and chunk temporaries; 1 MiB more when the grid held a zero for each of the n cells below first
         assert cold_peak(fn, 2**17) <= mib * 2**20
 
-    @pytest.mark.parametrize("fam", [PowerFamily(0.5, -1), TWO_ENTRIES], ids=["power_0.5", "two_entries"])
+    @pytest.mark.parametrize("fam", GRID_FAMILIES.values(), ids=GRID_FAMILIES.keys())
     def test_grid_holds_no_cell_below_first(self, fam):
-        # a Hellinger unit at n = 2^12 sums x = first - n ... 2n + 64 and reads eps_{x+n}
-        n = 2**12
         first, last, tail = _span(fam, _HELLINGER.what)
+        # grown in five steps, up to the largest request a Hellinger fit makes,
+        # the grid holds the bytes of the formula it replaced, -0.0 cells included
+        clear_caches()
+        grid = criteria._eps_grid(fam, first)
+        for hi in (last + 1, 300, 4_200, 70_000, 3 * 2**17 + 64):
+            view = grid.upto(hi)
+            assert grid.eps.size == view.size == hi + 1 - first
+            assert view.tobytes() == frozen_grid(fam, first, last, tail, hi).tobytes(), hi
+        # a Hellinger unit at n = 2^12 sums x = first - n ... 2n + 64 (or to the
+        # table's end + 1 without a tail) and reads eps_{x+n}
+        n = 2**12
         clear_caches()
         _unit(fam, n, _HELLINGER)
-        grid = criteria._eps_grid(fam, first, last, tail)
-        assert grid.eps.size == 3 * n + 64 - first + 1
-        assert np.array_equal(grid.eps, epsilon_at(fam, np.arange(first, 3 * n + 65, dtype=float)))
+        grid = criteria._eps_grid(fam, first)
+        hi = 3 * n + 64 if tail is not None else last + 1 + n
+        assert grid.eps.size == hi - first + 1
+        assert np.array_equal(grid.eps, epsilon_at(fam, np.arange(first, hi + 1, dtype=float)))
 
     def test_cold_small_unit(self):
         # a grid sized by the request, not by the largest shift a fit may ask for

@@ -914,8 +914,7 @@ class TestCltExperiment:
         # clt's reduction of a draw block: each row's sum has the same bits
         # whatever rows are summed with it
         eps = epsilon_at(HALF, np.arange(2, columns + 2))
-        a0 = np.array([base])
-        chunks = simulate._increments(RNGSpec(seed=3).generator(), base * np.exp(eps), poisson_cdf_tables(a0), 1_000)
+        chunks = simulate._increments(RNGSpec(seed=3).generator(), base * np.exp(eps), base, 1_000)
         streamed = np.empty(1_000)
         d = np.empty((1_000, columns), dtype=np.int32)
         for r0, chunk in chunks:
@@ -948,6 +947,16 @@ class TestIncrementTailDecay:
         for row in s.statistics["rows"]:
             if row["guaranteed"]:
                 assert row["beats_eps_fourth"]
+
+    def test_threshold_guarantee_past_an_explicit_table(self):
+        # a table over a power tail: L = 16 and gamma = 0.4 give 16^5, and every
+        # row past it, in the tail, is guaranteed
+        fam = ExplicitFamily(((0, 0.4), (1, -0.2)), PowerFamily(0.4, -1))
+        ns = (10, 1_048_576, 1_048_577, 3_000_000, 10**8)
+        s = increment_tail_decay(IntensityProfile(1.0, fam), RNGSpec(seed=0), samples=2, ns=ns, mc_max=0)
+        assert s.statistics["tail_threshold_L"] == 16
+        assert s.statistics["guaranteed_beyond_n"] == 1_048_576
+        assert [r["guaranteed"] for r in s.statistics["rows"] if r["n"] > 1_048_576] == [True] * 3
 
     def test_deep_threshold_tail_is_tiny(self):
         # deviation threshold 10 at unit level: the exact tail sits below 1e-8
@@ -992,7 +1001,7 @@ class TestRowChunks:
         monkeypatch.setattr(sampling, "prepare_rows", prepare)
         a_j = np.full(8_192, 1.5)
         cdf0 = poisson_cdf_tables(np.array([1.0]))
-        chunks = simulate._increments(RNGSpec(seed=3).generator(), a_j, cdf0, 49)
+        chunks = simulate._increments(RNGSpec(seed=3).generator(), a_j, 1.0, 49)
         assert [(r0, len(d)) for r0, d in chunks] == [(0, 13), (13, 13), (26, 13), (39, 10)]
         assert sorted(calls) == sorted([(poisson_cdf_tables(a_j).shape, 49), (cdf0.shape, 49 * 8_192)])
 
@@ -1006,7 +1015,7 @@ class TestRowChunks:
         cdf0 = poisson_cdf_tables(np.array([2.0]))
         gen = spec.generator()
         monkeypatch.setattr(simulate, "_DRAW_CHUNK_CELLS", 7 * columns)
-        chunks = [(r0, d.copy()) for r0, d in simulate._increments(gen, a_j, cdf0, rows)]
+        chunks = [(r0, d.copy()) for r0, d in simulate._increments(gen, a_j, 2.0, rows)]
         assert [r0 for r0, _ in chunks] == list(range(0, rows, 7))
         fresh = spec.generator()
         x = invert_uniform_rows(poisson_cdf_tables(a_j), fresh.random((rows, columns)))
@@ -1020,7 +1029,7 @@ def _stopping_whole_rows(profile, r, eps, M, N, samples, rng):
     whole rows: every |X| kept, and the crossing rows' prefix max taken by
     ``np.maximum.accumulate`` over all of each row's columns."""
     gen = rng.generator()
-    cdf0 = poisson_cdf_tables(np.array([eval_intensity(profile, 0)]))
+    a0 = eval_intensity(profile, 0)
     partial, max_abs_x = np.zeros(samples), np.zeros(samples)
     crossing = np.full(samples, -1, dtype=np.int64)
     overshoot, x_at_crossing = np.full(samples, np.nan), np.full(samples, np.nan)
@@ -1028,7 +1037,7 @@ def _stopping_whole_rows(profile, r, eps, M, N, samples, rng):
     while j < N and len(alive):
         js = np.arange(j + 1, min(j + simulate._STOPPING_BLOCK, N) + 1)
         eps_j = epsilon_at(profile.epsilon, js)
-        for r0, chunk in simulate._increments(gen, profile.level * np.exp(eps_j), cdf0, len(alive)):
+        for r0, chunk in simulate._increments(gen, profile.level * np.exp(eps_j), a0, len(alive)):
             rows = alive[r0:r0 + len(chunk)]
             X = chunk * eps_j
             sums = partial[rows, None] + np.cumsum(X, axis=1)
