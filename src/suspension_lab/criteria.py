@@ -23,12 +23,18 @@ and step families have one closed form.
 
 Every prefix slices one eps grid per family (``_eps_grid``), from the
 family's ``first`` index up to the largest request so far (eps is 0 below
-``first``), whose cells are ``epsilon_at``'s, and turns its differences
-into terms in place, chunk by chunk, in one buffer that a single ``np.sum``
-adds.  Every step is an elementwise ufunc, whose results depend neither on
-a slice's offset nor on its length, so each unit has the bits of a grid
-built for it alone.  The closure's zeta-weighted column sums are cached
-per series, gamma, sign and prefix end.
+``first``), whose cells are ``epsilon_at``'s.  The prefix's terms are never
+held at once: ``_pairwise_sum`` splits the prefix as numpy's pairwise
+``np.sum`` splits an array, into nodes of at most ``_CHUNK`` cells, each
+node's terms are built from the grid in one node-sized buffer and summed
+by ``np.sum``, and the node sums are added in the tree's order.  No bit
+moves against one ``np.sum`` over a terms array: every step is an
+elementwise ufunc, whose results depend neither on a slice's offset nor on
+its length, each node is ``np.sum`` over the same cells that numpy's
+recursion reaches, and node sums are added as numpy adds them.  So each
+unit has the bits of a grid and a terms array built for it alone.  The
+closure's zeta-weighted column sums are cached per series, gamma, sign and
+prefix end.
 
 Slope fits against log n replace the exact asymptotics; a verdict is only
 issued when the decisive inequality clears three residual standard errors.
@@ -158,33 +164,40 @@ def _span(fam: PowerFamily | ExplicitFamily, series: str) -> tuple[int, int, Opt
     return first, last, tail
 
 
-#: Cells per pass of the in-place kernels: a chunk and its temporaries stay in cache.
+#: The most cells per ``epsilon_at`` call of the grid and of a prefix node, and
+#: the step in which the grid's buffer grows: a chunk and its temporaries stay in cache.
 _CHUNK = 16_384
 
 
 class _EpsGrid:
-    """eps_t of one family for t = first ... first + size - 1, grown upward to
-    the largest request so far, ``_CHUNK`` new cells per ``epsilon_at`` call.
-    Below ``first`` eps is 0, and the grid holds no cell there.  Each cell is
-    computed once, elementwise, so its bits do not depend on when the grid
-    grew to it."""
+    """eps_t of one family for t = first ... first + size - 1, ``eps``, grown
+    upward to the largest request so far, at most ``_CHUNK`` new cells per
+    ``epsilon_at`` call.  Below ``first`` eps is 0, and the grid holds no
+    cell there.  The cells live in a buffer whose size is a multiple of
+    ``_CHUNK``: a request within it computes only the new cells, and one
+    past it drops the buffer before it allocates a larger one and computes
+    every cell again, so two large grids never coexist and a loop over
+    n = 1 ... N does not recompute the grid for each n.  ``epsilon_at`` is
+    elementwise, so a cell's bits do not depend on when or in which chunk
+    it was computed."""
 
     def __init__(self, fam: PowerFamily | ExplicitFamily, first: int):
         self.fam, self.first = fam, first
-        self.eps = np.empty(0)
+        self.eps = self._cells = np.empty(0)
 
     def upto(self, hi: int) -> np.ndarray:
         """eps_t for t = first ... hi, a view of the grid."""
-        first, end, done = self.first, hi + 1, self.first + self.eps.size
-        if end > done:
-            eps = np.empty(end - first)
-            eps[:done - first] = self.eps
-            for s in range(done, end, _CHUNK):
-                e = min(s + _CHUNK, end)
-                eps[s - first:e - first] = epsilon_at(self.fam, np.arange(s, e, dtype=float))
-            eps.flags.writeable = False  # units share the grid's views
-            self.eps = eps
-        return self.eps[:end - first]
+        first, size, done = self.first, hi + 1 - self.first, self.eps.size
+        if size > done:
+            if size > self._cells.size:
+                self.eps = self._cells = np.empty(0)  # released before the larger grid is allocated
+                self._cells, done = np.empty(-(-size // _CHUNK) * _CHUNK), 0
+            for s in range(done, size, _CHUNK):
+                e = min(s + _CHUNK, size)
+                self._cells[s:e] = epsilon_at(self.fam, np.arange(first + s, first + e, dtype=float))
+            self.eps = self._cells[:size]
+            self.eps.flags.writeable = False  # units share the grid's views
+        return self.eps[:size]
 
 
 @lru_cache(maxsize=4)
@@ -229,42 +242,77 @@ _HELLINGER = _Series("hellinger series", lambda eps_v, d: np.exp(eps_v) * np.exp
                      lambda here, other: ((1.0, other), (-2.0, 0.5 * (here + other)), (1.0, here)))
 
 
-def _prefix_terms(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, last: int,
-                  tail: Optional[PowerFamily], series: _Series) -> np.ndarray:
-    """terms(eps_v, d_x) for x = first - n ... hi, d_x = eps_{x+n} - eps_x,
-    given the family's ``_span``, in one buffer.
+class _Prefix(NamedTuple):
+    """The exact prefix of one unit, terms(eps_v, d_x) for x = first - n ... hi,
+    d_x = eps_{x+n} - eps_x: cell i holds x = first - n + i, and ``eps[i]``,
+    a view of the family's grid, is its eps_{x+n}.  Cells from ``past`` on
+    lie past the table."""
 
-    The grid holds eps from ``first`` up.  For the n indices x < first,
-    eps_x = 0, so d_x is the grid's eps_{x+n} (a - 0.0 is a) and a lower end
-    v = x gives the kernel e^0 = 1.  From ``first`` to the end of the table
-    d_x is a difference of grid cells; past it both indices lie in the power
-    tail, so d_x is the stable ``_power_eps_diff`` of the grid's eps_{x+n},
-    save where that overflows or eps_{x+n} is not a normal float.
-    Both steps and the kernel run in place, chunk by chunk.
-    """
-    eps = _eps_grid(fam, first).upto(hi + n)  # eps[i] = eps_{first + i} = eps_{x+n} at terms[i]
-    m = eps.size
-    terms = np.empty(m)
-    terms[:n] = eps[:n]
-    np.subtract(eps[n:], eps[:m - n], out=terms[n:])
-    exp_v = np.empty(min(m, _CHUNK))
-    b = last + 1 - first + n  # terms[b:] lies past the table
-    below = 0 if series.upper else n  # eps_v at terms[i] is eps[i - below], or 0 where i < below
-    for s in range(0, m, _CHUNK):
-        e = min(s + _CHUNK, m)
-        if tail is not None and e > b:
-            p = max(s, b)
-            t = np.arange(first + p, first + e, dtype=float)
-            d = _power_eps_diff(tail.gamma, eps[p:e], t, float(n))
-            stable = np.isfinite(d)
+    eps: np.ndarray
+    n: int
+    first: int
+    past: int
+    tail: Optional[PowerFamily]
+    series: _Series
+
+    def terms(self, s: int, e: int, out: np.ndarray, exp_v: np.ndarray) -> np.ndarray:
+        """The terms at cells s ... e - 1, built in ``out[:e - s]`` with
+        ``exp_v[:e - s]`` as scratch.
+
+        For the n indices x < first, eps_x = 0, so d_x is the grid's
+        eps_{x+n} (a - 0.0 is a) and a lower end v = x gives the kernel
+        e^0 = 1.  From ``first`` to the end of the table d_x is a difference
+        of grid cells; past it both indices lie in the power tail, so d_x is
+        the stable ``_power_eps_diff`` of the grid's eps_{x+n}, save where
+        that overflows or eps_{x+n} is not a normal float.  Every step is
+        an elementwise ufunc, so a cell's bits depend neither on s nor on e.
+        """
+        eps, n, d, v = self.eps, self.n, out[:e - s], exp_v[:e - s]
+        k = min(max(n - s, 0), e - s)  # cells below n, whose x < first
+        d[:k] = eps[s:s + k]
+        np.subtract(eps[s + k:e], eps[s + k - n:e - n], out=d[k:])
+        if self.tail is not None and e > self.past:
+            p = max(s, self.past)
+            t = np.arange(self.first + p, self.first + e, dtype=float)
+            stable_d = _power_eps_diff(self.tail.gamma, eps[p:e], t, float(n))
+            stable = np.isfinite(stable_d)
             stable &= np.abs(eps[p:e]) >= _TINY
-            np.copyto(terms[p:e], d, where=stable)
+            np.copyto(d[p - s:], stable_d, where=stable)
+        below = 0 if self.series.upper else n  # eps_v at cell i is eps[i - below], or 0 where i < below
         ones = min(max(below - s, 0), e - s)
-        exp_v[:ones] = 1.0
-        np.exp(eps[s + ones - below:e - below], out=exp_v[ones:e - s])
+        v[:ones] = 1.0
+        np.exp(eps[s + ones - below:e - below], out=v[ones:])
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN term: _at_level and SlopeFit refuse it
-            series.kernel(terms[s:e], exp_v[:e - s])
-    return terms
+            self.series.kernel(d, v)
+        return d
+
+    def total(self) -> float:
+        """``np.sum`` of all the terms, built node by node in two buffers of
+        at most ``_CHUNK`` cells that are freed on return (``_pairwise_sum``)."""
+        size = min(self.eps.size, _CHUNK)
+        out, exp_v = np.empty(size), np.empty(size)
+        return float(_pairwise_sum(lambda s, e: np.sum(self.terms(s, e, out, exp_v)), 0, self.eps.size))
+
+
+def _prefix(fam: PowerFamily | ExplicitFamily, n: int, hi: int, first: int, last: int,
+            tail: Optional[PowerFamily], series: _Series) -> _Prefix:
+    """The prefix over x = first - n ... hi, given the family's ``_span``."""
+    return _Prefix(_eps_grid(fam, first).upto(hi + n), n, first, last + 1 - first + n, tail, series)
+
+
+def _pairwise_sum(node_sum: Callable[[int, int], float], s: int, e: int) -> float:
+    """``np.sum`` of cells s ... e - 1 of an array never built, from
+    ``node_sum(a, b)``, the ``np.sum`` of cells a ... b - 1 of a node of at
+    most ``_CHUNK`` cells.  numpy splits a contiguous float64 run of more than
+    128 cells after n // 2 cells rounded down to a multiple of 8 and adds the
+    halves' sums (Higham 1993); splitting the same way and adding in the same
+    order gives its bits, a zero's sign included (each node is added to +0.0,
+    as the whole array is)."""
+    size = e - s
+    if size <= _CHUNK:
+        return node_sum(s, e)
+    half = size // 2 - (size // 2) % 8
+    return _pairwise_sum(node_sum, s, s + half) + _pairwise_sum(node_sum, s + half, e)
 
 
 @lru_cache(maxsize=256)
@@ -285,8 +333,9 @@ def _closure_weights(series: _Series, gamma: float, sign: int, start: int) -> np
 
 @lru_cache(maxsize=131_072)
 def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
-    """The series at shift n: exact over v <= K and, for a power tail whose
-    (K + 1)^-gamma is a nonzero float, the double-series closure over v > K."""
+    """The series at shift n: exact over v <= K, summed node by node
+    (``_Prefix.total``), and, for a power tail whose (K + 1)^-gamma is a
+    nonzero float, the double-series closure over v > K."""
     if isinstance(fam, ZeroFamily):
         return 0.0
     if isinstance(fam, StepFamily):
@@ -295,8 +344,7 @@ def _unit(fam: EpsilonFamily, n: int, series: _Series) -> float:
     first, last, tail = _span(fam, series.what)
     lag = n if series.upper else 0
     K = max(2 * n + _PREFIX_MARGIN, _PREFIX_MIN, last + lag + _PREFIX_MARGIN)
-    terms = _prefix_terms(fam, n, last + 1 if tail is None else K - lag, first, last, tail, series)
-    total = float(np.sum(terms))
+    total = _prefix(fam, n, last + 1 if tail is None else K - lag, first, last, tail, series).total()
     if tail is None or float(K + 1) ** -tail.gamma == 0.0:
         return total
     return total + semi_infinite_sum(_closure_weights(series, tail.gamma, tail.sign, K + 1), K + 1, n)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -93,6 +94,12 @@ class ExplicitFamily:
         ns = [n for n, _ in self.table]
         return min(ns), max(ns)
 
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table's indices, ascending and as floats, and its values, built
+        once per family for ``epsilon_at``."""
+        return np.array([n for n, _ in self.table], dtype=float), np.array([e for _, e in self.table])
+
 
 EpsilonFamily = Union[ZeroFamily, PowerFamily, StepFamily, ExplicitFamily]
 
@@ -102,7 +109,9 @@ DEFAULT_EPSILON = PowerFamily(gamma=0.5, sign=-1)
 
 def epsilon_at(family: EpsilonFamily, ns) -> np.ndarray:
     """Vectorized eps_n over an integer array, computed in place in one fresh
-    float array (pass floats to spare a copy); ``ns`` is never written."""
+    float array (pass floats to spare a copy); ``ns`` is never written.  The
+    zeroing pass (power) and the table lookup are skipped when the least index
+    (NaN if any index is) lies above 1 or above the table's last index."""
     ns = np.asarray(ns, dtype=float)
     if isinstance(family, ZeroFamily):
         return np.zeros_like(ns)
@@ -110,16 +119,17 @@ def epsilon_at(family: EpsilonFamily, ns) -> np.ndarray:
         eps = np.maximum(ns, 2.0, out=np.empty_like(ns))  # an array also where ns is 0-d
         np.power(eps, -family.gamma, out=eps)
         np.multiply(eps, family.sign, out=eps)
-        eps[ns <= 1] = 0.0
+        if ns.size and not ns.min() > 1:
+            eps[ns <= 1] = 0.0
         return eps
     if isinstance(family, StepFamily):
         return np.where(ns >= 1, family.right, family.left)
     if isinstance(family, ExplicitFamily):
         eps = epsilon_at(family.tail, ns) if family.tail is not None else np.zeros_like(ns)
-        keys = np.array([n for n, _ in family.table], dtype=float)
-        vals = np.array([e for _, e in family.table])
-        idx = np.minimum(np.searchsorted(keys, ns), len(keys) - 1)
-        np.copyto(eps, vals[idx], where=keys[idx] == ns)
+        keys, vals = family._lookup
+        if ns.size and not ns.min() > keys[-1]:
+            idx = np.minimum(np.searchsorted(keys, ns), len(keys) - 1)
+            np.copyto(eps, vals[idx], where=keys[idx] == ns)
         return eps
     raise ProfileError(f"unknown epsilon family {family!r}")
 

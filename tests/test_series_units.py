@@ -1,10 +1,11 @@
 """Series units against a frozen copy of the evaluator they replaced.
 
 ``criteria._unit`` evaluates each unit by slicing one eps grid per family
-and running its kernels in place.  Every step is an elementwise ufunc and
-the prefix is summed by the same ``np.sum`` over an array of the same
-length, so each unit must equal, bit for bit, the evaluator that built a
-fresh grid per unit, kept below as ``frozen_unit``.
+and running its kernels in place, node by node.  Every step is an
+elementwise ufunc, and the nodes' ``np.sum`` values are added as numpy's
+pairwise sum of the whole prefix adds them (``TestPairwiseSum``), so each
+unit must equal, bit for bit, the evaluator that built a fresh grid per
+unit, kept below as ``frozen_unit``.
 """
 
 import math
@@ -159,7 +160,9 @@ class TestHighGamma:
         fam, n = PowerFamily(100.0, -1), 2**17
         first, last, tail = _span(fam, _HELLINGER.what)
         clear_caches()
-        terms = criteria._prefix_terms(fam, n, 2 * n + 64, first, last, tail, _HELLINGER)
+        prefix = criteria._prefix(fam, n, 2 * n + 64, first, last, tail, _HELLINGER)
+        terms = np.empty(prefix.eps.size)  # the whole prefix [0, m) as one node
+        prefix.terms(0, terms.size, terms, np.empty(terms.size))
         with np.errstate(over="ignore", invalid="ignore"):
             _, d = frozen_shift_diff(fam, n, 2 * n + 64, first, last, tail, 0)
         bad = ~np.isfinite(d)
@@ -189,6 +192,34 @@ class TestHighGamma:
         assert abs(got - float(want)) <= 1e-12 * float(want)
 
 
+CHUNK = criteria._CHUNK
+#: Leaves and their edges (numpy adds runs of at most 8 and of at most 128 cells in a loop),
+#: the node size and its edges, split points past it, the longest length tried against
+#: numpy, 3 * 2^17 + 64, and the prefix lengths of cold RN and Hellinger units at 2^17.
+TREE_LENGTHS = (*range(1, 10), 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 8, 2 * CHUNK + 8,
+                2 * 2**17 + 63, 3 * 2**17 + 63, 3 * 2**17 + 64)
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` with ``np.sum`` nodes is ``np.sum`` of the whole array, bit for bit."""
+
+    @staticmethod
+    def tree_sum(a):
+        return float(criteria._pairwise_sum(lambda s, e: np.sum(a[s:e]), 0, a.size))
+
+    @pytest.mark.parametrize("size", TREE_LENGTHS)
+    def test_heavy_tailed_arrays(self, size):
+        rng = np.random.default_rng(size)
+        a = rng.standard_cauchy(size) * np.exp(rng.normal(0.0, 10.0, size))
+        assert self.tree_sum(a).hex() == float(np.sum(a)).hex()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative_zero"])
+    @pytest.mark.parametrize("size", [1, 9, 129, CHUNK + 1, 393_280])
+    def test_sign_of_zero(self, zero, size):
+        a = np.full(size, zero)
+        assert self.tree_sum(a).hex() == float(np.sum(a)).hex()
+
+
 def frozen_grid(fam, first, last, tail, hi):
     """eps_t for t = first ... hi as the grid once built it: ``epsilon_at``
     over the table, and the tail's own sign t^-gamma past it (zeros without one)."""
@@ -215,14 +246,15 @@ GRID_FAMILIES = {
 }
 
 
-def cold_peak(fn, n) -> int:
-    """tracemalloc peak of one series call at shift n with every criteria cache cleared."""
+def cold_peak(fn, n=None) -> int:
+    """tracemalloc peak of one series call at shift n, or of ``fn(profile)``
+    when n is None, with every criteria cache cleared."""
     profile = IntensityProfile(1.0, PowerFamily(0.5, -1))
-    fn(profile, 4)  # numpy's lazily built state is not the call's
+    fn(profile, *(() if n is None else (4,)))  # numpy's lazily built state is not the call's
     clear_caches()
     tracemalloc.start()
     try:
-        fn(profile, n)
+        fn(profile, *(() if n is None else (n,)))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,16 +262,47 @@ def cold_peak(fn, n) -> int:
 
 class TestPeakMemory:
     def test_cold_hellinger_at_the_cap(self):
-        # the grid (~3n cells), the prefix's terms (~3n) and chunk temporaries;
-        # 17.0 MiB when each unit built its own t, eps and d grids
+        # the grid (~3n cells) and node buffers; 17.0 MiB when each unit
+        # built its own t, eps and d grids
         assert cold_peak(criteria.hellinger_growth, 2**17) <= 13 * 2**20
 
     @pytest.mark.parametrize("fn, mib", [(criteria.hellinger_growth, 6.9), (criteria.rn_square_integral, 4.9)],
                              ids=["hellinger", "rn"])
     def test_cold_unit_grid_from_first(self, fn, mib):
-        # 6.41 / 4.41 MiB: the grid over first ... 3n + 64 / 2n + 64 and the terms, as long,
-        # and chunk temporaries; 1 MiB more when the grid held a zero for each of the n cells below first
+        # the grid over first ... 3n + 64 / 2n + 64 and node buffers; 1 MiB more
+        # when the grid held a zero for each of the n cells below first
         assert cold_peak(fn, 2**17) <= mib * 2**20
+
+    @pytest.mark.parametrize("fn, mib", [(criteria.hellinger_growth, 4.0), (criteria.rn_square_integral, 3.0)],
+                             ids=["hellinger", "rn"])
+    def test_cold_unit_holds_no_terms_buffer(self, fn, mib):
+        # 3.59 / 2.66 MiB: the grid in whole _CHUNKs and two node buffers of _CHUNK cells
+        # with their temporaries; 6.41 / 4.41 MiB when a buffer held every term for one np.sum
+        assert cold_peak(fn, 2**17) <= mib * 2**20
+
+    def test_cold_fit_holds_one_grid_at_a_time(self):
+        # the fit grows the grid upward, n = 2^10 ... 2^17; 3.62 MiB, and 6.44 MiB
+        # when a growth held the old grid beside the new one, and the terms buffer
+        assert cold_peak(criteria.hellinger_slope_fit) <= 4.0 * 2**20
+
+    def test_small_growths_recompute_the_grid_once_per_chunk(self, monkeypatch):
+        # a series loop grows a Hellinger grid by 3 cells per n; here the grid is
+        # computed from first 3 times, and was 7,872 times when each growth past
+        # _CHUNK cells recomputed it
+        starts = []
+
+        def counting(fam, ns):
+            starts.append(ns[0])
+            return epsilon_at(fam, ns)
+
+        monkeypatch.setattr(criteria, "epsilon_at", counting)
+        fam = PowerFamily(0.5, -1)
+        clear_caches()
+        grid = criteria._eps_grid(fam, 2)
+        for hi in range(15_000, 40_000, 3):
+            view = grid.upto(hi)
+        assert starts.count(2.0) <= -(-view.size // CHUNK)
+        assert view.tobytes() == epsilon_at(fam, np.arange(2, hi + 1, dtype=float)).tobytes()
 
     @pytest.mark.parametrize("fam", GRID_FAMILIES.values(), ids=GRID_FAMILIES.keys())
     def test_grid_holds_no_cell_below_first(self, fam):
